@@ -34,7 +34,6 @@ from .gmc import (
     boundary_measure,
     bulk_measure,
     graded_disk_grid,
-    push_forward,
     window_sector_grid,
 )
 from .critical import (

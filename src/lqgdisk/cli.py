@@ -2,8 +2,9 @@
 
 Each subcommand runs one experiment from a JSON config, writes CSV/JSON
 artifacts plus a manifest with per-file checksums, and is byte-reproducible
-from (config, seed) independent of the worker count.  Exit codes: 0 ok,
-2 invalid config, 3 admissibility rejection, 4 numeric failure.
+from (config, seed).  --workers is accepted and recorded for compatibility
+and has no effect.  Exit codes: 0 ok, 2 invalid config, 3 admissibility
+rejection, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import scipy.stats
@@ -30,8 +30,15 @@ from .errors import (
     UnsupportedSeparationError,
 )
 from .geometry import ConformalFactor, LiouvilleParams, MobiusMap, green, weyl_anomaly
-from .gff import FieldSampler, RngStream, sample_field
-from .gmc import graded_disk_grid
+from .gff import (
+    FieldSampler,
+    RngStream,
+    boundary_synthesis,
+    check_averaging_circles,
+    sample_field,
+    truncated_boundary_variance,
+)
+from .gmc import boundary_masses, bulk_masses, graded_disk_grid
 
 SEED_ENV = "LQG_SEED"
 
@@ -62,7 +69,8 @@ def _insertions_from(config):
     return liouville.InsertionSet(params=params, bulk=tuple(bulk), boundary=tuple(boundary))
 
 
-def _grid_from(config):
+def _grid_shape(config):
+    """(depth, rings_per_band, aspect) of the graded grid a config asks for."""
     grid_cfg = config.get("grid", {})
     depth = int(grid_cfg.get("n_r", grid_cfg.get("depth", 7)))
     rings = int(grid_cfg.get("rings_per_band", 2))
@@ -72,50 +80,18 @@ def _grid_from(config):
         aspect = min(max(aspect, 0.5), 8.0)
     else:
         aspect = float(grid_cfg.get("aspect", 2.0))
-    return graded_disk_grid(depth, rings_per_band=rings, aspect=aspect)
+    return depth, rings, aspect
 
 
-# ---------------------------------------------------------------------------
-# replica sharding (fork-based; per-replica streams make results
-# independent of how replicas are split across workers)
-# ---------------------------------------------------------------------------
-
-_POOL_CTX = {}
-
-
-def _bulk_total_row(r):
-    ctx = _POOL_CTX
-    vals = ctx["factor"] @ RngStream(ctx["seed"], r).generator().standard_normal(ctx["m"])
-    masses = np.exp(ctx["gamma"] * vals - 0.5 * ctx["gamma"] ** 2 * ctx["var"]) * ctx["w"]
-    return float(masses.sum())
-
-
-def _boundary_total_row(r):
-    ctx = _POOL_CTX
-    coef = RngStream(ctx["seed"], r).generator().standard_normal((2, ctx["n_modes"]))
-    x = ctx["cosb"] @ coef[0] + ctx["sinb"] @ coef[1]
-    g = ctx["gamma"]
-    masses = (
-        np.exp(-0.125 * g**2)
-        * np.exp(0.5 * g * x - 0.125 * g**2 * ctx["var_n"])
-        * (2.0 * np.pi / ctx["n_arcs"])
-    )
-    return float(masses.sum())
-
-
-def _map_replicas(fn, n_replicas, workers):
-    ids = range(n_replicas)
-    if workers <= 1:
-        return [fn(r) for r in ids]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, ids, chunksize=max(1, n_replicas // (4 * workers))))
+def _grid_from(config):
+    return graded_disk_grid(*_grid_shape(config))
 
 
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
 
-def run_green_selftest(config, seed, workers, outdir):
+def run_green_selftest(config, seed, outdir):
     n = int(config.get("n_samples", 10000))
     gen = RngStream(seed, 0).generator()
     r = np.sqrt(gen.uniform(size=n)) * 0.999
@@ -166,7 +142,7 @@ def run_green_selftest(config, seed, workers, outdir):
     return summary, [csv]
 
 
-def run_field_sample(config, seed, workers, outdir):
+def run_field_sample(config, seed, outdir):
     if "points" in config:
         pts = np.array([complex(p[0], p[1]) for p in config["points"]])
         eps = float(config["eps"])
@@ -185,90 +161,76 @@ def run_field_sample(config, seed, workers, outdir):
     return summary, files
 
 
-def run_gmc_bulk(config, seed, workers, outdir):
+def _totals_result(name, quantity, gamma, totals, outdir):
+    """CSV of per-replica total masses and the summary of their mean."""
+    n = len(totals)
+    csv = io.write_csv(
+        os.path.join(outdir, f"{name}.csv"),
+        ["replica", "total"],
+        ((r, t) for r, t in enumerate(totals)),
+    )
+    mean = math.fsum(totals) / n
+    var = math.fsum((t - mean) ** 2 for t in totals) / (n - 1)
+    summary = {
+        "quantity": quantity,
+        "estimate": mean,
+        "stderr": math.sqrt(var / n),
+        "n_replicas": n,
+        "gamma": gamma,
+    }
+    return summary, [csv]
+
+
+def run_gmc_bulk(config, seed, outdir):
     gamma = float(config["gamma"])
     n_replicas = int(config.get("n_replicas", 1000))
     grid = _grid_from(config)
     sampler = FieldSampler(grid.centers, grid.eps)
-    _POOL_CTX.clear()
-    _POOL_CTX.update(
-        seed=seed,
-        gamma=gamma,
-        m=grid.size,
-        factor=sampler._factor,
-        var=np.diag(sampler.covariance),
-        w=grid.density_weights(0.5 * gamma**2),
+    variances = np.diag(sampler.covariance)
+    weights = grid.density_weights(0.5 * gamma**2)
+    totals = [
+        float(bulk_masses(sampler.draw(RngStream(seed, r)), variances, weights, gamma).sum())
+        for r in range(n_replicas)
+    ]
+    summary, files = _totals_result(
+        "gmc-bulk", "mean total mass of the bulk chaos measure", gamma, totals, outdir
     )
-    totals = _map_replicas(_bulk_total_row, n_replicas, workers)
-    csv = io.write_csv(
-        os.path.join(outdir, "gmc-bulk.csv"),
-        ["replica", "total"],
-        ((r, t) for r, t in enumerate(totals)),
-    )
-    mean = math.fsum(totals) / n_replicas
-    var = math.fsum((t - mean) ** 2 for t in totals) / (n_replicas - 1)
-    summary = {
-        "quantity": "mean total mass of the bulk chaos measure",
-        "estimate": mean,
-        "stderr": math.sqrt(var / n_replicas),
-        "n_replicas": n_replicas,
-        "gamma": gamma,
-    }
     if gamma**2 < 2.0:
         summary["analytic_mean"] = math.pi / (1.0 - gamma**2 / 2.0)
-    return summary, [csv]
+    return summary, files
 
 
-def run_gmc_boundary(config, seed, workers, outdir):
+def run_gmc_boundary(config, seed, outdir):
     gamma = float(config["gamma"])
     n_replicas = int(config.get("n_replicas", 1000))
     n_modes = int(config.get("n_modes", 1024))
     n_arcs = int(config.get("n_arcs", 256))
     theta = 2.0 * np.pi * (np.arange(n_arcs) + 0.5) / n_arcs
-    modes = np.arange(1, n_modes + 1)
-    amp = np.sqrt(2.0 / modes)
-    _POOL_CTX.clear()
-    _POOL_CTX.update(
-        seed=seed,
-        gamma=gamma,
-        n_modes=n_modes,
-        n_arcs=n_arcs,
-        cosb=np.cos(np.outer(theta, modes)) * amp,
-        sinb=np.sin(np.outer(theta, modes)) * amp,
-        var_n=float(2.0 * np.sum(1.0 / modes)),
+    cosb, sinb = boundary_synthesis(theta, n_modes)
+    var_n = truncated_boundary_variance(n_modes)
+    totals = []
+    for r in range(n_replicas):
+        coef = RngStream(seed, r).generator().standard_normal((2, n_modes))
+        x = cosb @ coef[0] + sinb @ coef[1]
+        totals.append(float(boundary_masses(x, var_n, gamma, n_arcs).sum()))
+    summary, files = _totals_result(
+        "gmc-boundary", "mean total mass of the boundary chaos measure", gamma, totals, outdir
     )
-    totals = _map_replicas(_boundary_total_row, n_replicas, workers)
-    csv = io.write_csv(
-        os.path.join(outdir, "gmc-boundary.csv"),
-        ["replica", "total"],
-        ((r, t) for r, t in enumerate(totals)),
-    )
-    mean = math.fsum(totals) / n_replicas
-    var = math.fsum((t - mean) ** 2 for t in totals) / (n_replicas - 1)
-    summary = {
-        "quantity": "mean total mass of the boundary chaos measure",
-        "estimate": mean,
-        "stderr": math.sqrt(var / n_replicas),
-        "n_replicas": n_replicas,
-        "gamma": gamma,
-        "analytic_mean": 2.0 * math.pi * math.exp(-(gamma**2) / 8.0),
-    }
-    return summary, [csv]
+    summary["analytic_mean"] = 2.0 * math.pi * math.exp(-(gamma**2) / 8.0)
+    return summary, files
 
 
-def run_critical_ladder(config, seed, workers, outdir):
+def run_critical_ladder(config, seed, outdir):
     kind = config.get("kind", "bulk")
     rng = RngStream(seed, 0)
     if kind == "bulk":
         levels = list(config.get("levels", [4, 5, 6, 7, 8, 9]))
         n_replicas = config.get("n_replicas", [20000, 20000, 10000, 5000, 2500, 1500])
-        pushed = critical.bulk_ladder_totals(levels, n_replicas, rng, push=True)
-        plain = critical.bulk_ladder_totals(levels, n_replicas, rng, push=False)
+        pushed, plain = critical.bulk_ladder_totals(levels, n_replicas, rng)
     elif kind == "boundary":
         levels = list(config.get("mode_levels", [64, 128, 256, 512, 1024, 2048]))
         n_replicas = int(config.get("n_replicas", 1000))
-        pushed = critical.boundary_ladder_totals(levels, n_replicas, rng, push=True)
-        plain = critical.boundary_ladder_totals(levels, n_replicas, rng, push=False)
+        pushed, plain = critical.boundary_ladder_totals(levels, n_replicas, rng)
     else:
         raise ConfigurationError(f"unknown ladder kind {kind!r}")
     rows = []
@@ -293,7 +255,7 @@ def run_critical_ladder(config, seed, workers, outdir):
     return summary, [csv]
 
 
-def run_seiberg_validate(config, seed, workers, outdir):
+def run_seiberg_validate(config, seed, outdir):
     ins = _insertions_from(config)
     verdict = liouville.seiberg_check(ins)
     summary = {
@@ -311,20 +273,20 @@ def run_seiberg_validate(config, seed, workers, outdir):
 
 
 def _basis_from(config, seed, gamma):
-    grid_cfg = config.get("grid", {})
+    depth, rings, aspect = _grid_shape(config)
     return liouville.ChaosBasis(
         gamma,
         int(config.get("n_replicas", 400)),
         RngStream(seed, 1),
-        depth=int(grid_cfg.get("n_r", grid_cfg.get("depth", 7))),
-        rings_per_band=int(grid_cfg.get("rings_per_band", 2)),
-        aspect=float(grid_cfg.get("aspect", 2.0)),
+        depth=depth,
+        rings_per_band=rings,
+        aspect=aspect,
         n_modes=int(config.get("n_modes", 1024)),
         n_arcs=int(config.get("n_arcs", 256)),
     )
 
 
-def run_volume_law(config, seed, workers, outdir):
+def run_volume_law(config, seed, outdir):
     ins = _insertions_from(config)
     liouville.require_admissible(ins)
     n_draws = int(config.get("n_draws", 10000))
@@ -359,7 +321,7 @@ def run_volume_law(config, seed, workers, outdir):
     return summary, [csv]
 
 
-def run_partition(config, seed, workers, outdir):
+def run_partition(config, seed, outdir):
     ins = _insertions_from(config)
     basis = _basis_from(config, seed, ins.params.gamma)
     method = config.get("method", "auto")
@@ -381,7 +343,7 @@ def run_partition(config, seed, workers, outdir):
     return summary, [csv]
 
 
-def run_kpz_covariance(config, seed, workers, outdir):
+def run_kpz_covariance(config, seed, outdir):
     ins = _insertions_from(config)
     mb = config.get("mobius", {"a": [0.3, 0.0], "alpha": 0.0})
     psi = MobiusMap(a=complex(mb["a"][0], mb["a"][1]), alpha=float(mb.get("alpha", 0.0)))
@@ -398,7 +360,7 @@ def run_kpz_covariance(config, seed, workers, outdir):
     return summary, []
 
 
-def run_weyl_anomaly(config, seed, workers, outdir):
+def run_weyl_anomaly(config, seed, outdir):
     params = _params_from({**config, "mu": config.get("mu", 1.0)})
     n_r = int(config.get("n_r", 512))
     n_theta = int(config.get("n_theta", 2 * n_r))
@@ -430,7 +392,7 @@ def run_weyl_anomaly(config, seed, workers, outdir):
     return summary, []
 
 
-def run_maps_count(config, seed, workers, outdir):
+def run_maps_count(config, seed, outdir):
     pairs = config.get("pairs")
     if pairs is None:
         n_max = int(config.get("n_max", 20))
@@ -458,7 +420,7 @@ def _maps_config(config):
     )
 
 
-def run_maps_sample(config, seed, workers, outdir):
+def run_maps_sample(config, seed, outdir):
     cfg = _maps_config(config)
     n_draws = int(config.get("n_draws", 100000))
     sampler = maps.BoltzmannSampler(cfg)
@@ -504,7 +466,7 @@ def run_maps_sample(config, seed, workers, outdir):
     return summary, files
 
 
-def run_maps_density(config, seed, workers, outdir):
+def run_maps_density(config, seed, outdir):
     cfg = _maps_config(config)
     n_draws = int(config.get("n_draws", 100000))
     bins = tuple(config.get("bins", (20, 20)))
@@ -595,18 +557,14 @@ def validate(config, command=None):
                 findings.append({"code": "insertions", "message": str(exc)})
 
     if "points" in config and "eps" in config:
+        # the checks neumann_covariance applies before a field-sample run
         pts = np.array([complex(p[0], p[1]) for p in config["points"]])
-        eps = float(config["eps"])
-        d = np.abs(pts[:, None] - pts[None, :])
-        off = ~np.eye(len(pts), dtype=bool)
-        if np.any(d[off] < 2.0 * eps):
-            findings.append(
-                {"code": "separation rule", "message": "grid spacing below twice the averaging radius"}
-            )
-        if np.any(np.abs(pts) >= 1.0 - eps):
-            findings.append(
-                {"code": "boundary clearance", "message": "an averaging circle leaves the disk"}
-            )
+        try:
+            check_averaging_circles(pts, float(config["eps"]))
+        except UnsupportedSeparationError as exc:
+            findings.append({"code": "separation rule", "message": str(exc)})
+        except GridError as exc:
+            findings.append({"code": "averaging circles", "message": str(exc)})
 
     if "a" in config:
         try:
@@ -638,7 +596,7 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1, help="accepted and recorded; no effect")
         p.add_argument("--out", default="runs")
     args = parser.parse_args(argv)
 
@@ -661,7 +619,7 @@ def main(argv=None):
         outdir = os.path.join(args.out, args.command)
         os.makedirs(outdir, exist_ok=True)
         t0 = time.time()
-        summary, files = EXPERIMENTS[args.command](config, seed, args.workers, outdir)
+        summary, files = EXPERIMENTS[args.command](config, seed, outdir)
         summary_path = io.write_json(os.path.join(outdir, f"{args.command}-summary.json"), summary)
         files = files + [summary_path]
         manifest = {

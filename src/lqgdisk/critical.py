@@ -21,8 +21,8 @@ import warnings
 import numpy as np
 
 from .errors import DomainError, GridError
-from .gff import FieldSampler, truncated_boundary_variance
-from .gmc import AtomicMeasure, window_sector_grid
+from .gff import FieldSampler, boundary_synthesis, truncated_boundary_variance
+from .gmc import AtomicMeasure, bulk_masses, window_sector_grid
 
 __all__ = [
     "nominal_bulk_norming",
@@ -61,9 +61,8 @@ def seneta_heyde_bulk(field, grid, push=True, metadata=None):
     local cutoff scale).  With push=False the sqrt factor is dropped,
     which reproduces the vanishing subcritical normalization at gamma = 2.
     """
-    variances = np.diag(field.covariance)
     weights = grid.density_weights(2.0)
-    masses = np.exp(2.0 * field.values - 2.0 * variances) * weights
+    masses = bulk_masses(field.values, field.variances, weights, 2.0)
     if push:
         masses = masses * np.sqrt(np.log(1.0 / grid.eps))
     meta = {"gamma": 2.0, "critical": True, "push": bool(push), "n_bands": grid.n_bands}
@@ -101,59 +100,60 @@ def seneta_heyde_boundary(trace, n_arcs=None, push=True, metadata=None):
 # ladder diagnostics
 # ---------------------------------------------------------------------------
 
-def bulk_ladder_totals(levels, n_replicas, rng, push=True, window=None):
+def bulk_ladder_totals(levels, n_replicas, rng, window=None):
     """Masses of the critical bulk measure in a fixed window, per scale.
 
     Level k resolves the window at the uniform scale eps = 2^-k; the window
     itself never moves, so the ladder isolates the effect of the cutoff
     (a whole-disk ladder would confound it with newly resolved boundary
     mass).  n_replicas may be a single count or one count per level; the
-    coarse levels are cheap and benefit from more replicas.  Returns a
-    list of per-level total arrays.
+    coarse levels are cheap and benefit from more replicas.  Each level is
+    factored and drawn once.  Returns (pushed, plain): two lists of
+    per-level total arrays, with and without the sqrt(ln 1/eps) push.
     """
     if np.isscalar(n_replicas):
         n_replicas = [int(n_replicas)] * len(levels)
     window = window or {}
-    out = []
+    pushed, plain = [], []
     for k, nrep in zip(levels, n_replicas):
         grid = window_sector_grid(k, **window)
         sampler = FieldSampler(grid.centers, grid.eps)
         vals = sampler.draw_batch(nrep, rng.child(k))
         variances = np.diag(sampler.covariance)
         weights = grid.density_weights(2.0)
-        masses = np.exp(2.0 * vals - 2.0 * variances[:, None]) * weights[:, None]
-        if push:
-            masses = masses * np.sqrt(np.log(1.0 / grid.eps))[:, None]
-        out.append(masses.sum(axis=0))
-    return out
+        masses = bulk_masses(vals, variances[:, None], weights[:, None], 2.0)
+        push = np.sqrt(np.log(1.0 / grid.eps))[:, None]
+        pushed.append((masses * push).sum(axis=0))
+        plain.append(masses.sum(axis=0))
+    return pushed, plain
 
 
-def boundary_ladder_totals(mode_levels, n_replicas, rng, push=True, arcs_per_mode=2):
+def boundary_ladder_totals(mode_levels, n_replicas, rng, arcs_per_mode=2):
     """Total masses of the critical boundary measure along a cutoff ladder.
 
     All levels of one replica share the same Fourier coefficients (drawn
     once at the largest cutoff), so consecutive-level ratios are strongly
-    coupled.  Returns shape (len(mode_levels), n_replicas).
+    coupled.  Returns (pushed, plain), each of shape
+    (len(mode_levels), n_replicas), with and without the sqrt(Var_N / 2)
+    push.
     """
     mode_levels = list(mode_levels)
     n_max = max(mode_levels)
     gen = rng.generator()
     coeffs = gen.standard_normal((n_replicas, 2, n_max))
-    totals = np.empty((len(mode_levels), n_replicas))
+    pushed = np.empty((len(mode_levels), n_replicas))
+    plain = np.empty((len(mode_levels), n_replicas))
     for i, n in enumerate(mode_levels):
         n_arcs = arcs_per_mode * n
         theta = 2.0 * np.pi * (np.arange(n_arcs) + 0.5) / n_arcs
-        mode = np.arange(1, n + 1)
-        amp = np.sqrt(2.0 / mode)
-        cosb = np.cos(np.outer(theta, mode)) * amp
-        sinb = np.sin(np.outer(theta, mode)) * amp
+        cosb, sinb = boundary_synthesis(theta, n)
         x = coeffs[:, 0, :n] @ cosb.T + coeffs[:, 1, :n] @ sinb.T
         var = truncated_boundary_variance(n)
+        # the critical normalization has no e^{-gamma^2/8} factor (see seneta_heyde_boundary)
         masses = np.exp(x - 0.5 * var) * (2.0 * np.pi / n_arcs)
-        if push:
-            masses = masses * np.sqrt(0.5 * var)
-        totals[i] = masses.sum(axis=1)
-    return totals
+        pushed[i] = (masses * np.sqrt(0.5 * var)).sum(axis=1)
+        plain[i] = masses.sum(axis=1)
+    return pushed, plain
 
 
 def median_ratios(totals):

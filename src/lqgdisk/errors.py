@@ -41,4 +41,4 @@ class ConfigurationError(ValueError):
 
 
 class ResamplingError(RuntimeError):
-    """All importance weights underflowed; no replica can be selected."""
+    """Importance weights underflowed, or a quadrature missed its error target."""

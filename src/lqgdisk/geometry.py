@@ -50,16 +50,6 @@ def check_interior(x, name="point"):
         raise BoundaryPointError(f"{name} must be interior (|x| = {float(np.max(r)):.17g})")
 
 
-def is_boundary(x):
-    """True where |x| equals 1 within the boundary tolerance."""
-    return np.abs(np.abs(np.asarray(x, dtype=complex)) - 1.0) <= BOUNDARY_TOL
-
-
-def boundary_point(theta):
-    """The boundary point e^{i theta}."""
-    return np.exp(1j * np.asarray(theta, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # Green function and regularizations
 # ---------------------------------------------------------------------------
@@ -205,14 +195,6 @@ class MobiusMap:
         return MobiusMap(a=-self.a * np.exp(1j * self.alpha), alpha=-self.alpha)
 
 
-def mobius_apply(psi, x):
-    return psi(x)
-
-
-def mobius_derivative(psi, x):
-    return psi.derivative(x)
-
-
 def mobius_green_residual(psi, x, y):
     """Residual of G(psi x, psi y) - G(x, y) + ln|psi'(x)| + ln|psi'(y)|.
 
@@ -284,10 +266,6 @@ class ConformalFactor:
     @property
     def radii(self):
         return (np.arange(self.n_r) + 0.5) / self.n_r
-
-    @property
-    def thetas(self):
-        return 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
 
     @property
     def h_r(self):

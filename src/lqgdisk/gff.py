@@ -113,6 +113,19 @@ def sample_boundary_trace(n_modes, rng):
     return BoundaryTrace(cos_coeffs=coeffs[0], sin_coeffs=coeffs[1])
 
 
+def boundary_synthesis(theta, n_modes):
+    """Synthesis matrices (cos, sin), entries sqrt(2/n) cos(n theta) and sqrt(2/n) sin(n theta).
+
+    Rows follow theta, columns the modes n = 1..n_modes; a coefficient
+    block c of shape (..., 2, n_modes) has trace values
+    c[..., 0, :] @ cos.T + c[..., 1, :] @ sin.T.
+    """
+    mode = np.arange(1, n_modes + 1)
+    amp = np.sqrt(2.0 / mode)
+    arg = np.outer(theta, mode)
+    return np.cos(arg) * amp, np.sin(arg) * amp
+
+
 def sample_boundary_coefficients(n_modes, n_replicas, rng):
     """Coefficient block (n_replicas, 2, n_modes) from a single stream."""
     gen = rng.generator()
@@ -165,26 +178,38 @@ def neumann_covariance(points, eps):
     if m > MAX_FIELD_POINTS:
         raise GridError(f"at most {MAX_FIELD_POINTS} points are supported, got {m}")
     eps_arr = np.broadcast_to(np.asarray(eps, dtype=float), (m,)).copy()
+    dist = check_averaging_circles(pts, eps_arr)
+    r = np.abs(pts)
+    with np.errstate(divide="ignore"):
+        cov = -np.log(dist) - np.log(np.abs(1.0 - pts[:, None] * np.conj(pts[None, :])))
+    cov[np.eye(m, dtype=bool)] = np.log(1.0 / eps_arr) - np.log1p(-r**2)
+    return cov
+
+
+def check_averaging_circles(points, eps):
+    """Raise unless circles of radii eps at the points admit the closed-form covariance.
+
+    Each radius must be positive and each circle must stay inside the
+    disk, and the points must be distinct (GridError); distinct circles
+    must not overlap, up to a relative tolerance of 1e-12
+    (UnsupportedSeparationError).  Returns the pairwise distance matrix.
+    """
+    pts = np.asarray(points, dtype=complex)
+    eps_arr = np.broadcast_to(np.asarray(eps, dtype=float), pts.shape)
     if np.any(eps_arr <= 0.0):
         raise GridError("eps must be positive")
-    r = np.abs(pts)
-    if np.any(eps_arr >= 1.0 - r):
+    if np.any(eps_arr >= 1.0 - np.abs(pts)):
         raise GridError("every averaging circle must stay inside the disk")
-
     dist = np.abs(pts[:, None] - pts[None, :])
     min_sep = eps_arr[:, None] + eps_arr[None, :]
-    off = ~np.eye(m, dtype=bool)
+    off = ~np.eye(len(pts), dtype=bool)
     if np.any(dist[off] == 0.0):
         raise GridError("points must be pairwise distinct")
     if np.any(dist[off] < min_sep[off] * (1.0 - 1e-12)):
         raise UnsupportedSeparationError(
             "pairwise distances must be at least the sum of the averaging radii"
         )
-
-    with np.errstate(divide="ignore"):
-        cov = -np.log(dist) - np.log(np.abs(1.0 - pts[:, None] * np.conj(pts[None, :])))
-    cov[np.eye(m, dtype=bool)] = np.log(1.0 / eps_arr) - np.log1p(-r**2)
-    return cov
+    return dist
 
 
 @dataclass(frozen=True)

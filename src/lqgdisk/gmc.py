@@ -24,10 +24,10 @@ __all__ = [
     "GradedDiskGrid",
     "graded_disk_grid",
     "window_sector_grid",
+    "bulk_masses",
+    "boundary_masses",
     "bulk_measure",
     "boundary_measure",
-    "integrate",
-    "push_forward",
 ]
 
 
@@ -73,14 +73,6 @@ class AtomicMeasure:
         if self.kind == "boundary":
             pts = pts / np.abs(pts)
         return AtomicMeasure(self.kind, pts, self.masses.copy(), dict(self.metadata))
-
-
-def integrate(measure, f):
-    return measure.integrate(f)
-
-
-def push_forward(measure, psi):
-    return measure.push_forward(psi)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +217,30 @@ def graded_disk_grid(n_bands, rings_per_band=2, aspect=2.0):
 # measures
 # ---------------------------------------------------------------------------
 
+def bulk_masses(values, variances, weights, gamma):
+    """Bulk atom masses exp(gamma X - (gamma^2/2) Var X) * w, elementwise.
+
+    The arguments broadcast against each other, so a (points, replicas)
+    block of field values takes variances and weights of shape
+    (points, 1).  Any gamma is accepted; at gamma = 2 these are the plain
+    critical masses.
+    """
+    return np.exp(gamma * values - 0.5 * gamma**2 * variances) * weights
+
+
+def boundary_masses(x, variance, gamma, n_arcs):
+    """Boundary arc masses e^{-gamma^2/8} exp((gamma/2) X - (gamma^2/8) Var) (2 pi / n_arcs).
+
+    Elementwise in the trace values x; variance is the truncated trace
+    variance, constant along the circle.
+    """
+    return (
+        np.exp(-0.125 * gamma**2)
+        * np.exp(0.5 * gamma * x - 0.125 * gamma**2 * variance)
+        * (2.0 * np.pi / n_arcs)
+    )
+
+
 def bulk_measure(field, gamma, grid, metadata=None):
     """Atomized chaos measure e^{gamma X} dlambda on the disk.
 
@@ -239,9 +255,8 @@ def bulk_measure(field, gamma, grid, metadata=None):
         raise DomainError(
             "gamma must lie in (0, 2); the critical measure (gamma = 2) has its own constructor"
         )
-    variances = np.diag(field.covariance)
     weights = grid.density_weights(0.5 * gamma**2)
-    masses = np.exp(gamma * field.values - 0.5 * gamma**2 * variances) * weights
+    masses = bulk_masses(field.values, field.variances, weights, gamma)
     meta = {"gamma": gamma, "n_bands": grid.n_bands}
     if metadata:
         meta.update(metadata)
@@ -262,13 +277,7 @@ def boundary_measure(trace, gamma, n_arcs, metadata=None):
     if n_arcs < 64:
         raise GridError("n_arcs must be at least 64")
     theta = 2.0 * np.pi * (np.arange(n_arcs) + 0.5) / n_arcs
-    var = trace.variance()
-    vals = trace.evaluate(theta)
-    masses = (
-        np.exp(-0.125 * gamma**2)
-        * np.exp(0.5 * gamma * vals - 0.125 * gamma**2 * var)
-        * (2.0 * np.pi / n_arcs)
-    )
+    masses = boundary_masses(trace.evaluate(theta), trace.variance(), gamma, n_arcs)
     meta = {"gamma": gamma, "n_modes": trace.n_modes}
     if metadata:
         meta.update(metadata)

@@ -80,12 +80,6 @@ def config_hash(config):
 
 def save_field(field, base_path, seed, stream_id):
     """Field snapshot: CSV of re,im,value plus a JSON sidecar."""
-    csv_path = base_path + ".csv"
-    write_csv(
-        csv_path,
-        ["re", "im", "value"],
-        ((p.real, p.imag, v) for p, v in zip(field.points, field.values)),
-    )
     eps = field.eps
     sidecar = {
         "seed": int(seed),
@@ -93,19 +87,11 @@ def save_field(field, base_path, seed, stream_id):
         "eps": float(eps[0]) if np.ptp(eps) == 0.0 else [float(e) for e in eps],
         "n_points": int(len(field.points)),
     }
-    json_path = base_path + ".json"
-    write_json(json_path, sidecar)
-    return [csv_path, json_path]
+    return _save_snapshot(base_path, "value", field.points, field.values, sidecar)
 
 
 def save_measure(measure, base_path, seed):
     """Measure snapshot: CSV of re,im,mass plus a JSON sidecar."""
-    csv_path = base_path + ".csv"
-    write_csv(
-        csv_path,
-        ["re", "im", "mass"],
-        ((p.real, p.imag, m) for p, m in zip(measure.points, measure.masses)),
-    )
     meta = measure.metadata
     sidecar = {
         "support_kind": measure.kind,
@@ -115,13 +101,23 @@ def save_measure(measure, base_path, seed):
     }
     if meta.get("critical"):
         sidecar["critical"] = True
+    return _save_snapshot(base_path, "mass", measure.points, measure.masses, sidecar)
+
+
+def _save_snapshot(base_path, column, points, values, sidecar):
+    csv_path = base_path + ".csv"
+    write_csv(
+        csv_path,
+        ["re", "im", column],
+        ((p.real, p.imag, v) for p, v in zip(points, values)),
+    )
     json_path = base_path + ".json"
     write_json(json_path, sidecar)
     return [csv_path, json_path]
 
 
 def load_field(base_path):
-    """Read back a field snapshot as (points, values, sidecar)."""
+    """Read back a snapshot of a field or a measure as (points, values, sidecar)."""
     header, rows = read_csv(base_path + ".csv")
     pts = np.array([complex(float(r[0]), float(r[1])) for r in rows])
     values = np.array([float(r[2]) for r in rows])
@@ -131,9 +127,5 @@ def load_field(base_path):
 
 
 def load_measure(base_path):
-    header, rows = read_csv(base_path + ".csv")
-    pts = np.array([complex(float(r[0]), float(r[1])) for r in rows])
-    masses = np.array([float(r[2]) for r in rows])
-    with open(base_path + ".json") as fh:
-        sidecar = json.load(fh)
+    pts, masses, sidecar = load_field(base_path)
     return AtomicMeasure(sidecar["support_kind"], pts, masses, sidecar)

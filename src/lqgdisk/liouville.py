@@ -19,6 +19,7 @@ independent of the normalized measures.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,8 @@ from .geometry import (
     green,
     poincare_density,
 )
-from .gff import FieldSampler, truncated_boundary_variance
-from .gmc import AtomicMeasure, graded_disk_grid
+from .gff import FieldSampler, boundary_synthesis, truncated_boundary_variance
+from .gmc import AtomicMeasure, boundary_masses, bulk_masses, graded_disk_grid
 
 __all__ = [
     "InsertionSet",
@@ -262,27 +263,16 @@ class ChaosBasis:
         variances = np.diag(self.sampler.covariance)
         weights = self.grid.density_weights(0.5 * g**2)
         var_n = truncated_boundary_variance(self.n_modes)
-        modes = np.arange(1, self.n_modes + 1)
-        amp = np.sqrt(2.0 / modes)
-        cosb = np.cos(np.outer(self.arc_theta, modes)) * amp
-        sinb = np.sin(np.outer(self.arc_theta, modes)) * amp
+        cosb, sinb = boundary_synthesis(self.arc_theta, self.n_modes)
 
-        m = self.grid.size
-        self.bulk_masses = np.empty((self.n_replicas, m))
+        self.bulk_masses = np.empty((self.n_replicas, self.grid.size))
         self.bdry_masses = np.empty((self.n_replicas, self.n_arcs))
-        factor = self.sampler._factor
         for r in range(self.n_replicas):
-            gen_f = rng.child(2 * r).generator()
-            vals = factor @ gen_f.standard_normal(m)
-            self.bulk_masses[r] = np.exp(g * vals - 0.5 * g**2 * variances) * weights
-            gen_t = rng.child(2 * r + 1).generator()
-            coef = gen_t.standard_normal((2, self.n_modes))
+            vals = self.sampler.draw(rng.child(2 * r))
+            self.bulk_masses[r] = bulk_masses(vals, variances, weights, g)
+            coef = rng.child(2 * r + 1).generator().standard_normal((2, self.n_modes))
             x = cosb @ coef[0] + sinb @ coef[1]
-            self.bdry_masses[r] = (
-                np.exp(-0.125 * g**2)
-                * np.exp(0.5 * g * x - 0.125 * g**2 * var_n)
-                * (2.0 * np.pi / self.n_arcs)
-            )
+            self.bdry_masses[r] = boundary_masses(x, var_n, g, self.n_arcs)
 
     def drift_factors(self, ins):
         """Atomwise drift weights for an insertion set on this basis grid."""
@@ -300,15 +290,19 @@ class ChaosBasis:
 
     def drifted_pair(self, ins, r):
         """Full drifted measure pair of replica r."""
-        fb, fd = self.drift_factors(ins)
+        return self._pair(self.drift_factors(ins), r)
+
+    def functional_values(self, ins, fn):
+        """fn evaluated on every replica's drifted pair."""
+        factors = self.drift_factors(ins)
+        return np.array([fn(self._pair(factors, r)) for r in range(self.n_replicas)])
+
+    def _pair(self, factors, r):
+        fb, fd = factors
         meta = {"gamma": self.gamma, "replica": int(r)}
         bulk = AtomicMeasure("bulk", self.grid.centers, self.bulk_masses[r] * fb, meta)
         bdry = AtomicMeasure("boundary", self.arc_points, self.bdry_masses[r] * fd, meta)
         return ShiftedChaosPair(bulk, bdry)
-
-    def functional_values(self, ins, fn):
-        """fn evaluated on every replica's drifted pair."""
-        return np.array([fn(self.drifted_pair(ins, r)) for r in range(self.n_replicas)])
 
 
 def bulk_drift_factors(ins, grid, gamma, subgrid=24, near_cells=2.0):
@@ -432,20 +426,27 @@ def _log_c_integral(s_total, gamma, mu_i, mub_j):
     def log_f(c):
         return s_total * c - mu_i * math.exp(g * c) - mub_j * math.exp(g * c / 2.0)
 
-    peak = log_f(c_star)
-    # expand the bracket until the integrand is negligible at both ends
-    lo, hi = c_star - 1.0, c_star + 1.0
+    return _log_peaked_integral(log_f, c_star, "zero-mode")
+
+
+def _log_peaked_integral(log_f, t_star, what):
+    """log of int e^{log_f(t)} dt for a log-concave integrand peaked at t_star.
+
+    Expands the bracket until the integrand is negligible at both ends,
+    then integrates with quad; raises ResamplingError unless quad reports
+    a relative error below 1e-8.
+    """
+    peak = log_f(t_star)
+    lo, hi = t_star - 1.0, t_star + 1.0
     while log_f(lo) - peak > math.log(1e-14):
-        lo -= 1.0 + (c_star - lo)
+        lo -= 1.0 + (t_star - lo)
     while log_f(hi) - peak > math.log(1e-14):
-        hi += 1.0 + (hi - c_star)
+        hi += 1.0 + (hi - t_star)
     val, err = scipy.integrate.quad(
-        lambda c: math.exp(log_f(c) - peak), lo, hi, limit=200, epsabs=0.0, epsrel=1e-10
+        lambda t: math.exp(log_f(t) - peak), lo, hi, limit=200, epsabs=0.0, epsrel=1e-10
     )
     if not np.isfinite(val) or val <= 0.0 or err > 1e-8 * val:
-        raise ResamplingError(
-            f"zero-mode quadrature did not converge (value {val}, err {err})"
-        )
+        raise ResamplingError(f"{what} quadrature did not converge (value {val}, err {err})")
     return peak + math.log(val)
 
 
@@ -609,17 +610,7 @@ def _log_y_integral(a_exp, mu_r, mu_b):
     # stationary point of the log-integrand in t
     disc = mu_b**2 + 8.0 * mu_r * a_exp
     y_star = (-mu_b + math.sqrt(disc)) / (4.0 * mu_r) if mu_r > 0 else a_exp / mu_b
-    t_star = math.log(y_star)
-    peak = log_f(t_star)
-    lo, hi = t_star - 1.0, t_star + 1.0
-    while log_f(lo) - peak > math.log(1e-14):
-        lo -= 1.0 + (t_star - lo)
-    while log_f(hi) - peak > math.log(1e-14):
-        hi += 1.0 + (hi - t_star)
-    val, _ = scipy.integrate.quad(
-        lambda t: math.exp(log_f(t) - peak), lo, hi, limit=200, epsabs=0.0, epsrel=1e-10
-    )
-    return peak + math.log(val)
+    return _log_peaked_integral(log_f, math.log(y_star), "y-integral")
 
 
 def _draw_y(a_exp, mu_r, mu_b, gen, n_grid=2048):
@@ -665,8 +656,6 @@ def unit_volume_expectation(ins, fn, n_replicas=None, rng=None, basis=None, **ba
     f_vals = basis.functional_values(ins, fn)
     ess = float(w.sum() ** 2 / np.sum(w**2))
     if ess < 10.0:
-        import warnings
-
         warnings.warn(f"effective sample size {ess:.1f} < 10", RuntimeWarning)
     n = len(w)
     value = float(np.sum(w * f_vals) / w.sum())

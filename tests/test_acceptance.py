@@ -240,8 +240,7 @@ def test_criterion_09_critical_seneta_heyde():
     # bulk: fixed window, scale ladder 2^-4 .. 2^-9
     levels = [4, 5, 6, 7, 8, 9]
     reps = [40000, 40000, 20000, 10000, 4000, 2000]
-    plain = bulk_ladder_totals(levels, reps, RngStream(5150, 0), push=False)
-    pushed = bulk_ladder_totals(levels, reps, RngStream(5150, 0), push=True)
+    pushed, plain = bulk_ladder_totals(levels, reps, RngStream(5150, 0))
     med_plain = np.array([np.median(t) for t in plain])
     mono = bool(np.all(np.diff(med_plain) < 0))
     ratios = median_ratios(pushed)[-3:]
@@ -255,8 +254,7 @@ def test_criterion_09_critical_seneta_heyde():
     )
     # boundary: mode-count ladder with shared coefficients
     modes = [64, 128, 256, 512, 1024, 2048]
-    bplain = boundary_ladder_totals(modes, 1000, RngStream(77, 0), push=False)
-    bpushed = boundary_ladder_totals(modes, 1000, RngStream(77, 0), push=True)
+    bpushed, bplain = boundary_ladder_totals(modes, 1000, RngStream(77, 0))
     bmono = bool(np.all(np.diff(np.median(bplain, axis=1)) < 0))
     bratios = median_ratios(bpushed)[-3:]
     b_in_band = bool(np.all((bratios > 0.75) & (bratios < 1.33)))

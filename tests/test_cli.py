@@ -125,6 +125,15 @@ class TestExitCodes:
         assert run_cli(tmp_path, "gmc-bulk", {"seed": 1}) == 2
 
 
+class TestGridConfig:
+    def test_n_theta_reaches_every_experiment_grid(self):
+        # gmc-bulk builds its grid with _grid_from; volume-law, partition and
+        # kpz-covariance build theirs inside the chaos basis
+        config = {"gamma": 1.0, "grid": {"n_r": 5, "n_theta": 64}, "n_replicas": 2, "n_modes": 64}
+        basis = cli._basis_from(config, 1, 1.0)
+        assert basis.grid.size == cli._grid_from(config).size
+
+
 class TestValidate:
     def test_bound_findings(self):
         q = 2.0  # gamma = 1: Q = 2.5; use weight above Q for bound2
@@ -141,6 +150,23 @@ class TestValidate:
         config = {"points": [[0.1, 0.0], [0.12, 0.0]], "eps": 0.05}
         codes = {f["code"] for f in cli.validate(config)}
         assert "separation rule" in codes
+
+    @pytest.mark.parametrize(
+        "points, eps, code",
+        [
+            # 1e-13 below twice eps: inside the covariance's relative tolerance of 1e-12
+            ([[0.1, 0.0], [0.1 + 0.02 * (1.0 - 1e-13), 0.0]], 0.01, None),
+            ([[0.1, 0.0], [0.1 + 0.02 * (1.0 - 1e-11), 0.0]], 0.01, "separation rule"),
+            ([[0.1, 0.0], [0.1, 0.0]], 0.01, "averaging circles"),
+            ([[0.985, 0.0]], 0.02, "averaging circles"),
+        ],
+        ids=["inside-tolerance", "overlap", "coincident", "leaves-disk"],
+    )
+    def test_validate_agrees_with_field_sample(self, tmp_path, capsys, points, eps, code):
+        config = {"points": points, "eps": eps, "seed": 5}
+        codes = [f["code"] for f in cli.validate(config)]
+        assert codes == ([] if code is None else [code])
+        assert run_cli(tmp_path, "field-sample", config) == (0 if code is None else 2)
 
     def test_clean_config_has_no_findings(self):
         g = 1.6329931618554518

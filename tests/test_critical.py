@@ -61,15 +61,14 @@ class TestCriticalMeasures:
         assert np.allclose(m.masses, want, rtol=1e-12)
 
     def test_all_replica_masses_finite(self):
-        totals = boundary_ladder_totals([64, 256], 500, RngStream(61, 2))
+        totals, _ = boundary_ladder_totals([64, 256], 500, RngStream(61, 2))
         assert np.all(np.isfinite(totals)) and np.all(totals > 0)
 
 
 class TestLadders:
     def test_boundary_dichotomy_small(self):
         levels = [64, 128, 256, 512, 1024]
-        plain = boundary_ladder_totals(levels, 800, RngStream(62, 0), push=False)
-        pushed = boundary_ladder_totals(levels, 800, RngStream(62, 0), push=True)
+        pushed, plain = boundary_ladder_totals(levels, 800, RngStream(62, 0))
         med_plain = np.median(plain, axis=1)
         assert np.all(np.diff(med_plain) < 0)
         ratios = median_ratios(pushed)
@@ -80,8 +79,7 @@ class TestLadders:
         # heavy tailed); the coarse levels are cheap, so load them up
         levels = [4, 5, 6, 7]
         reps = [30000, 30000, 15000, 8000]
-        plain = bulk_ladder_totals(levels, reps, RngStream(62, 1), push=False)
-        pushed = bulk_ladder_totals(levels, reps, RngStream(62, 1), push=True)
+        pushed, plain = bulk_ladder_totals(levels, reps, RngStream(62, 1))
         med_plain = np.array([np.median(t) for t in plain])
         assert np.all(np.diff(med_plain) < 0)
         ratios = median_ratios(pushed)

@@ -22,10 +22,7 @@ from lqgdisk.gff import (
 def batched_trace_values(theta, n_modes, n_replicas, rng):
     """Trace evaluations of many replicas at the given angles."""
     coef = gff.sample_boundary_coefficients(n_modes, n_replicas, rng)
-    n = np.arange(1, n_modes + 1)
-    amp = np.sqrt(2.0 / n)
-    cosb = np.cos(np.outer(theta, n)) * amp
-    sinb = np.sin(np.outer(theta, n)) * amp
+    cosb, sinb = gff.boundary_synthesis(theta, n_modes)
     return coef[:, 0, :] @ cosb.T + coef[:, 1, :] @ sinb.T
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.stats
 
 from lqgdisk.errors import (
@@ -9,6 +10,7 @@ from lqgdisk.errors import (
     DomainError,
     GridError,
     NotAdmissibleError,
+    ResamplingError,
 )
 from lqgdisk.geometry import LiouvilleParams, MobiusMap, green, weyl_anomaly, ConformalFactor
 from lqgdisk.gff import FieldSampler, RngStream, sample_boundary_trace
@@ -307,6 +309,14 @@ class TestVolumeLawSampling:
         ins = InsertionSet(params=p, bulk=((0.0, GAMMA_83),), boundary=((1.0, GAMMA_83),))
         draws = sample_liouville_triple(ins, 400, RngStream(72, 2), basis=basis83)
         assert np.all(draws["V"] > 0) and np.all(draws["L"] > 0)
+
+    def test_y_integral_checks_quadrature_error(self, basis83, monkeypatch):
+        # a y-quadrature whose error estimate is half its value must not pass
+        monkeypatch.setattr(scipy.integrate, "quad", lambda *args, **kwargs: (1.0, 0.5))
+        p = LiouvilleParams(gamma=GAMMA_83, mu=1.0, mu_boundary=0.5)
+        ins = InsertionSet(params=p, bulk=((0.0, GAMMA_83),), boundary=((1.0, GAMMA_83),))
+        with pytest.raises(ResamplingError, match="y-integral"):
+            sample_liouville_triple(ins, 10, RngStream(72, 5), basis=basis83)
 
     def test_gamma_law_second_insertion_set(self):
         # a different admissible set at a different coupling
