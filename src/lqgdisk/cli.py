@@ -33,6 +33,7 @@ from .geometry import ConformalFactor, LiouvilleParams, MobiusMap, green, weyl_a
 from .gff import (
     FieldSampler,
     RngStream,
+    arc_centers,
     boundary_synthesis,
     check_averaging_circles,
     sample_field,
@@ -205,8 +206,7 @@ def run_gmc_boundary(config, seed, outdir):
     n_replicas = int(config.get("n_replicas", 1000))
     n_modes = int(config.get("n_modes", 1024))
     n_arcs = int(config.get("n_arcs", 256))
-    theta = 2.0 * np.pi * (np.arange(n_arcs) + 0.5) / n_arcs
-    cosb, sinb = boundary_synthesis(theta, n_modes)
+    cosb, sinb = boundary_synthesis(arc_centers(n_arcs), n_modes)
     var_n = truncated_boundary_variance(n_modes)
     totals = []
     for r in range(n_replicas):
@@ -433,7 +433,7 @@ def run_maps_sample(config, seed, outdir):
         )
     ]
     table_rows = (cfg.n_max + 1) * cfg.p_max
-    if table_rows <= int(config.get("table_rows_cap", 2_000_000)):
+    if table_rows <= 2_000_000:
         def table_iter():
             for p in range(1, cfg.p_max + 1):
                 row = sampler.log_weight_row(p)

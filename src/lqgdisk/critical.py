@@ -16,13 +16,14 @@ diagnostic of choice since only moments of order q < 1 exist.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 
 from .errors import DomainError, GridError
-from .gff import FieldSampler, boundary_synthesis, truncated_boundary_variance
-from .gmc import AtomicMeasure, bulk_masses, window_sector_grid
+from .gff import FieldSampler, arc_centers, boundary_synthesis, truncated_boundary_variance
+from .gmc import AtomicMeasure, bulk_masses, jackknife_var, window_sector_grid
 
 __all__ = [
     "nominal_bulk_norming",
@@ -50,7 +51,7 @@ def nominal_boundary_norming(n_modes):
     return float(np.sqrt(np.log(n_modes)) / n_modes)
 
 
-def seneta_heyde_bulk(field, grid, push=True, metadata=None):
+def seneta_heyde_bulk(field, grid, push=True):
     """Critical bulk measure e^{2X} dlambda with the log push.
 
     Atom masses are
@@ -66,12 +67,10 @@ def seneta_heyde_bulk(field, grid, push=True, metadata=None):
     if push:
         masses = masses * np.sqrt(np.log(1.0 / grid.eps))
     meta = {"gamma": 2.0, "critical": True, "push": bool(push), "n_bands": grid.n_bands}
-    if metadata:
-        meta.update(metadata)
     return AtomicMeasure("bulk", field.points.copy(), masses, meta)
 
 
-def seneta_heyde_boundary(trace, n_arcs=None, push=True, metadata=None):
+def seneta_heyde_boundary(trace, n_arcs=None, push=True):
     """Critical boundary measure e^{X} dlambda_boundary with the log push.
 
     Uses the Fourier cutoff N of the trace with equivalent scale 1/N; the
@@ -85,14 +84,12 @@ def seneta_heyde_boundary(trace, n_arcs=None, push=True, metadata=None):
         raise GridError("boundary critical measure needs at least 64 modes")
     if n_arcs is None:
         n_arcs = 2 * n
-    theta = 2.0 * np.pi * (np.arange(n_arcs) + 0.5) / n_arcs
+    theta = arc_centers(n_arcs)
     var = truncated_boundary_variance(n)
     masses = np.exp(trace.evaluate(theta) - 0.5 * var) * (2.0 * np.pi / n_arcs)
     if push:
         masses = masses * np.sqrt(0.5 * var)
     meta = {"gamma": 2.0, "critical": True, "push": bool(push), "n_modes": n}
-    if metadata:
-        meta.update(metadata)
     return AtomicMeasure("boundary", np.exp(1j * theta), masses, meta)
 
 
@@ -100,23 +97,23 @@ def seneta_heyde_boundary(trace, n_arcs=None, push=True, metadata=None):
 # ladder diagnostics
 # ---------------------------------------------------------------------------
 
-def bulk_ladder_totals(levels, n_replicas, rng, window=None):
+def bulk_ladder_totals(levels, n_replicas, rng):
     """Masses of the critical bulk measure in a fixed window, per scale.
 
-    Level k resolves the window at the uniform scale eps = 2^-k; the window
-    itself never moves, so the ladder isolates the effect of the cutoff
-    (a whole-disk ladder would confound it with newly resolved boundary
-    mass).  n_replicas may be a single count or one count per level; the
-    coarse levels are cheap and benefit from more replicas.  Each level is
-    factored and drawn once.  Returns (pushed, plain): two lists of
-    per-level total arrays, with and without the sqrt(ln 1/eps) push.
+    Level k resolves the fixed sector of window_sector_grid at the uniform
+    scale eps = 2^-k; the window itself never moves, so the ladder isolates
+    the effect of the cutoff (a whole-disk ladder would confound it with
+    newly resolved boundary mass).  n_replicas may be a single count or one
+    count per level; the coarse levels are cheap and benefit from more
+    replicas.  Each level is factored and drawn once.  Returns (pushed,
+    plain): two lists of per-level total arrays, with and without the
+    sqrt(ln 1/eps) push.
     """
     if np.isscalar(n_replicas):
         n_replicas = [int(n_replicas)] * len(levels)
-    window = window or {}
     pushed, plain = [], []
     for k, nrep in zip(levels, n_replicas):
-        grid = window_sector_grid(k, **window)
+        grid = window_sector_grid(k)
         sampler = FieldSampler(grid.centers, grid.eps)
         vals = sampler.draw_batch(nrep, rng.child(k))
         variances = np.diag(sampler.covariance)
@@ -128,14 +125,14 @@ def bulk_ladder_totals(levels, n_replicas, rng, window=None):
     return pushed, plain
 
 
-def boundary_ladder_totals(mode_levels, n_replicas, rng, arcs_per_mode=2):
+def boundary_ladder_totals(mode_levels, n_replicas, rng):
     """Total masses of the critical boundary measure along a cutoff ladder.
 
-    All levels of one replica share the same Fourier coefficients (drawn
-    once at the largest cutoff), so consecutive-level ratios are strongly
-    coupled.  Returns (pushed, plain), each of shape
-    (len(mode_levels), n_replicas), with and without the sqrt(Var_N / 2)
-    push.
+    Level N has 2N arcs, as in seneta_heyde_boundary.  All levels of one
+    replica share the same Fourier coefficients (drawn once at the largest
+    cutoff), so consecutive-level ratios are strongly coupled.  Returns
+    (pushed, plain), each of shape (len(mode_levels), n_replicas), with and
+    without the sqrt(Var_N / 2) push.
     """
     mode_levels = list(mode_levels)
     n_max = max(mode_levels)
@@ -144,9 +141,8 @@ def boundary_ladder_totals(mode_levels, n_replicas, rng, arcs_per_mode=2):
     pushed = np.empty((len(mode_levels), n_replicas))
     plain = np.empty((len(mode_levels), n_replicas))
     for i, n in enumerate(mode_levels):
-        n_arcs = arcs_per_mode * n
-        theta = 2.0 * np.pi * (np.arange(n_arcs) + 0.5) / n_arcs
-        cosb, sinb = boundary_synthesis(theta, n)
+        n_arcs = 2 * n
+        cosb, sinb = boundary_synthesis(arc_centers(n_arcs), n)
         x = coeffs[:, 0, :n] @ cosb.T + coeffs[:, 1, :n] @ sinb.T
         var = truncated_boundary_variance(n)
         # the critical normalization has no e^{-gamma^2/8} factor (see seneta_heyde_boundary)
@@ -181,8 +177,5 @@ def moment_diagnostic(measures, q):
             f"q = {q} is outside the guaranteed moment range q < 1", RuntimeWarning
         )
     powered = totals**q
-    n = len(powered)
-    estimate = float(powered.mean())
-    loo = (powered.sum() - powered) / (n - 1)
-    stderr = float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
-    return estimate, stderr
+    loo = (powered.sum() - powered) / (len(powered) - 1)
+    return float(powered.mean()), math.sqrt(jackknife_var(loo))

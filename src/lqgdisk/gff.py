@@ -81,10 +81,8 @@ class BoundaryTrace:
 
     def evaluate(self, theta):
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        n = np.arange(1, self.n_modes + 1)
-        amp = np.sqrt(2.0 / n)
-        arg = np.outer(theta, n)
-        out = np.cos(arg) @ (amp * self.cos_coeffs) + np.sin(arg) @ (amp * self.sin_coeffs)
+        cosb, sinb = boundary_synthesis(theta, self.n_modes)
+        out = cosb @ self.cos_coeffs + sinb @ self.sin_coeffs
         return out if out.size > 1 else float(out[0])
 
     def variance(self):
@@ -111,6 +109,11 @@ def sample_boundary_trace(n_modes, rng):
     gen = rng.generator()
     coeffs = gen.standard_normal((2, n_modes))
     return BoundaryTrace(cos_coeffs=coeffs[0], sin_coeffs=coeffs[1])
+
+
+def arc_centers(n_arcs):
+    """Centers 2 pi (k + 1/2) / n_arcs, k = 0..n_arcs-1, of n_arcs equal arcs of the circle."""
+    return 2.0 * np.pi * (np.arange(n_arcs) + 0.5) / n_arcs
 
 
 def boundary_synthesis(theta, n_modes):
@@ -140,15 +143,9 @@ def harmonic_extension(trace, x):
     """
     xa = np.atleast_1d(np.asarray(x, dtype=complex))
     check_interior(xa, "x")
-    r = np.abs(xa)
-    t = np.angle(xa)
-    n = np.arange(1, trace.n_modes + 1)
-    amp = np.sqrt(2.0 / n)
-    radial = r[:, None] ** n[None, :]
-    arg = np.outer(t, n)
-    out = (radial * np.cos(arg)) @ (amp * trace.cos_coeffs) + (radial * np.sin(arg)) @ (
-        amp * trace.sin_coeffs
-    )
+    cosb, sinb = boundary_synthesis(np.angle(xa), trace.n_modes)
+    radial = np.abs(xa)[:, None] ** np.arange(1, trace.n_modes + 1)[None, :]
+    out = (radial * cosb) @ trace.cos_coeffs + (radial * sinb) @ trace.sin_coeffs
     return out if out.size > 1 else float(out[0])
 
 
@@ -175,8 +172,6 @@ def neumann_covariance(points, eps):
     if pts.ndim != 1:
         raise GridError("points must be a 1-d array of complex numbers")
     m = len(pts)
-    if m > MAX_FIELD_POINTS:
-        raise GridError(f"at most {MAX_FIELD_POINTS} points are supported, got {m}")
     eps_arr = np.broadcast_to(np.asarray(eps, dtype=float), (m,)).copy()
     dist = check_averaging_circles(pts, eps_arr)
     r = np.abs(pts)
@@ -189,12 +184,16 @@ def neumann_covariance(points, eps):
 def check_averaging_circles(points, eps):
     """Raise unless circles of radii eps at the points admit the closed-form covariance.
 
-    Each radius must be positive and each circle must stay inside the
-    disk, and the points must be distinct (GridError); distinct circles
-    must not overlap, up to a relative tolerance of 1e-12
-    (UnsupportedSeparationError).  Returns the pairwise distance matrix.
+    There may be at most MAX_FIELD_POINTS points (checked before any
+    pairwise matrix is built), each radius must be positive and each
+    circle must stay inside the disk, and the points must be distinct
+    (GridError); distinct circles must not overlap, up to a relative
+    tolerance of 1e-12 (UnsupportedSeparationError).  Returns the pairwise
+    distance matrix.
     """
     pts = np.asarray(points, dtype=complex)
+    if len(pts) > MAX_FIELD_POINTS:
+        raise GridError(f"at most {MAX_FIELD_POINTS} points are supported, got {len(pts)}")
     eps_arr = np.broadcast_to(np.asarray(eps, dtype=float), pts.shape)
     if np.any(eps_arr <= 0.0):
         raise GridError("eps must be positive")
@@ -262,14 +261,14 @@ class FieldSampler:
         )
 
 
-def _symmetric_factor(cov, pivot_tol=1e-10):
+def _symmetric_factor(cov):
     try:
         return scipy.linalg.cholesky(cov, lower=True)
     except scipy.linalg.LinAlgError:
         pass
     w, v = scipy.linalg.eigh(cov)
     scale = max(float(w[-1]), 0.0)
-    if scale == 0.0 or float(w[0]) < -pivot_tol * scale:
+    if scale == 0.0 or float(w[0]) < -1e-10 * scale:
         raise FactorizationError(
             f"covariance is not positive semidefinite (min eig {float(w[0]):.3e})"
         )

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GridError
+from .gff import arc_centers
 
 __all__ = [
     "AtomicMeasure",
@@ -28,6 +29,7 @@ __all__ = [
     "boundary_masses",
     "bulk_measure",
     "boundary_measure",
+    "jackknife_var",
 ]
 
 
@@ -131,8 +133,8 @@ class GradedDiskGrid:
         return 2.0 * self.eps
 
 
-def window_sector_grid(depth, r_lo=0.3, r_hi=0.8, span=0.84):
-    """Uniform-scale grid on a fixed annular sector, nested across depths.
+def window_sector_grid(depth):
+    """Uniform-scale grid on the fixed annular sector 0.3 <= r < 0.8, 0 <= theta < 0.84.
 
     At depth k the cell size is 2^(1-k) radially with matching angular
     extent at the inner radius; depth k + 1 subdivides every cell of depth
@@ -142,6 +144,7 @@ def window_sector_grid(depth, r_lo=0.3, r_hi=0.8, span=0.84):
     """
     if depth < 4:
         raise GridError("window grids start at depth 4")
+    r_lo, r_hi, span = 0.3, 0.8, 0.84
     eps = 2.0 ** (-depth)
     h = 2.0 * eps
     n_r = int(round((r_hi - r_lo) / h))
@@ -188,7 +191,7 @@ def graded_disk_grid(n_bands, rings_per_band=2, aspect=2.0):
         w = (hi - lo) / rings_per_band
         r_mid = 0.5 * (lo + hi)
         n_theta = max(4, int(np.ceil(2.0 * np.pi * r_mid / (aspect * w))))
-        theta = 2.0 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
+        theta = arc_centers(n_theta)
         for i in range(rings_per_band):
             a = lo + i * w
             c = a + 0.5 * w
@@ -241,7 +244,7 @@ def boundary_masses(x, variance, gamma, n_arcs):
     )
 
 
-def bulk_measure(field, gamma, grid, metadata=None):
+def bulk_measure(field, gamma, grid):
     """Atomized chaos measure e^{gamma X} dlambda on the disk.
 
     The atom at cell c has mass
@@ -258,12 +261,10 @@ def bulk_measure(field, gamma, grid, metadata=None):
     weights = grid.density_weights(0.5 * gamma**2)
     masses = bulk_masses(field.values, field.variances, weights, gamma)
     meta = {"gamma": gamma, "n_bands": grid.n_bands}
-    if metadata:
-        meta.update(metadata)
     return AtomicMeasure("bulk", field.points.copy(), masses, meta)
 
 
-def boundary_measure(trace, gamma, n_arcs, metadata=None):
+def boundary_measure(trace, gamma, n_arcs):
     """Atomized chaos measure e^{(gamma/2) X} dlambda on the unit circle.
 
     Atoms sit at arc centers; the truncated variance of the trace (constant
@@ -276,9 +277,17 @@ def boundary_measure(trace, gamma, n_arcs, metadata=None):
         raise DomainError("gamma must lie in (0, 2)")
     if n_arcs < 64:
         raise GridError("n_arcs must be at least 64")
-    theta = 2.0 * np.pi * (np.arange(n_arcs) + 0.5) / n_arcs
+    theta = arc_centers(n_arcs)
     masses = boundary_masses(trace.evaluate(theta), trace.variance(), gamma, n_arcs)
     meta = {"gamma": gamma, "n_modes": trace.n_modes}
-    if metadata:
-        meta.update(metadata)
     return AtomicMeasure("boundary", np.exp(1j * theta), masses, meta)
+
+
+# ---------------------------------------------------------------------------
+# replica statistics
+# ---------------------------------------------------------------------------
+
+def jackknife_var(loo):
+    """Jackknife variance (n - 1)/n sum (loo - mean loo)^2 from leave-one-out estimates."""
+    n = len(loo)
+    return (n - 1) / n * float(np.sum((loo - loo.mean()) ** 2))

@@ -40,8 +40,8 @@ from .geometry import (
     green,
     poincare_density,
 )
-from .gff import FieldSampler, boundary_synthesis, truncated_boundary_variance
-from .gmc import AtomicMeasure, boundary_masses, bulk_masses, graded_disk_grid
+from .gff import FieldSampler, arc_centers, boundary_synthesis, truncated_boundary_variance
+from .gmc import AtomicMeasure, boundary_masses, bulk_masses, graded_disk_grid, jackknife_var
 
 __all__ = [
     "InsertionSet",
@@ -256,7 +256,7 @@ class ChaosBasis:
         self.sampler = FieldSampler(self.grid.centers, self.grid.eps)
         self.n_modes = int(n_modes)
         self.n_arcs = int(n_arcs)
-        self.arc_theta = 2.0 * np.pi * (np.arange(n_arcs) + 0.5) / n_arcs
+        self.arc_theta = arc_centers(n_arcs)
         self.arc_points = np.exp(1j * self.arc_theta)
 
         g = self.gamma
@@ -288,10 +288,6 @@ class ChaosBasis:
         fb, fd = self.drift_factors(ins)
         return self.bulk_masses @ fb, self.bdry_masses @ fd
 
-    def drifted_pair(self, ins, r):
-        """Full drifted measure pair of replica r."""
-        return self._pair(self.drift_factors(ins), r)
-
     def functional_values(self, ins, fn):
         """fn evaluated on every replica's drifted pair."""
         factors = self.drift_factors(ins)
@@ -305,62 +301,66 @@ class ChaosBasis:
         return ShiftedChaosPair(bulk, bdry)
 
 
-def bulk_drift_factors(ins, grid, gamma, subgrid=24, near_cells=2.0):
+def bulk_drift_factors(ins, grid, gamma):
     """Cellwise factors e^{gamma H} for the bulk measure atoms.
 
-    Cells within a few cell widths of a marked point get the mass-weighted
-    average of e^{gamma H} over a subgrid refinement of the cell instead of
+    Cells within two cell scales of a marked point get the mass-weighted
+    average of e^{gamma H} over a 24 x 24 subgrid of the cell instead of
     the center value: the drift is integrable there but singular, so a
     single sample would either hit the singularity or misstate the cell's
     drifted mass.  A marked point exactly on an atom raises GridError.
     """
-    marked = ins.marked_points()
-    centers = grid.centers
-    if len(marked) == 0:
-        return np.ones(len(centers))
-    dist = np.min(np.abs(centers[:, None] - marked[None, :]), axis=1)
-    if np.any(dist == 0.0):
-        raise GridError("a grid atom coincides with a marked point")
-    factors = np.exp(gamma * insertion_drift(ins, centers))
-    near = dist < near_cells * grid.cell_scale()
     s = 0.5 * gamma**2
-    for c in np.nonzero(near)[0]:
-        r0, r1 = grid.r_lo[c], grid.r_hi[c]
-        th = np.angle(centers[c])
+
+    def subgrid(c):
         dth = grid.dtheta[c]
-        rr = r0 + (np.arange(subgrid) + 0.5) * (r1 - r0) / subgrid
-        tt = th - dth / 2.0 + (np.arange(subgrid) + 0.5) * dth / subgrid
+        rr = _midpoints(grid.r_lo[c], grid.r_hi[c] - grid.r_lo[c], 24)
+        tt = _midpoints(np.angle(grid.centers[c]) - dth / 2.0, dth, 24)
         pts = (rr[:, None] * np.exp(1j * tt[None, :])).ravel()
-        ok = np.min(np.abs(pts[:, None] - marked[None, :]), axis=1) > 0.0
-        pts = pts[ok]
-        dens = (1.0 - np.abs(pts) ** 2) ** (-s) * np.abs(pts)
-        drift = np.exp(gamma * insertion_drift(ins, pts))
-        factors[c] = float(np.sum(drift * dens) / np.sum(dens))
-    return factors
+        return pts, (1.0 - np.abs(pts) ** 2) ** (-s) * np.abs(pts)
+
+    return _drift_factors(ins, grid.centers, gamma, 2.0 * grid.cell_scale(), subgrid)
 
 
-def boundary_drift_factors(ins, arc_theta, gamma, subgrid=64, near_arcs=2.0):
+def boundary_drift_factors(ins, arc_theta, gamma):
     """Arcwise factors e^{(gamma/2) H} for the boundary measure atoms.
 
-    Arcs near a marked point average the drift over a subdivision of the
-    arc, mirroring the bulk treatment.
+    Arcs within two arc widths of a marked point average the drift over
+    64 equal pieces of the arc, mirroring the bulk treatment.
+    """
+    dth = 2.0 * np.pi / len(arc_theta)
+
+    def subgrid(c):
+        pts = np.exp(1j * _midpoints(arc_theta[c] - dth / 2.0, dth, 64))
+        return pts, np.ones(len(pts))
+
+    return _drift_factors(ins, np.exp(1j * arc_theta), 0.5 * gamma, 2.0 * dth, subgrid)
+
+
+def _midpoints(lo, width, n):
+    """Midpoints of n equal pieces of [lo, lo + width]."""
+    return lo + (np.arange(n) + 0.5) * width / n
+
+
+def _drift_factors(ins, atoms, exponent, near, subgrid):
+    """Factors e^{exponent H} at the atoms, averaged near the marked points.
+
+    Atom c closer than `near` to a marked point takes the weighted average
+    of the factor over the (points, weights) of subgrid(c), skipping points
+    on a marked point; an atom on a marked point raises GridError.
     """
     marked = ins.marked_points()
-    arc_points = np.exp(1j * arc_theta)
     if len(marked) == 0:
-        return np.ones(len(arc_points))
-    dist = np.min(np.abs(arc_points[:, None] - marked[None, :]), axis=1)
+        return np.ones(len(atoms))
+    dist = np.min(np.abs(atoms[:, None] - marked[None, :]), axis=1)
     if np.any(dist == 0.0):
-        raise GridError("a boundary atom coincides with a marked point")
-    factors = np.exp(0.5 * gamma * insertion_drift(ins, arc_points))
-    dth = 2.0 * np.pi / len(arc_theta)
-    near = dist < near_arcs * dth
-    for c in np.nonzero(near)[0]:
-        tt = arc_theta[c] - dth / 2.0 + (np.arange(subgrid) + 0.5) * dth / subgrid
-        pts = np.exp(1j * tt)
+        raise GridError("an atom coincides with a marked point")
+    factors = np.exp(exponent * insertion_drift(ins, atoms))
+    for c in np.nonzero(dist < near)[0]:
+        pts, w = subgrid(c)
         ok = np.min(np.abs(pts[:, None] - marked[None, :]), axis=1) > 0.0
-        pts = pts[ok]
-        factors[c] = float(np.mean(np.exp(0.5 * gamma * insertion_drift(ins, pts))))
+        drift = np.exp(exponent * insertion_drift(ins, pts[ok]))
+        factors[c] = float(np.sum(drift * w[ok]) / np.sum(w[ok]))
     return factors
 
 
@@ -378,7 +378,7 @@ def shifted_chaos(ins, field, grid, trace, n_arcs=256):
     g = ins.params.gamma
     bulk = bulk_measure(field, g, grid)
     bdry = boundary_measure(trace, g, n_arcs)
-    arc_theta = 2.0 * np.pi * (np.arange(n_arcs) + 0.5) / n_arcs
+    arc_theta = arc_centers(n_arcs)
     fb = bulk_drift_factors(ins, grid, g)
     fd = boundary_drift_factors(ins, arc_theta, g)
     return ShiftedChaosPair(
@@ -450,8 +450,8 @@ def _log_peaked_integral(log_f, t_star, what):
     return peak + math.log(val)
 
 
-def partition_estimate(ins, n_replicas=None, rng=None, basis=None, method="auto", **basis_kw):
-    """Monte Carlo estimate of the reduced partition function.
+def partition_estimate(ins, basis, method="auto"):
+    """Monte Carlo estimate of the reduced partition function over a ChaosBasis.
 
     Returns (value, stderr).  With mu_boundary = 0 and method "auto" or
     "gamma" the zero-mode integral is reduced in closed form to
@@ -461,12 +461,6 @@ def partition_estimate(ins, n_replicas=None, rng=None, basis=None, method="auto"
     """
     require_admissible(ins)
     p = ins.params
-    if basis is None:
-        if n_replicas is None or rng is None:
-            raise ConfigurationError("need either a basis or (n_replicas, rng)")
-        if n_replicas < 100:
-            raise ConfigurationError("at least 100 replicas are required")
-        basis = ChaosBasis(p.gamma, n_replicas, rng, **basis_kw)
     bulk_tot, bdry_tot = basis.drifted_totals(ins)
 
     if method == "auto":
@@ -499,14 +493,13 @@ def partition_estimate(ins, n_replicas=None, rng=None, basis=None, method="auto"
     return value, stderr
 
 
-def kpz_ratio_test(ins, psi, basis, basis_moved=None):
+def kpz_ratio_test(ins, psi, basis):
     """Deviation of the measured Mobius covariance from its prediction.
 
     Estimates log Pi(moved) - log Pi(original) and subtracts the predicted
-    log weight; returns (deviation, stderr).  With one basis the two
-    configurations share replicas (paired, small stderr); with a second
-    basis the moved configuration uses its own independent replicas and
-    the stderr combines the two jackknife errors.  mu_boundary = 0.
+    log weight; returns (deviation, stderr).  The two configurations share
+    the replicas of one basis, so the comparison is paired and the stderr
+    is the jackknife error of the paired log ratio.  mu_boundary = 0.
     """
     if ins.params.mu_boundary != 0.0:
         raise ConfigurationError("the ratio test is implemented for mu_boundary = 0")
@@ -514,7 +507,7 @@ def kpz_ratio_test(ins, psi, basis, basis_moved=None):
     moved = mobius_moved(ins, psi)
     q = ins.s_total / ins.params.gamma
     i_orig, _ = basis.drifted_totals(ins)
-    i_moved, _ = (basis_moved or basis).drifted_totals(moved)
+    i_moved, _ = basis.drifted_totals(moved)
     w_orig = i_orig ** (-q)
     w_moved = i_moved ** (-q)
     log_ratio = (
@@ -523,31 +516,21 @@ def kpz_ratio_test(ins, psi, basis, basis_moved=None):
         + log_prefactor(moved)
         - log_prefactor(ins)
     )
-    if basis_moved is None:
-        n = len(w_orig)
-        loo = np.log((w_moved.sum() - w_moved) / (n - 1)) - np.log(
-            (w_orig.sum() - w_orig) / (n - 1)
-        )
-        stderr = math.sqrt((n - 1) / n * float(np.sum((loo - loo.mean()) ** 2)))
-    else:
-        stderr = math.sqrt(_log_mean_jackknife_var(w_moved) + _log_mean_jackknife_var(w_orig))
-    return log_ratio - kpz_log_weight(ins, psi), stderr
-
-
-def _log_mean_jackknife_var(w):
-    n = len(w)
-    loo = np.log((w.sum() - w) / (n - 1))
-    return (n - 1) / n * float(np.sum((loo - loo.mean()) ** 2))
+    n = len(w_orig)
+    loo = np.log((w_moved.sum() - w_moved) / (n - 1)) - np.log(
+        (w_orig.sum() - w_orig) / (n - 1)
+    )
+    return log_ratio - kpz_log_weight(ins, psi), math.sqrt(jackknife_var(loo))
 
 
 # ---------------------------------------------------------------------------
 # joint volume law
 # ---------------------------------------------------------------------------
 
-def sample_liouville_triple(ins, n_draws, rng, basis=None, functionals=None, **basis_kw):
+def sample_liouville_triple(ins, n_draws, rng, basis, functionals=None):
     """Draws of (V, L) with per-draw functionals of the normalized measures.
 
-    Replicas of the drifted chaos pair are importance-weighted by the
+    Replicas of the drifted chaos pair on the ChaosBasis are importance-weighted by the
     boundary total to the power -(2/gamma) s_total times the one-dimensional
     y-integral; a replica is selected per draw and y is drawn from the
     density proportional to y^{(2/gamma) s_total - 1}
@@ -557,8 +540,6 @@ def sample_liouville_triple(ins, n_draws, rng, basis=None, functionals=None, **b
     """
     require_admissible(ins)
     p = ins.params
-    if basis is None:
-        basis = ChaosBasis(p.gamma, basis_kw.pop("n_replicas", 400), rng.child(0), **basis_kw)
     bulk_tot, bdry_tot = basis.drifted_totals(ins)
     ratio = bulk_tot / bdry_tot**2
     a_exp = 2.0 * ins.s_total / p.gamma
@@ -601,24 +582,25 @@ def sample_liouville_triple(ins, n_draws, rng, basis=None, functionals=None, **b
     return out
 
 
+def _y_peak(a_exp, mu_r, mu_b):
+    """Peak y* of y^a e^{-mu_r y^2 - mu_b y}, the stationary point in t = ln y."""
+    disc = mu_b**2 + 8.0 * mu_r * a_exp
+    return (-mu_b + math.sqrt(disc)) / (4.0 * mu_r) if mu_r > 0 else a_exp / mu_b
+
+
 def _log_y_integral(a_exp, mu_r, mu_b):
     """log of int_0^inf y^{a-1} e^{-mu_r y^2 - mu_b y} dy."""
     def log_f(t):
         # substitute y = e^t
         return a_exp * t - mu_r * math.exp(2.0 * t) - mu_b * math.exp(t)
 
-    # stationary point of the log-integrand in t
-    disc = mu_b**2 + 8.0 * mu_r * a_exp
-    y_star = (-mu_b + math.sqrt(disc)) / (4.0 * mu_r) if mu_r > 0 else a_exp / mu_b
-    return _log_peaked_integral(log_f, math.log(y_star), "y-integral")
+    return _log_peaked_integral(log_f, math.log(_y_peak(a_exp, mu_r, mu_b)), "y-integral")
 
 
-def _draw_y(a_exp, mu_r, mu_b, gen, n_grid=2048):
+def _draw_y(a_exp, mu_r, mu_b, gen):
     """Inverse-CDF draw from the density prop to y^{a-1} e^{-mu_r y^2 - mu_b y}."""
-    disc = mu_b**2 + 8.0 * mu_r * a_exp
-    y_star = (-mu_b + math.sqrt(disc)) / (4.0 * mu_r) if mu_r > 0 else a_exp / mu_b
-    t_star = math.log(y_star)
-    t = np.linspace(t_star - 40.0, t_star + 8.0, n_grid)
+    t_star = math.log(_y_peak(a_exp, mu_r, mu_b))
+    t = np.linspace(t_star - 40.0, t_star + 8.0, 2048)
     log_pdf = a_exp * t - mu_r * np.exp(2.0 * t) - mu_b * np.exp(t)
     pdf = np.exp(log_pdf - log_pdf.max())
     cdf = np.cumsum(pdf)
@@ -631,13 +613,13 @@ def _draw_y(a_exp, mu_r, mu_b, gen, n_grid=2048):
 # fixed-volume expectations
 # ---------------------------------------------------------------------------
 
-def unit_volume_expectation(ins, fn, n_replicas=None, rng=None, basis=None, **basis_kw):
+def unit_volume_expectation(ins, fn, basis):
     """Expectation of a measure functional at unit total volume.
 
     Requires mu_boundary = 0 and exactly three boundary insertions of
     weight gamma.  The estimator is the I^{-s/gamma}-weighted average of
-    fn over replicas of the normalized pair, with a jackknife standard
-    error; returns (value, stderr, effective_sample_size).
+    fn over the replicas of the ChaosBasis (normalized pairs), with a
+    jackknife standard error; returns (value, stderr, effective_sample_size).
     """
     p = ins.params
     if p.mu_boundary != 0.0:
@@ -648,8 +630,6 @@ def unit_volume_expectation(ins, fn, n_replicas=None, rng=None, basis=None, **ba
             "unit-volume expectations require exactly three boundary insertions of weight gamma"
         )
     require_admissible(ins)
-    if basis is None:
-        basis = ChaosBasis(p.gamma, n_replicas, rng, **basis_kw)
     bulk_tot, _ = basis.drifted_totals(ins)
     q = ins.s_total / p.gamma  # equals 3/2 - Q/gamma
     w = bulk_tot ** (-q)
@@ -657,8 +637,6 @@ def unit_volume_expectation(ins, fn, n_replicas=None, rng=None, basis=None, **ba
     ess = float(w.sum() ** 2 / np.sum(w**2))
     if ess < 10.0:
         warnings.warn(f"effective sample size {ess:.1f} < 10", RuntimeWarning)
-    n = len(w)
     value = float(np.sum(w * f_vals) / w.sum())
     loo = (np.sum(w * f_vals) - w * f_vals) / (w.sum() - w)
-    stderr = math.sqrt((n - 1) / n * float(np.sum((loo - loo.mean()) ** 2)))
-    return value, stderr, ess
+    return value, math.sqrt(jackknife_var(loo)), ess

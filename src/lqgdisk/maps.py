@@ -48,6 +48,7 @@ __all__ = [
 
 BULK_CRITICAL_WEIGHT = math.log(12.0)
 BOUNDARY_CRITICAL_WEIGHT_PER_EDGE = 0.5 * math.log(4.5)
+TAIL_BOUND = 1e-9  # largest estimated truncation tail mass a sampler accepts
 
 
 def count_exact(n, p):
@@ -195,11 +196,11 @@ def conjectured_log_density(volume, length, mu, mu_boundary):
 class BoltzmannConfig:
     """Mesh size and off-critical weights of the Boltzmann ensemble.
 
-    The total weights are mu_bar = mu_c + a^2 mu per quadrilateral and
-    mu_bar_boundary = mu_c_boundary + a mu_boundary per boundary edge
-    (applied to all 2p edges).  The critical constants default to ln 12
-    and (1/2) ln(9/2), the values that make the weighted counts exactly
-    summable; both are configurable.
+    The total weights are mu_bar = ln 12 + a^2 mu per quadrilateral and
+    mu_bar_boundary = (1/2) ln(9/2) + a mu_boundary per boundary edge
+    (applied to all 2p edges).  The constants are the critical weights
+    BULK_CRITICAL_WEIGHT and BOUNDARY_CRITICAL_WEIGHT_PER_EDGE, the values
+    that make the weighted counts exactly summable.
 
     With interior_marked (the default) each map additionally carries a
     uniformly marked quadrilateral, multiplying the weight by n.  That is
@@ -213,9 +214,6 @@ class BoltzmannConfig:
     mu_boundary: float = 1.0
     n_max: int | None = None
     p_max: int | None = None
-    mu_c: float = BULK_CRITICAL_WEIGHT
-    mu_c_boundary: float = BOUNDARY_CRITICAL_WEIGHT_PER_EDGE
-    tail_bound: float = 1e-9
     interior_marked: bool = True
 
     def __post_init__(self):
@@ -242,11 +240,11 @@ class BoltzmannConfig:
 
     @property
     def mu_bar(self):
-        return self.mu_c + self.a**2 * self.mu
+        return BULK_CRITICAL_WEIGHT + self.a**2 * self.mu
 
     @property
     def mu_bar_boundary(self):
-        return self.mu_c_boundary + self.a * self.mu_boundary
+        return BOUNDARY_CRITICAL_WEIGHT_PER_EDGE + self.a * self.mu_boundary
 
 
 class BoltzmannSampler:
@@ -255,8 +253,8 @@ class BoltzmannSampler:
     Builds the log-marginal over p by streaming one n-row at a time (the
     full table would not fit in memory at small mesh); sampling draws p
     from the marginal and then n from the regenerated row by inverse CDF.
-    Construction validates the truncation tails against the configured
-    bound and raises ConfigurationError if the caps are too small.
+    Construction validates the truncation tails against TAIL_BOUND and
+    raises ConfigurationError if the caps are too small.
     """
 
     def __init__(self, cfg):
@@ -293,7 +291,7 @@ class BoltzmannSampler:
         cfg = self.cfg
         # n-direction: geometric envelope with the exact per-step decay
         log_edge_n = float(scipy.special.logsumexp(edge_n))
-        decay_n = cfg.mu_bar - math.log(12.0)  # asymptotic per-step log decay
+        decay_n = cfg.mu_bar - BULK_CRITICAL_WEIGHT  # asymptotic per-step log decay
         if decay_n <= 0.0:
             raise ConfigurationError("mu_bar must exceed the critical weight ln 12")
         log_tail_n = log_edge_n - math.log(-math.expm1(-decay_n))
@@ -307,10 +305,10 @@ class BoltzmannSampler:
             step = -1e-3
         log_tail_p = log_edge_p - math.log(-math.expm1(step))
         worst = max(log_tail_n, log_tail_p) - self.log_total
-        if worst > math.log(cfg.tail_bound):
+        if worst > math.log(TAIL_BOUND):
             raise ConfigurationError(
                 f"estimated truncation tail mass e^{worst:.1f} exceeds the bound "
-                f"{cfg.tail_bound:g}; increase n_max/p_max"
+                f"{TAIL_BOUND:g}; increase n_max/p_max"
             )
 
     def p_probabilities(self):
@@ -405,15 +403,7 @@ def _density_bin_probs(sampler, v_edges, l_edges):
     return mass / total
 
 
-def joint_density_check(
-    cfg,
-    n_draws,
-    rng,
-    bins=(20, 20),
-    window=None,
-    tail_quantile=0.998,
-    min_expected=5.0,
-):
+def joint_density_check(cfg, n_draws, rng, bins=(20, 20), window=None, min_expected=5.0):
     """Chi-square of rescaled Boltzmann draws against the limit density.
 
     Draws are rescaled to (V, l) = (a^2 n, 2 a p); the comparison runs on
@@ -423,8 +413,8 @@ def joint_density_check(
     reproduces).  The default window keeps maps of at least 600
     quadrilaterals and half-perimeter at least 12, where the count
     asymptotics are accurate to well under a percent.  Bin edges are draw
-    quantiles inside the window with the length edges snapped to
-    half-lattice; expected masses come from the density evaluated on the
+    quantiles (up to the 0.998 quantile) inside the window with the length
+    edges snapped to half-lattice; expected masses come from the density evaluated on the
     same lattice and normalized over the binned range.  Bins with expected
     count below `min_expected` are flagged underpowered and excluded
     (degrees of freedom adjust accordingly).
@@ -442,8 +432,8 @@ def joint_density_check(
         raise ConfigurationError(
             f"only {int(win.sum())} draws fall in the macroscopic window; increase n_draws"
         )
-    qv = np.linspace(0.0, tail_quantile, bins[0] + 1)
-    ql = np.linspace(0.0, tail_quantile, bins[1] + 1)
+    qv = np.linspace(0.0, 0.998, bins[0] + 1)
+    ql = np.linspace(0.0, 0.998, bins[1] + 1)
     v_edges = np.unique(np.quantile(volume[win], qv))
     l_edges = np.quantile(length[win], ql)
     l_edges = np.unique(np.floor(l_edges / lat) * lat + 0.5 * lat)
@@ -477,11 +467,11 @@ def joint_density_check(
     )
 
 
-def histogram_check(cfg, n_draws, rng, min_expected=100.0):
+def histogram_check(cfg, n_draws, rng):
     """Exact-law histogram test of the sampler against its own table.
 
     Compares observed cell counts with table probabilities on every (n, p)
-    cell whose expected count reaches `min_expected`; returns (max |z|,
+    cell whose expected count reaches 100; returns (max |z|,
     number of cells tested) where z is the deviation in multinomial
     standard errors.
     """
@@ -489,7 +479,7 @@ def histogram_check(cfg, n_draws, rng, min_expected=100.0):
     n_arr, p_arr = sampler.sample(n_draws, rng)
     zmax = 0.0
     n_cells = 0
-    thresh = min_expected / n_draws
+    thresh = 100.0 / n_draws
     for p in range(1, cfg.p_max + 1):
         row = np.exp(sampler.log_weight_row(p) - sampler.log_total)
         hot = np.nonzero(row >= thresh)[0]

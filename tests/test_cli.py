@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lqgdisk import cli, io
+from lqgdisk import cli, gff, io
 
 
 def run_cli(tmp_path, command, config, seed=None, workers=1, outname="out"):
@@ -67,7 +67,7 @@ class TestRunAndManifest:
         base = tmp_path / "out" / "field-sample" / "field-sample"
         with open(str(base) + ".csv") as fh:
             assert fh.readline().strip() == "re,im,value"
-        sidecar = json.loads((str(base) + ".json") and open(str(base) + ".json").read())
+        sidecar = json.loads(base.with_suffix(".json").read_text())
         assert sidecar["n_points"] == 2 and sidecar["eps"] == 0.02
 
     def test_volume_law_summary(self, tmp_path, capsys):
@@ -167,6 +167,14 @@ class TestValidate:
         codes = [f["code"] for f in cli.validate(config)]
         assert codes == ([] if code is None else [code])
         assert run_cli(tmp_path, "field-sample", config) == (0 if code is None else 2)
+
+    def test_point_cap_finding(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(gff, "MAX_FIELD_POINTS", 2)
+        config = {"points": [[0.1, 0.0], [0.5, 0.0], [-0.3, 0.2]], "eps": 0.02, "seed": 5}
+        findings = cli.validate(config)
+        assert [f["code"] for f in findings] == ["averaging circles"]
+        assert "at most 2 points" in findings[0]["message"]
+        assert run_cli(tmp_path, "field-sample", config) == 2
 
     def test_clean_config_has_no_findings(self):
         g = 1.6329931618554518

@@ -12,6 +12,7 @@ from lqgdisk.gmc import (
     boundary_measure,
     bulk_measure,
     graded_disk_grid,
+    jackknife_var,
     window_sector_grid,
 )
 
@@ -205,3 +206,11 @@ class TestMeasureOps:
             AtomicMeasure("bulk", np.array([0.1 + 0j]), np.array([-1.0]))
         with pytest.raises(DomainError):
             AtomicMeasure("weird", np.array([0.1 + 0j]), np.array([1.0]))
+
+
+class TestReplicaStatistics:
+    def test_jackknife_of_mean_is_classic_variance(self):
+        # leave-one-out means give exactly var(x, ddof=1) / n
+        x = np.random.default_rng(8).normal(size=300)
+        loo = (x.sum() - x) / (len(x) - 1)
+        assert jackknife_var(loo) == pytest.approx(np.var(x, ddof=1) / len(x), rel=1e-12)

@@ -13,11 +13,12 @@ from lqgdisk.errors import (
     ResamplingError,
 )
 from lqgdisk.geometry import LiouvilleParams, MobiusMap, green, weyl_anomaly, ConformalFactor
-from lqgdisk.gff import FieldSampler, RngStream, sample_boundary_trace
+from lqgdisk.gff import FieldSampler, RngStream, arc_centers, sample_boundary_trace
 from lqgdisk.gmc import graded_disk_grid
 from lqgdisk.liouville import (
     ChaosBasis,
     InsertionSet,
+    boundary_drift_factors,
     bulk_drift_factors,
     insertion_drift,
     kpz_log_weight,
@@ -235,12 +236,19 @@ class TestShiftedChaos:
             medians.append(np.median((masses[near] * fb[near, None]).sum(axis=0)))
         assert medians[0] < medians[1] < medians[2]
 
-    def test_atom_on_marked_point_rejected(self):
+    @pytest.mark.parametrize("support", ["bulk", "boundary"])
+    def test_atom_on_marked_point_rejected(self, support):
         p = LiouvilleParams(gamma=1.2, mu=1.0)
         grid = graded_disk_grid(5, 2, 2.0)
-        ins = InsertionSet(params=p, bulk=((complex(grid.centers[3]), 2.0),))
-        with pytest.raises(GridError):
-            bulk_drift_factors(ins, grid, p.gamma)
+        theta = arc_centers(128)
+        if support == "bulk":
+            ins = InsertionSet(params=p, bulk=((complex(grid.centers[3]), 2.0),))
+            with pytest.raises(GridError):
+                bulk_drift_factors(ins, grid, p.gamma)
+        else:
+            ins = InsertionSet(params=p, boundary=((np.exp(1j * theta[5]), 1.0),))
+            with pytest.raises(GridError):
+                boundary_drift_factors(ins, theta, p.gamma)
 
 
 class TestPartition:
@@ -272,12 +280,6 @@ class TestPartition:
         ins = InsertionSet(params=p, bulk=((0.0, 0.1),))
         with pytest.raises(NotAdmissibleError):
             partition_estimate(ins, basis=basis83)
-
-    def test_replica_floor(self):
-        p = LiouvilleParams(gamma=GAMMA_83, mu=1.0)
-        ins = InsertionSet(params=p, bulk=((0.0, GAMMA_83),), boundary=((1.0, GAMMA_83),))
-        with pytest.raises(ConfigurationError):
-            partition_estimate(ins, n_replicas=10, rng=RngStream(1, 1))
 
 
 class TestVolumeLawSampling:

@@ -3,14 +3,13 @@
 import numpy as np
 
 from lqgdisk import gff
-from lqgdisk.gff import boundary_synthesis, truncated_boundary_variance
+from lqgdisk.gff import arc_centers, boundary_synthesis, truncated_boundary_variance
 from lqgdisk.gmc import boundary_masses, bulk_masses
 
 
 def batched_boundary_totals(gamma, n_modes, n_arcs, n_replicas, rng):
     """Total masses of the boundary chaos measure across replicas."""
-    theta = 2.0 * np.pi * (np.arange(n_arcs) + 0.5) / n_arcs
-    cosb, sinb = boundary_synthesis(theta, n_modes)
+    cosb, sinb = boundary_synthesis(arc_centers(n_arcs), n_modes)
     coef = gff.sample_boundary_coefficients(n_modes, n_replicas, rng)
     x = coef[:, 0, :] @ cosb.T + coef[:, 1, :] @ sinb.T
     var = truncated_boundary_variance(n_modes)
