@@ -437,9 +437,8 @@ def run_maps_sample(config, seed, outdir):
         def table_iter():
             for p in range(1, cfg.p_max + 1):
                 row = sampler.log_weight_row(p)
-                for n in range(cfg.n_max + 1):
-                    if np.isfinite(row[n]):
-                        yield (n, p, row[n])
+                for n in np.flatnonzero(np.isfinite(row)):
+                    yield (n, p, row[n])
 
         files.append(
             io.write_csv(
@@ -568,7 +567,8 @@ def validate(config, command=None):
 
     if "a" in config:
         try:
-            _maps_config(config)
+            # the sampler checks its truncation tails against maps.TAIL_BOUND
+            maps.BoltzmannSampler(_maps_config(config))
         except ConfigurationError as exc:
             findings.append({"code": "maps-config", "message": str(exc)})
 

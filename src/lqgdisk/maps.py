@@ -134,19 +134,33 @@ def log_count_exact_certified(n, p):
     return math.fsum(np.log(primes[nz].astype(float)) * exps[nz].astype(float))
 
 
+def _log_count(n, p, lg_2n_p, lg_n_p_2, lg_n_2p_1):
+    """ln T(n, p) from the log-gamma values at 2n+p, n-p+2 and n+2p+1.
+
+    The one copy of the closed form; the terms are added one at a time, in
+    this order, so every caller gets the same bits.
+    """
+    pf = float(p)
+    out = (n - pf) * math.log(3.0)
+    out += scipy.special.gammaln(3 * pf + 1.0)
+    out -= scipy.special.gammaln(pf + 1.0)
+    out -= scipy.special.gammaln(2 * pf)
+    out += lg_2n_p
+    out -= lg_n_p_2
+    out -= lg_n_2p_1
+    return out
+
+
 def log_count_exact(n, p):
-    """ln of the exact count via log-gamma (for weight tables)."""
+    """ln of the exact count via direct gammaln calls.
+
+    The reference for BoltzmannSampler.log_weight_row, which reads the same
+    log-gamma values from a table and gives the same bits.
+    """
     n = np.asarray(n, dtype=float)
     pf = float(p)
-    out = (
-        (n - pf) * math.log(3.0)
-        + scipy.special.gammaln(3 * pf + 1.0)
-        - scipy.special.gammaln(pf + 1.0)
-        - scipy.special.gammaln(2 * pf)
-        + scipy.special.gammaln(2 * n + pf)
-        - scipy.special.gammaln(n - pf + 2.0)
-        - scipy.special.gammaln(n + 2 * pf + 1.0)
-    )
+    gammaln = scipy.special.gammaln
+    out = _log_count(n, p, gammaln(2 * n + pf), gammaln(n - pf + 2.0), gammaln(n + 2 * pf + 1.0))
     return np.where(n - pf + 1 < 0, -np.inf, out)
 
 
@@ -250,16 +264,23 @@ class BoltzmannConfig:
 class BoltzmannSampler:
     """Exact two-stage sampler over the truncated (n, p) weight table.
 
-    Builds the log-marginal over p by streaming one n-row at a time (the
-    full table would not fit in memory at small mesh); sampling draws p
-    from the marginal and then n from the regenerated row by inverse CDF.
-    Construction validates the truncation tails against TAIL_BOUND and
-    raises ConfigurationError if the caps are too small.
+    Builds one table of ln Gamma(k) for every integer argument a row needs
+    (k < 2 n_max + 3 p_max + 2) and slices each n-row from it, bit for bit
+    the row log_count_exact gives.  The log-marginal over p streams one row
+    at a time (the full table would not fit in memory at small mesh);
+    sampling draws p from the marginal and then n from the regenerated row
+    by inverse CDF.  Construction validates the truncation tails against
+    TAIL_BOUND and raises ConfigurationError if the caps are too small.
     """
 
     def __init__(self, cfg):
         self.cfg = cfg
         self._n = np.arange(cfg.n_max + 1, dtype=float)
+        with np.errstate(divide="ignore"):
+            self._log_n = np.log(self._n)
+        self._lgamma = scipy.special.gammaln(
+            np.arange(2 * cfg.n_max + 3 * cfg.p_max + 2, dtype=float)
+        )
         log_m = np.full(cfg.p_max, -np.inf)
         edge_n = np.full(cfg.p_max, -np.inf)
         for p in range(1, cfg.p_max + 1):
@@ -274,17 +295,24 @@ class BoltzmannSampler:
         """log weights of n = 0..n_max at half-perimeter p.
 
         e^{-mu_bar n - mu_bar_b 2p} T(n, p), times n when the ensemble
-        carries an interior marked quadrilateral.
+        carries an interior marked quadrilateral; -inf where n < p - 1.
         """
         cfg = self.cfg
-        row = (
-            log_count_exact(self._n, p)
-            - cfg.mu_bar * self._n
-            - cfg.mu_bar_boundary * 2.0 * p
+        g = self._lgamma
+        lo = min(p - 1, cfg.n_max + 1)
+        m = cfg.n_max + 1 - lo
+        row = np.full(cfg.n_max + 1, -np.inf)
+        row[lo:] = _log_count(
+            self._n[lo:],
+            p,
+            g[2 * lo + p :: 2][:m],
+            g[lo - p + 2 :][:m],
+            g[lo + 2 * p + 1 :][:m],
         )
+        row -= cfg.mu_bar * self._n
+        row -= cfg.mu_bar_boundary * 2.0 * p
         if cfg.interior_marked:
-            with np.errstate(divide="ignore"):
-                row = row + np.log(self._n)
+            row += self._log_n
         return row
 
     def _check_tails(self, edge_n):
@@ -486,10 +514,8 @@ def histogram_check(cfg, n_draws, rng):
         if len(hot) == 0:
             continue
         counts = np.bincount(n_arr[p_arr == p], minlength=cfg.n_max + 1)
-        for n in hot:
-            prob = row[n]
-            se = math.sqrt(n_draws * prob * (1.0 - prob))
-            z = abs(counts[n] - n_draws * prob) / se
-            zmax = max(zmax, z)
-            n_cells += 1
+        prob = row[hot]
+        z = np.abs(counts[hot] - n_draws * prob) / np.sqrt(n_draws * prob * (1.0 - prob))
+        zmax = max(zmax, z.max())
+        n_cells += len(hot)
     return zmax, n_cells

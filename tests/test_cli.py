@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from lqgdisk import cli, gff, io
+from lqgdisk import cli, gff, io, maps
 
 
 def run_cli(tmp_path, command, config, seed=None, workers=1, outname="out"):
@@ -102,6 +103,16 @@ class TestRunAndManifest:
             assert fh.readline().strip() == "draw_index,n,p"
         with open(outdir / "maps-weight-table.csv") as fh:
             assert fh.readline().strip() == "n,p,log_weight"
+            lines = fh.read().splitlines()
+        # one line per finite cell, p-major, as a cell-by-cell loop writes them
+        sampler = maps.BoltzmannSampler(cli._maps_config(config))
+        want = []
+        for p in range(1, sampler.cfg.p_max + 1):
+            row = sampler.log_weight_row(p)
+            for n in range(sampler.cfg.n_max + 1):
+                if math.isfinite(row[n]):
+                    want.append(f"{n},{p},{io.fmt(row[n])}")
+        assert lines == want
 
 
 class TestExitCodes:
@@ -175,6 +186,13 @@ class TestValidate:
         assert [f["code"] for f in findings] == ["averaging circles"]
         assert "at most 2 points" in findings[0]["message"]
         assert run_cli(tmp_path, "field-sample", config) == 2
+
+    def test_maps_tail_bound_finding(self, tmp_path, capsys):
+        config = {"a": 0.2, "mu": 1, "mu_boundary": 1, "n_max": 40, "seed": 5}
+        findings = cli.validate(config)
+        assert [f["code"] for f in findings] == ["maps-config"]
+        assert "truncation tail mass" in findings[0]["message"]
+        assert run_cli(tmp_path, "maps-sample", config) == 2
 
     def test_clean_config_has_no_findings(self):
         g = 1.6329931618554518

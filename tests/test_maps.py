@@ -110,6 +110,23 @@ class TestBoltzmann:
         assert n_cells >= 5
         assert zmax < 3.0
 
+    def test_histogram_zmax_matches_cell_loop(self):
+        cfg = BoltzmannConfig(a=0.25, mu=1.0, mu_boundary=1.0, interior_marked=False)
+        n_draws = 20000
+        zmax, n_cells = histogram_check(cfg, n_draws, RngStream(2, 8))
+        s = BoltzmannSampler(cfg)
+        n_arr, p_arr = s.sample(n_draws, RngStream(2, 8))
+        want, cells = 0.0, 0
+        for p in range(1, cfg.p_max + 1):
+            row = np.exp(s.log_weight_row(p) - s.log_total)
+            counts = np.bincount(n_arr[p_arr == p], minlength=cfg.n_max + 1)
+            for n in np.nonzero(row >= 100.0 / n_draws)[0]:
+                se = math.sqrt(n_draws * row[n] * (1.0 - row[n]))
+                want = max(want, abs(counts[n] - n_draws * row[n]) / se)
+                cells += 1
+        assert cells >= 5
+        assert (zmax, n_cells) == (want, cells)
+
     def test_determinism(self):
         cfg = BoltzmannConfig(a=0.2, mu=1.0, mu_boundary=1.0)
         a1 = boltzmann_sample(cfg, RngStream(9, 9), n_draws=50)
@@ -127,6 +144,53 @@ class TestBoltzmann:
             BoltzmannConfig(a=0.1, mu=0.0, mu_boundary=0.0)
         with pytest.raises(ConfigurationError):
             BoltzmannConfig(a=0.1, mu=0.0)  # n_max required when mu = 0
+
+
+def _reference_row(sampler, p):
+    """The row from direct gammaln calls, with the terms of log_weight_row."""
+    cfg = sampler.cfg
+    n = np.arange(cfg.n_max + 1, dtype=float)
+    row = log_count_exact(n, p) - cfg.mu_bar * n - cfg.mu_bar_boundary * 2.0 * p
+    if cfg.interior_marked:
+        with np.errstate(divide="ignore"):
+            row = row + np.log(n)
+    return row
+
+
+class TestTablePath:
+    """Rows sliced from the log-gamma table equal the gammaln rows bit for bit."""
+
+    @pytest.fixture
+    def untruncated(self, monkeypatch):
+        # row construction only: these caps fail the truncation-tail check
+        monkeypatch.setattr(BoltzmannSampler, "_check_tails", lambda self, edge_n: None)
+
+    @pytest.mark.parametrize("marked", [True, False])
+    def test_every_row(self, marked):
+        s = BoltzmannSampler(BoltzmannConfig(a=0.2, interior_marked=marked))
+        for p in range(1, s.cfg.p_max + 1):
+            assert np.array_equal(s.log_weight_row(p), _reference_row(s, p))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            BoltzmannConfig(a=0.2, mu=0.0, n_max=300),
+            BoltzmannConfig(a=0.5, n_max=3, p_max=9),
+            BoltzmannConfig(a=0.5, n_max=3, p_max=9, interior_marked=False),
+        ],
+        ids=["mu-zero", "p-cap-beyond-n", "p-cap-beyond-n-unmarked"],
+    )
+    def test_rows_at_edge_configs(self, untruncated, cfg):
+        s = BoltzmannSampler(cfg)
+        for p in range(1, cfg.p_max + 1):
+            assert np.array_equal(s.log_weight_row(p), _reference_row(s, p))
+        if cfg.p_max > cfg.n_max + 1:
+            assert np.all(s.log_weight_row(cfg.p_max) == -np.inf)
+
+    def test_acceptance_config_rows(self):
+        s = BoltzmannSampler(BoltzmannConfig(a=0.01, mu=1.0, mu_boundary=1.0))
+        for p in (1, 2, 3, 500, s.cfg.p_max):
+            assert np.array_equal(s.log_weight_row(p), _reference_row(s, p))
 
 
 class TestJointDensity:
