@@ -220,13 +220,20 @@ def run_gmc_boundary(config, seed, outdir):
     return summary, files
 
 
+def _bulk_ladder_from(config):
+    """Checked (levels, counts) of a bulk critical-ladder config."""
+    levels = config.get("levels", [4, 5, 6, 7, 8, 9])
+    n_replicas = config.get("n_replicas", [20000, 20000, 10000, 5000, 2500, 1500])
+    return critical.check_bulk_ladder(levels, n_replicas)
+
+
 def run_critical_ladder(config, seed, outdir):
     kind = config.get("kind", "bulk")
     rng = RngStream(seed, 0)
+    report = {}
     if kind == "bulk":
-        levels = list(config.get("levels", [4, 5, 6, 7, 8, 9]))
-        n_replicas = config.get("n_replicas", [20000, 20000, 10000, 5000, 2500, 1500])
-        pushed, plain = critical.bulk_ladder_totals(levels, n_replicas, rng)
+        levels, n_replicas = _bulk_ladder_from(config)
+        pushed, plain = critical.bulk_ladder_totals(levels, n_replicas, rng, report)
     elif kind == "boundary":
         levels = list(config.get("mode_levels", [64, 128, 256, 512, 1024, 2048]))
         n_replicas = int(config.get("n_replicas", 1000))
@@ -251,6 +258,7 @@ def run_critical_ladder(config, seed, outdir):
         "levels": levels,
         "pushed_median_ratios": [float(r) for r in ratios],
         "plain_medians": [r[3] for r in rows],
+        **report,
     }
     return summary, [csv]
 
@@ -564,6 +572,15 @@ def validate(config, command=None):
             findings.append({"code": "separation rule", "message": str(exc)})
         except GridError as exc:
             findings.append({"code": "averaging circles", "message": str(exc)})
+
+    if config.get("kind", "bulk") == "bulk" and (
+        "levels" in config or command == "critical-ladder"
+    ):
+        # the check critical-ladder runs before it draws anything
+        try:
+            _bulk_ladder_from(config)
+        except (ConfigurationError, GridError) as exc:
+            findings.append({"code": "ladder", "message": str(exc)})
 
     if "a" in config:
         try:

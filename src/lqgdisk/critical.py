@@ -21,15 +21,25 @@ import warnings
 
 import numpy as np
 
-from .errors import DomainError, GridError
-from .gff import FieldSampler, arc_centers, boundary_synthesis, truncated_boundary_variance
+from .errors import ConfigurationError, DomainError, GridError
+from .gff import (
+    arc_centers,
+    boundary_synthesis,
+    check_eigenvalues,
+    covariance_entries,
+    truncated_boundary_variance,
+)
 from .gmc import AtomicMeasure, bulk_masses, jackknife_var, window_sector_grid
 
 __all__ = [
+    "MAX_LADDER_LEVEL",
     "nominal_bulk_norming",
     "nominal_boundary_norming",
     "seneta_heyde_bulk",
     "seneta_heyde_boundary",
+    "SectorSampler",
+    "coarsen_noise",
+    "check_bulk_ladder",
     "bulk_ladder_totals",
     "boundary_ladder_totals",
     "moment_diagnostic",
@@ -97,31 +107,140 @@ def seneta_heyde_boundary(trace, n_arcs=None, push=True):
 # ladder diagnostics
 # ---------------------------------------------------------------------------
 
-def bulk_ladder_totals(levels, n_replicas, rng):
+# the level-10 sector has 32,768 points; the level-11 embedding blocks alone
+# would take over 0.5 GB
+MAX_LADDER_LEVEL = 10
+# replicas drawn per block; the block size changes no draw
+REPLICA_BLOCK = 500
+
+
+class SectorSampler:
+    """Exact draws of circle-average values on window_sector_grid(depth).
+
+    The covariance of the sector depends on two angles only through their
+    offset d, so it is block Toeplitz in the n_t angles, with n_r x n_r
+    blocks c(d) over the radii.  It embeds in a block circulant on
+    M = 2 n_t angles (c(d) for d <= n_t, c(M - d) beyond), which the real
+    DFT over the angles splits into the M/2 + 1 symmetric blocks
+    spectrum[q] = Re sum_d c(d) e^{-2 pi i q d / M}.  Each block is
+    factored by its symmetric square root root[q]; from real white noise
+    xi of shape (n_r, M), irfft(root_q rfft(xi)) has the circulant
+    covariance, and its first n_t angles have the sector's.  The embedding
+    must be positive semidefinite, under the rule of gff.check_eigenvalues
+    (FactorizationError otherwise).
+    """
+
+    def __init__(self, depth):
+        self.grid = window_sector_grid(depth)
+        n_r = self.grid.rings_per_band
+        self.n_angles = self.grid.size // n_r
+        self.noise_shape = (n_r, 2 * self.n_angles)
+        radii = np.abs(self.grid.centers[:: self.n_angles])
+        shifts = np.exp(1j * self.grid.dtheta[0] * np.arange(self.n_angles + 1))
+        blocks = covariance_entries(
+            radii[:, None], radii[None, :] * shifts[:, None, None], self.grid.eps[0]
+        )
+        self.variances = np.repeat(np.diag(blocks[0]), self.n_angles)
+        embedded = np.concatenate([blocks, blocks[-2:0:-1]])
+        self.spectrum = np.fft.rfft(embedded, axis=0).real
+        w, v = np.linalg.eigh(self.spectrum)
+        check_eigenvalues(w)
+        self.min_eigenvalue = float(w.min())
+        self._root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.transpose(0, 2, 1)
+
+    def fields(self, noise):
+        """Field values in grid order, shape (n, grid.size), from noise of shape (n, *noise_shape)."""
+        n = len(noise)
+        spec = np.ascontiguousarray(np.fft.rfft(noise, axis=-1).transpose(2, 1, 0))
+        # the roots are real: apply them to the real and imaginary parts alike
+        spec = np.matmul(self._root, spec.view(float)).view(complex)
+        x = np.fft.irfft(spec.transpose(2, 1, 0), n=self.noise_shape[1], axis=-1)
+        return x[:, :, : self.n_angles].reshape(n, -1)
+
+
+def coarsen_noise(noise):
+    """White noise of the next coarser sector level, shape (..., 2a, 2b) -> (..., a, b).
+
+    Each coarse value is half the sum of its four children.  The map P
+    from fine to coarse noise has orthonormal rows (P P^T = I), so the
+    result is again standard white noise.
+    """
+    even, odd = noise[..., 0::2, :], noise[..., 1::2, :]
+    return (even[..., 0::2] + odd[..., 0::2] + even[..., 1::2] + odd[..., 1::2]) / 2.0
+
+
+def check_bulk_ladder(levels, n_replicas):
+    """The levels and per-level replica counts of a bulk ladder, checked.
+
+    Levels must increase strictly and n_replicas must be one positive
+    count, or one per level (ConfigurationError otherwise); levels must
+    lie in 4..MAX_LADDER_LEVEL (GridError otherwise).  Returns
+    (levels, counts) as lists of ints.
+    """
+    levels = [int(k) for k in levels]
+    if np.isscalar(n_replicas):
+        n_replicas = [n_replicas] * len(levels)
+    counts = [int(n) for n in n_replicas]
+    if not levels:
+        raise ConfigurationError("a bulk ladder needs at least one level")
+    if len(counts) != len(levels):
+        raise ConfigurationError(
+            f"n_replicas has {len(counts)} counts for {len(levels)} levels"
+        )
+    if min(counts) < 1:
+        raise ConfigurationError(f"replica counts must be positive, got {counts}")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ConfigurationError(f"ladder levels must increase strictly, got {levels}")
+    if levels[0] < 4 or levels[-1] > MAX_LADDER_LEVEL:
+        raise GridError(f"ladder levels run from 4 to {MAX_LADDER_LEVEL}, got {levels}")
+    return levels, counts
+
+
+def bulk_ladder_totals(levels, n_replicas, rng, report=None):
     """Masses of the critical bulk measure in a fixed window, per scale.
 
     Level k resolves the fixed sector of window_sector_grid at the uniform
     scale eps = 2^-k; the window itself never moves, so the ladder isolates
     the effect of the cutoff (a whole-disk ladder would confound it with
-    newly resolved boundary mass).  n_replicas may be a single count or one
-    count per level; the coarse levels are cheap and benefit from more
-    replicas.  Each level is factored and drawn once.  Returns (pushed,
-    plain): two lists of per-level total arrays, with and without the
-    sqrt(ln 1/eps) push.
+    newly resolved boundary mass).  Levels and counts are checked by
+    check_bulk_ladder; n_replicas may be a single count or one count per
+    level, since the coarse levels are cheap and benefit from more
+    replicas.  Each level is drawn exactly by its SectorSampler.
+
+    The levels are coupled: replica r draws its white noise once, at its
+    finest level (the last level with more than r replicas), from one
+    stream in ascending replica order, and each coarser level uses that
+    noise coarsened by coarsen_noise.  Every level keeps its exact law,
+    while consecutive levels of one replica are strongly correlated.
+    Returns (pushed, plain): two lists of per-level total arrays, with and
+    without the sqrt(ln 1/eps) push.  A dict passed as report receives
+    "min_eigenvalues", the smallest eigenvalue of each level's embedding.
     """
-    if np.isscalar(n_replicas):
-        n_replicas = [int(n_replicas)] * len(levels)
-    pushed, plain = [], []
-    for k, nrep in zip(levels, n_replicas):
-        grid = window_sector_grid(k)
-        sampler = FieldSampler(grid.centers, grid.eps)
-        vals = sampler.draw_batch(nrep, rng.child(k))
-        variances = np.diag(sampler.covariance)
-        weights = grid.density_weights(2.0)
-        masses = bulk_masses(vals, variances[:, None], weights[:, None], 2.0)
-        push = np.sqrt(np.log(1.0 / grid.eps))[:, None]
-        pushed.append((masses * push).sum(axis=0))
-        plain.append(masses.sum(axis=0))
+    levels, counts = check_bulk_ladder(levels, n_replicas)
+    samplers = [SectorSampler(k) for k in levels]
+    weights = [s.grid.density_weights(2.0) for s in samplers]
+    plain = [np.empty(n) for n in counts]
+    gen = rng.generator()
+    for start in range(0, max(counts), REPLICA_BLOCK):
+        stop = min(start + REPLICA_BLOCK, max(counts))
+        r = start
+        while r < stop:
+            finest = max(i for i, n in enumerate(counts) if n > r)
+            end = min(stop, counts[finest])
+            noise = gen.standard_normal((end - r, *samplers[finest].noise_shape))
+            for i in range(finest, -1, -1):
+                n = min(end, counts[i]) - r
+                if n > 0:
+                    x = samplers[i].fields(noise[:n])
+                    masses = bulk_masses(x, samplers[i].variances, weights[i], 2.0)
+                    plain[i][r : r + n] = masses.sum(axis=1)
+                if i > 0:
+                    for _ in range(levels[i] - levels[i - 1]):
+                        noise = coarsen_noise(noise)
+            r = end
+    pushed = [t * math.sqrt(math.log(1.0 / s.grid.eps[0])) for t, s in zip(plain, samplers)]
+    if report is not None:
+        report["min_eigenvalues"] = [s.min_eigenvalue for s in samplers]
     return pushed, plain
 
 

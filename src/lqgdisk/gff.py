@@ -171,13 +171,27 @@ def neumann_covariance(points, eps):
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 1:
         raise GridError("points must be a 1-d array of complex numbers")
-    m = len(pts)
-    eps_arr = np.broadcast_to(np.asarray(eps, dtype=float), (m,)).copy()
-    dist = check_averaging_circles(pts, eps_arr)
-    r = np.abs(pts)
+    eps_arr = np.broadcast_to(np.asarray(eps, dtype=float), pts.shape).copy()
+    check_averaging_circles(pts, eps_arr)
+    return covariance_entries(pts[:, None], pts[None, :], eps_arr[:, None])
+
+
+def covariance_entries(x, y, eps):
+    """Closed-form covariances of circle averages at x and y (arrays that broadcast).
+
+    Where x == y the entry is the variance ln(1/eps) - ln(1 - |x|^2) of
+    the circle of radius eps at x (eps broadcasts against x); elsewhere
+    it is G(x, y) = -ln|x - y| - ln|1 - x conj(y)|, exact when the two
+    circles lie inside the disk and do not overlap.  Nothing is checked.
+    """
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    dist = np.abs(x - y)
     with np.errstate(divide="ignore"):
-        cov = -np.log(dist) - np.log(np.abs(1.0 - pts[:, None] * np.conj(pts[None, :])))
-    cov[np.eye(m, dtype=bool)] = np.log(1.0 / eps_arr) - np.log1p(-r**2)
+        cov = -np.log(dist) - np.log(np.abs(1.0 - x * np.conj(y)))
+    var = np.log(1.0 / np.asarray(eps, dtype=float)) - np.log1p(-np.abs(x) ** 2)
+    same = dist == 0.0
+    cov[same] = np.broadcast_to(var, cov.shape)[same]
     return cov
 
 
@@ -188,8 +202,7 @@ def check_averaging_circles(points, eps):
     pairwise matrix is built), each radius must be positive and each
     circle must stay inside the disk, and the points must be distinct
     (GridError); distinct circles must not overlap, up to a relative
-    tolerance of 1e-12 (UnsupportedSeparationError).  Returns the pairwise
-    distance matrix.
+    tolerance of 1e-12 (UnsupportedSeparationError).
     """
     pts = np.asarray(points, dtype=complex)
     if len(pts) > MAX_FIELD_POINTS:
@@ -200,15 +213,13 @@ def check_averaging_circles(points, eps):
     if np.any(eps_arr >= 1.0 - np.abs(pts)):
         raise GridError("every averaging circle must stay inside the disk")
     dist = np.abs(pts[:, None] - pts[None, :])
-    min_sep = eps_arr[:, None] + eps_arr[None, :]
-    off = ~np.eye(len(pts), dtype=bool)
-    if np.any(dist[off] == 0.0):
+    np.fill_diagonal(dist, np.inf)
+    if np.any(dist == 0.0):
         raise GridError("points must be pairwise distinct")
-    if np.any(dist[off] < min_sep[off] * (1.0 - 1e-12)):
+    if np.any(dist < (eps_arr[:, None] + eps_arr[None, :]) * (1.0 - 1e-12)):
         raise UnsupportedSeparationError(
             "pairwise distances must be at least the sum of the averaging radii"
         )
-    return dist
 
 
 @dataclass(frozen=True)
@@ -267,12 +278,19 @@ def _symmetric_factor(cov):
     except scipy.linalg.LinAlgError:
         pass
     w, v = scipy.linalg.eigh(cov)
-    scale = max(float(w[-1]), 0.0)
-    if scale == 0.0 or float(w[0]) < -1e-10 * scale:
-        raise FactorizationError(
-            f"covariance is not positive semidefinite (min eig {float(w[0]):.3e})"
-        )
+    check_eigenvalues(w)
     return v * np.sqrt(np.clip(w, 0.0, None))
+
+
+def check_eigenvalues(w):
+    """Raise FactorizationError unless the eigenvalues w of a covariance are >= -1e-10 relative.
+
+    The scale is the largest eigenvalue, which must be positive; the
+    callers clip the small negative ones they let through to zero.
+    """
+    lo, hi = float(np.min(w)), float(np.max(w))
+    if hi <= 0.0 or lo < -1e-10 * hi:
+        raise FactorizationError(f"covariance is not positive semidefinite (min eig {lo:.3e})")
 
 
 def sample_field(points, eps, rng):

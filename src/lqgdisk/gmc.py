@@ -136,9 +136,9 @@ class GradedDiskGrid:
 def window_sector_grid(depth):
     """Uniform-scale grid on the fixed annular sector 0.3 <= r < 0.8, 0 <= theta < 0.84.
 
-    At depth k the cell size is 2^(1-k) radially with matching angular
-    extent at the inner radius; depth k + 1 subdivides every cell of depth
-    k in four.  The averaging radius is the uniform scale eps = 2^-k.  This
+    At depth k the cell size is 2^(1-k) radially, and the 2^(k-3) angles
+    give cells of about that extent at the inner radius; depth k + 1
+    subdivides every cell of depth k in four.  The averaging radius is the uniform scale eps = 2^-k.  This
     is the grid used by scale-refinement diagnostics, where the observation
     window must stay fixed while the cutoff alone moves.
     """
@@ -148,7 +148,7 @@ def window_sector_grid(depth):
     eps = 2.0 ** (-depth)
     h = 2.0 * eps
     n_r = int(round((r_hi - r_lo) / h))
-    n_t = max(1, int(np.floor(span * r_lo / h)))
+    n_t = 2 ** (depth - 3)
     if abs(n_r * h - (r_hi - r_lo)) > 1e-12:
         raise GridError("window radii must be an integer number of cells apart")
     radii = r_lo + (np.arange(n_r) + 0.5) * h

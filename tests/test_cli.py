@@ -145,6 +145,17 @@ class TestGridConfig:
         assert basis.grid.size == cli._grid_from(config).size
 
 
+class TestCriticalLadder:
+    def test_summary_reports_min_eigenvalues(self, tmp_path, capsys):
+        config = {"kind": "bulk", "levels": [4, 5, 6], "n_replicas": [300, 200, 100]}
+        assert run_cli(tmp_path, "critical-ladder", config, seed=3) == 0
+        outdir = tmp_path / "out" / "critical-ladder"
+        summary = json.loads((outdir / "critical-ladder-summary.json").read_text())
+        assert len(summary["min_eigenvalues"]) == 3
+        assert all(w > 0.0 for w in summary["min_eigenvalues"])
+        assert (outdir / "critical-ladder.csv").read_text().count("\n") == 4
+
+
 class TestValidate:
     def test_bound_findings(self):
         q = 2.0  # gamma = 1: Q = 2.5; use weight above Q for bound2
@@ -186,6 +197,23 @@ class TestValidate:
         assert [f["code"] for f in findings] == ["averaging circles"]
         assert "at most 2 points" in findings[0]["message"]
         assert run_cli(tmp_path, "field-sample", config) == 2
+
+    @pytest.mark.parametrize(
+        "levels, n_replicas, match",
+        [
+            ([4, 5, 6], [200, 200], "2 counts for 3 levels"),
+            ([4, 5], [200, 0], "positive"),
+            ([9, 11], 5, "from 4 to 10"),
+        ],
+        ids=["dropped-level", "zero-count", "level-limit"],
+    )
+    def test_ladder_finding(self, tmp_path, capsys, levels, n_replicas, match):
+        config = {"kind": "bulk", "levels": levels, "n_replicas": n_replicas, "seed": 5}
+        findings = cli.validate(config)
+        assert [f["code"] for f in findings] == ["ladder"]
+        assert match in findings[0]["message"]
+        assert run_cli(tmp_path, "critical-ladder", config) == 2
+        assert not (tmp_path / "out" / "critical-ladder" / "critical-ladder.csv").exists()
 
     def test_maps_tail_bound_finding(self, tmp_path, capsys):
         config = {"a": 0.2, "mu": 1, "mu_boundary": 1, "n_max": 40, "seed": 5}

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from lqgdisk import critical
 from lqgdisk.critical import (
+    SectorSampler,
     boundary_ladder_totals,
     bulk_ladder_totals,
+    check_bulk_ladder,
+    coarsen_noise,
     median_ratios,
     moment_diagnostic,
     nominal_boundary_norming,
@@ -13,8 +17,14 @@ from lqgdisk.critical import (
     seneta_heyde_boundary,
     seneta_heyde_bulk,
 )
-from lqgdisk.errors import DomainError
-from lqgdisk.gff import FieldSampler, RngStream, sample_boundary_trace, truncated_boundary_variance
+from lqgdisk.errors import ConfigurationError, DomainError, FactorizationError, GridError
+from lqgdisk.gff import (
+    FieldSampler,
+    RngStream,
+    neumann_covariance,
+    sample_boundary_trace,
+    truncated_boundary_variance,
+)
 from lqgdisk.gmc import graded_disk_grid, window_sector_grid
 
 
@@ -84,6 +94,88 @@ class TestLadders:
         assert np.all(np.diff(med_plain) < 0)
         ratios = median_ratios(pushed)
         assert np.all((ratios > 0.75) & (ratios < 1.33))
+
+
+class TestSectorSampler:
+    @pytest.mark.parametrize("depth", [4, 5, 6, 7, 8])
+    def test_embedding_matches_dense_covariance(self, depth):
+        sampler = SectorSampler(depth)
+        n_r, n_emb = sampler.noise_shape
+        n_t = sampler.n_angles
+        circulant = np.fft.irfft(sampler.spectrum, n=n_emb, axis=0)
+        j = np.arange(n_t)
+        offsets = (j[:, None] - j[None, :]) % n_emb
+        # entry ((i, j), (i', j')) of the sector covariance is circulant[(j - j') mod M][i, i']
+        cov = circulant[offsets].transpose(2, 0, 3, 1).reshape(n_r * n_t, n_r * n_t)
+        dense = neumann_covariance(sampler.grid.centers, sampler.grid.eps)
+        assert np.max(np.abs(cov - dense)) <= 1e-13 * np.max(np.abs(dense))
+        assert np.allclose(sampler.variances, np.diag(dense), rtol=1e-13, atol=0.0)
+        assert sampler.min_eigenvalue > 0.0
+
+    def test_empirical_covariance(self):
+        sampler = SectorSampler(6)
+        dense = neumann_covariance(sampler.grid.centers, sampler.grid.eps)
+        gen = RngStream(64, 0).generator()
+        n_draws, chunk = 200_000, 20_000
+        second = np.zeros_like(dense)
+        for _ in range(n_draws // chunk):
+            x = sampler.fields(gen.standard_normal((chunk, *sampler.noise_shape)))
+            second += x.T @ x
+        emp = second / n_draws
+        se = np.sqrt((np.outer(np.diag(dense), np.diag(dense)) + dense**2) / n_draws)
+        assert np.max(np.abs(emp - dense) / se) < 5.0
+
+    def test_coarsening_rows_are_orthonormal(self):
+        fine = (8, 16)
+        basis = np.eye(np.prod(fine)).reshape(-1, *fine)
+        p = coarsen_noise(basis).reshape(len(basis), -1).T
+        assert p.shape == (32, 128)
+        assert np.array_equal(p @ p.T, np.eye(32))
+
+    def test_consecutive_levels_are_coupled(self):
+        _, plain = bulk_ladder_totals([5, 6, 7, 8], 400, RngStream(65, 0))
+        for lo, hi in zip(plain, plain[1:]):
+            assert np.corrcoef(np.log(lo), np.log(hi))[0, 1] > 0.9
+
+    def test_replica_block_changes_no_draw(self, monkeypatch):
+        # every replica gets the same noise whatever the block size; only the
+        # last bits of the batched matrix products may move
+        levels, reps = [4, 5, 6, 7], [1300, 1000, 700, 450]
+        want = bulk_ladder_totals(levels, reps, RngStream(66, 0))
+        monkeypatch.setattr(critical, "REPLICA_BLOCK", 97)
+        got = bulk_ladder_totals(levels, reps, RngStream(66, 0))
+        for a, b in zip(want, got):
+            assert all(np.allclose(x, y, rtol=1e-12, atol=0.0) for x, y in zip(a, b))
+
+    def test_negative_eigenblock_raises(self, monkeypatch):
+        entries = critical.covariance_entries
+        # a constant shift of every c(d) moves the q = 0 block alone, by M times the shift
+        monkeypatch.setattr(critical, "covariance_entries", lambda *a: entries(*a) - 1000.0)
+        with pytest.raises(FactorizationError):
+            SectorSampler(5)
+
+
+class TestLadderConfig:
+    @pytest.mark.parametrize(
+        "levels, n_replicas",
+        [([4, 5, 6], [200, 200]), ([4, 5], [200, 200, 200]), ([4, 5], [200, 0]), ([5, 4], 10)],
+        ids=["short", "long", "zero-count", "decreasing"],
+    )
+    def test_bad_ladders_rejected(self, levels, n_replicas):
+        with pytest.raises(ConfigurationError):
+            bulk_ladder_totals(levels, n_replicas, RngStream(67, 0))
+
+    def test_level_limit(self):
+        with pytest.raises(GridError, match="from 4 to 10"):
+            check_bulk_ladder([9, 10, 11], 10)
+        with pytest.raises(GridError, match="from 4 to 10"):
+            check_bulk_ladder([3, 4], 10)
+
+    def test_level_ten_ladder(self):
+        pushed, plain = bulk_ladder_totals([9, 10], [20, 10], RngStream(68, 0))
+        assert [len(t) for t in plain] == [20, 10]
+        for t in pushed + plain:
+            assert np.all(np.isfinite(t)) and np.all(t > 0)
 
 
 class TestMomentDiagnostic:

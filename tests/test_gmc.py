@@ -65,6 +65,35 @@ class TestGradedGrid:
         assert 4 * g5.size == g6.size
         assert np.all(np.abs(g5.centers) >= 0.3) and np.all(np.abs(g5.centers) <= 0.8)
 
+    @pytest.mark.parametrize("depth", [4, 5, 6, 7, 8, 9])
+    def test_window_grid_angle_count_keeps_the_floor_rule(self, depth):
+        # the grid as it was built with floor(0.84 * 0.3 / h) angles, which
+        # equals 2^(depth - 3) up to depth 9 (and gives 129, not 128, at 10)
+        eps = 2.0 ** (-depth)
+        h = 2.0 * eps
+        n_r = int(round(0.5 / h))
+        n_t = int(np.floor(0.84 * 0.3 / h))
+        radii = 0.3 + (np.arange(n_r) + 0.5) * h
+        theta = (np.arange(n_t) + 0.5) * (0.84 / n_t)
+        centers = (radii[:, None] * np.exp(1j * theta[None, :])).ravel()
+        want = {
+            "centers": centers,
+            "eps": np.full(centers.shape, eps * (1.0 - 1e-9)),
+            "r_lo": np.repeat(radii - eps, n_t),
+            "r_hi": np.repeat(radii + eps, n_t),
+            "dtheta": np.full(centers.shape, 0.84 / n_t),
+            "band": np.full(centers.shape, depth, dtype=int),
+        }
+        grid = window_sector_grid(depth)
+        for name, value in want.items():
+            assert np.array_equal(getattr(grid, name), value), name
+        assert (grid.n_bands, grid.rings_per_band) == (1, n_r)
+
+    def test_window_grid_depth_ten_subdivides_depth_nine(self):
+        g9, g10 = window_sector_grid(9), window_sector_grid(10)
+        assert g10.size == 4 * g9.size == 32768
+        assert g10.dtheta[0] == g9.dtheta[0] / 2.0
+
 
 class TestBulkMeasure:
     def test_small_gamma_recovers_area(self, grid6, sampler6):
