@@ -31,11 +31,13 @@ from .errors import (
 )
 from .geometry import ConformalFactor, LiouvilleParams, MobiusMap, green, weyl_anomaly
 from .gff import (
-    FieldSampler,
+    ROTATION_ORDER,
     RngStream,
+    RotationSampler,
     arc_centers,
-    boundary_synthesis,
+    boundary_synthesis_matrix,
     check_averaging_circles,
+    replica_map,
     sample_field,
     truncated_boundary_variance,
 )
@@ -182,20 +184,31 @@ def _totals_result(name, quantity, gamma, totals, outdir):
     return summary, [csv]
 
 
+def _sampler_report(sampler):
+    """Summary keys describing the graded-grid sampler of a run."""
+    return {
+        "n_points": len(sampler.variances),
+        "rotation_order": ROTATION_ORDER,
+        "min_eigenvalue": sampler.min_eigenvalue,
+    }
+
+
 def run_gmc_bulk(config, seed, outdir):
     gamma = float(config["gamma"])
     n_replicas = int(config.get("n_replicas", 1000))
     grid = _grid_from(config)
-    sampler = FieldSampler(grid.centers, grid.eps)
-    variances = np.diag(sampler.covariance)
+    sampler = RotationSampler(grid.centers, grid.eps)
     weights = grid.density_weights(0.5 * gamma**2)
-    totals = [
-        float(bulk_masses(sampler.draw(RngStream(seed, r)), variances, weights, gamma).sum())
-        for r in range(n_replicas)
-    ]
+
+    def block_totals(noise):
+        return bulk_masses(sampler.fields(noise), sampler.variances, weights, gamma).sum(axis=1)
+
+    streams = [RngStream(seed, r) for r in range(n_replicas)]
+    totals = replica_map(block_totals, streams, sampler.noise_shape)
     summary, files = _totals_result(
         "gmc-bulk", "mean total mass of the bulk chaos measure", gamma, totals, outdir
     )
+    summary.update(_sampler_report(sampler))
     if gamma**2 < 2.0:
         summary["analytic_mean"] = math.pi / (1.0 - gamma**2 / 2.0)
     return summary, files
@@ -206,13 +219,15 @@ def run_gmc_boundary(config, seed, outdir):
     n_replicas = int(config.get("n_replicas", 1000))
     n_modes = int(config.get("n_modes", 1024))
     n_arcs = int(config.get("n_arcs", 256))
-    cosb, sinb = boundary_synthesis(arc_centers(n_arcs), n_modes)
+    synthesis = boundary_synthesis_matrix(arc_centers(n_arcs), n_modes)
     var_n = truncated_boundary_variance(n_modes)
-    totals = []
-    for r in range(n_replicas):
-        coef = RngStream(seed, r).generator().standard_normal((2, n_modes))
-        x = cosb @ coef[0] + sinb @ coef[1]
-        totals.append(float(boundary_masses(x, var_n, gamma, n_arcs).sum()))
+
+    def block_totals(coef):
+        x = coef.reshape(len(coef), -1) @ synthesis
+        return boundary_masses(x, var_n, gamma, n_arcs).sum(axis=1)
+
+    streams = [RngStream(seed, r) for r in range(n_replicas)]
+    totals = replica_map(block_totals, streams, (2, n_modes))
     summary, files = _totals_result(
         "gmc-boundary", "mean total mass of the boundary chaos measure", gamma, totals, outdir
     )
@@ -220,26 +235,28 @@ def run_gmc_boundary(config, seed, outdir):
     return summary, files
 
 
-def _bulk_ladder_from(config):
-    """Checked (levels, counts) of a bulk critical-ladder config."""
-    levels = config.get("levels", [4, 5, 6, 7, 8, 9])
-    n_replicas = config.get("n_replicas", [20000, 20000, 10000, 5000, 2500, 1500])
-    return critical.check_bulk_ladder(levels, n_replicas)
+def _ladder_from(config):
+    """Checked (kind, levels, counts) of a critical-ladder config."""
+    kind = config.get("kind", "bulk")
+    if kind == "bulk":
+        levels = config.get("levels", [4, 5, 6, 7, 8, 9])
+        n_replicas = config.get("n_replicas", [20000, 20000, 10000, 5000, 2500, 1500])
+        return (kind, *critical.check_bulk_ladder(levels, n_replicas))
+    if kind == "boundary":
+        levels = config.get("mode_levels", [64, 128, 256, 512, 1024, 2048])
+        n_replicas = config.get("n_replicas", 1000)
+        return (kind, *critical.check_boundary_ladder(levels, n_replicas))
+    raise ConfigurationError(f"unknown ladder kind {kind!r}")
 
 
 def run_critical_ladder(config, seed, outdir):
-    kind = config.get("kind", "bulk")
+    kind, levels, n_replicas = _ladder_from(config)
     rng = RngStream(seed, 0)
     report = {}
     if kind == "bulk":
-        levels, n_replicas = _bulk_ladder_from(config)
         pushed, plain = critical.bulk_ladder_totals(levels, n_replicas, rng, report)
-    elif kind == "boundary":
-        levels = list(config.get("mode_levels", [64, 128, 256, 512, 1024, 2048]))
-        n_replicas = int(config.get("n_replicas", 1000))
-        pushed, plain = critical.boundary_ladder_totals(levels, n_replicas, rng)
     else:
-        raise ConfigurationError(f"unknown ladder kind {kind!r}")
+        pushed, plain = critical.boundary_ladder_totals(levels, n_replicas, rng)
     rows = []
     for lvl, tp, tn in zip(levels, pushed, plain):
         rows.append((lvl, len(tp), float(np.median(tp)), float(np.median(tn))))
@@ -314,6 +331,7 @@ def run_volume_law(config, seed, outdir):
         "stderr": float(np.std(draws["V"], ddof=1) / math.sqrt(n_draws)),
         "n_replicas": basis.n_replicas,
         "n_draws": n_draws,
+        **_sampler_report(basis.sampler),
     }
     if ins.params.mu_boundary == 0.0:
         shape, rate = liouville.volume_law_params(ins)
@@ -347,6 +365,7 @@ def run_partition(config, seed, outdir):
         "n_replicas": basis.n_replicas,
         "method": method,
         "s_total": float(ins.s_total),
+        **_sampler_report(basis.sampler),
     }
     return summary, [csv]
 
@@ -364,6 +383,7 @@ def run_kpz_covariance(config, seed, outdir):
         "n_replicas": basis.n_replicas,
         "predicted_log_weight": liouville.kpz_log_weight(ins, psi),
         "z_score": dev / stderr if stderr > 0 else float("inf"),
+        **_sampler_report(basis.sampler),
     }
     return summary, []
 
@@ -573,14 +593,20 @@ def validate(config, command=None):
         except GridError as exc:
             findings.append({"code": "averaging circles", "message": str(exc)})
 
-    if config.get("kind", "bulk") == "bulk" and (
-        "levels" in config or command == "critical-ladder"
-    ):
+    if "levels" in config or "mode_levels" in config or command == "critical-ladder":
         # the check critical-ladder runs before it draws anything
         try:
-            _bulk_ladder_from(config)
+            _ladder_from(config)
         except (ConfigurationError, GridError) as exc:
             findings.append({"code": "ladder", "message": str(exc)})
+
+    if "grid" in config or command in ("gmc-bulk", "volume-law", "partition", "kpz-covariance"):
+        # the graded grid these runs build, under the checks their sampler runs first
+        try:
+            grid = _grid_from(config)
+            check_averaging_circles(grid.centers, grid.eps)
+        except (GridError, UnsupportedSeparationError) as exc:
+            findings.append({"code": "grid", "message": str(exc)})
 
     if "a" in config:
         try:

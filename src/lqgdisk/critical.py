@@ -25,7 +25,8 @@ from .errors import ConfigurationError, DomainError, GridError
 from .gff import (
     arc_centers,
     boundary_synthesis,
-    check_eigenvalues,
+    circulant_fields,
+    circulant_root,
     covariance_entries,
     truncated_boundary_variance,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "SectorSampler",
     "coarsen_noise",
     "check_bulk_ladder",
+    "check_boundary_ladder",
     "bulk_ladder_totals",
     "boundary_ladder_totals",
     "moment_diagnostic",
@@ -123,10 +125,11 @@ class SectorSampler:
     M = 2 n_t angles (c(d) for d <= n_t, c(M - d) beyond), which the real
     DFT over the angles splits into the M/2 + 1 symmetric blocks
     spectrum[q] = Re sum_d c(d) e^{-2 pi i q d / M}.  Each block is
-    factored by its symmetric square root root[q]; from real white noise
-    xi of shape (n_r, M), irfft(root_q rfft(xi)) has the circulant
-    covariance, and its first n_t angles have the sector's.  The embedding
-    must be positive semidefinite, under the rule of gff.check_eigenvalues
+    factored by its symmetric square root root[q] (gff.circulant_root);
+    from real white noise xi of shape (n_r, M), irfft(root_q rfft(xi))
+    (gff.circulant_fields) has the circulant covariance, and its first n_t
+    angles have the sector's.  The embedding must be positive
+    semidefinite, under the rule of gff.check_eigenvalues
     (FactorizationError otherwise).
     """
 
@@ -143,19 +146,12 @@ class SectorSampler:
         self.variances = np.repeat(np.diag(blocks[0]), self.n_angles)
         embedded = np.concatenate([blocks, blocks[-2:0:-1]])
         self.spectrum = np.fft.rfft(embedded, axis=0).real
-        w, v = np.linalg.eigh(self.spectrum)
-        check_eigenvalues(w)
-        self.min_eigenvalue = float(w.min())
-        self._root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.transpose(0, 2, 1)
+        self._root, self.min_eigenvalue = circulant_root(self.spectrum)
 
     def fields(self, noise):
         """Field values in grid order, shape (n, grid.size), from noise of shape (n, *noise_shape)."""
-        n = len(noise)
-        spec = np.ascontiguousarray(np.fft.rfft(noise, axis=-1).transpose(2, 1, 0))
-        # the roots are real: apply them to the real and imaginary parts alike
-        spec = np.matmul(self._root, spec.view(float)).view(complex)
-        x = np.fft.irfft(spec.transpose(2, 1, 0), n=self.noise_shape[1], axis=-1)
-        return x[:, :, : self.n_angles].reshape(n, -1)
+        x = circulant_fields(self._root, noise)
+        return x[:, :, : self.n_angles].reshape(len(noise), -1)
 
 
 def coarsen_noise(noise):
@@ -169,20 +165,14 @@ def coarsen_noise(noise):
     return (even[..., 0::2] + odd[..., 0::2] + even[..., 1::2] + odd[..., 1::2]) / 2.0
 
 
-def check_bulk_ladder(levels, n_replicas):
-    """The levels and per-level replica counts of a bulk ladder, checked.
-
-    Levels must increase strictly and n_replicas must be one positive
-    count, or one per level (ConfigurationError otherwise); levels must
-    lie in 4..MAX_LADDER_LEVEL (GridError otherwise).  Returns
-    (levels, counts) as lists of ints.
-    """
+def _ladder_counts(kind, levels, n_replicas):
+    """Levels and per-level replica counts as lists of ints, checked as check_bulk_ladder says."""
     levels = [int(k) for k in levels]
     if np.isscalar(n_replicas):
         n_replicas = [n_replicas] * len(levels)
     counts = [int(n) for n in n_replicas]
     if not levels:
-        raise ConfigurationError("a bulk ladder needs at least one level")
+        raise ConfigurationError(f"a {kind} ladder needs at least one level")
     if len(counts) != len(levels):
         raise ConfigurationError(
             f"n_replicas has {len(counts)} counts for {len(levels)} levels"
@@ -191,8 +181,32 @@ def check_bulk_ladder(levels, n_replicas):
         raise ConfigurationError(f"replica counts must be positive, got {counts}")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigurationError(f"ladder levels must increase strictly, got {levels}")
+    return levels, counts
+
+
+def check_bulk_ladder(levels, n_replicas):
+    """The levels and per-level replica counts of a bulk ladder, checked.
+
+    Levels must increase strictly and n_replicas must be one positive
+    count, or one per level (ConfigurationError otherwise); levels must
+    lie in 4..MAX_LADDER_LEVEL (GridError otherwise).  Returns
+    (levels, counts) as lists of ints.
+    """
+    levels, counts = _ladder_counts("bulk", levels, n_replicas)
     if levels[0] < 4 or levels[-1] > MAX_LADDER_LEVEL:
         raise GridError(f"ladder levels run from 4 to {MAX_LADDER_LEVEL}, got {levels}")
+    return levels, counts
+
+
+def check_boundary_ladder(mode_levels, n_replicas):
+    """The mode levels and per-level replica counts of a boundary ladder, checked.
+
+    As check_bulk_ladder, except that the levels are Fourier cutoffs,
+    which must be at least 1 (GridError otherwise).
+    """
+    levels, counts = _ladder_counts("boundary", mode_levels, n_replicas)
+    if levels[0] < 1:
+        raise GridError(f"mode levels must be at least 1, got {levels}")
     return levels, counts
 
 
@@ -247,27 +261,27 @@ def bulk_ladder_totals(levels, n_replicas, rng, report=None):
 def boundary_ladder_totals(mode_levels, n_replicas, rng):
     """Total masses of the critical boundary measure along a cutoff ladder.
 
-    Level N has 2N arcs, as in seneta_heyde_boundary.  All levels of one
-    replica share the same Fourier coefficients (drawn once at the largest
-    cutoff), so consecutive-level ratios are strongly coupled.  Returns
-    (pushed, plain), each of shape (len(mode_levels), n_replicas), with and
+    Level N has 2N arcs, as in seneta_heyde_boundary.  Levels and counts
+    are checked by check_boundary_ladder; n_replicas is one count or one
+    per level.  All levels share one block of Fourier coefficients, drawn
+    once at the largest cutoff for the largest count, and level i uses its
+    first n_i replicas, so consecutive-level ratios are strongly coupled.
+    Returns (pushed, plain): two lists of per-level total arrays, with and
     without the sqrt(Var_N / 2) push.
     """
-    mode_levels = list(mode_levels)
-    n_max = max(mode_levels)
+    mode_levels, counts = check_boundary_ladder(mode_levels, n_replicas)
     gen = rng.generator()
-    coeffs = gen.standard_normal((n_replicas, 2, n_max))
-    pushed = np.empty((len(mode_levels), n_replicas))
-    plain = np.empty((len(mode_levels), n_replicas))
-    for i, n in enumerate(mode_levels):
+    coeffs = gen.standard_normal((max(counts), 2, max(mode_levels)))
+    pushed, plain = [], []
+    for n, count in zip(mode_levels, counts):
         n_arcs = 2 * n
         cosb, sinb = boundary_synthesis(arc_centers(n_arcs), n)
-        x = coeffs[:, 0, :n] @ cosb.T + coeffs[:, 1, :n] @ sinb.T
+        x = coeffs[:count, 0, :n] @ cosb.T + coeffs[:count, 1, :n] @ sinb.T
         var = truncated_boundary_variance(n)
         # the critical normalization has no e^{-gamma^2/8} factor (see seneta_heyde_boundary)
         masses = np.exp(x - 0.5 * var) * (2.0 * np.pi / n_arcs)
-        pushed[i] = (masses * np.sqrt(0.5 * var)).sum(axis=1)
-        plain[i] = masses.sum(axis=1)
+        pushed.append((masses * np.sqrt(0.5 * var)).sum(axis=1))
+        plain.append(masses.sum(axis=1))
     return pushed, plain
 
 

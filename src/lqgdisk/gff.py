@@ -8,9 +8,11 @@ samplers are provided:
   harmonic extension into the disk;
 * an exact-covariance Gaussian vector of circle-average values on a point
   set, built from the closed-form regularized covariance and a symmetric
-  factorization.
+  factorization (FieldSampler), or, on a point set invariant under
+  rotation by 2 pi / ROTATION_ORDER, from the block-circulant structure
+  of that covariance (RotationSampler).
 
-Both are deterministic functions of an RngStream.
+All are deterministic functions of an RngStream.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from .errors import FactorizationError, GridError, UnsupportedSeparationError
 from .geometry import check_interior, green_regularized
 
 MAX_FIELD_POINTS = 8192
+# RotationSampler's symmetry: rotation by 2 pi / ROTATION_ORDER
+ROTATION_ORDER = 16
+# replicas per block of a replica_map; the block size changes no noise
+REPLICA_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -127,6 +133,15 @@ def boundary_synthesis(theta, n_modes):
     amp = np.sqrt(2.0 / mode)
     arg = np.outer(theta, mode)
     return np.cos(arg) * amp, np.sin(arg) * amp
+
+
+def boundary_synthesis_matrix(theta, n_modes):
+    """boundary_synthesis as one matrix of shape (2 n_modes, len(theta)).
+
+    A coefficient block c of shape (n, 2, n_modes) has trace values
+    c.reshape(n, -1) @ boundary_synthesis_matrix(theta, n_modes).
+    """
+    return np.concatenate(boundary_synthesis(theta, n_modes), axis=1).T
 
 
 def sample_boundary_coefficients(n_modes, n_replicas, rng):
@@ -270,6 +285,103 @@ class FieldSampler:
             values=self.draw(rng),
             covariance=self.covariance,
         )
+
+
+class RotationSampler:
+    """Exact draws of circle-average values on a rotation-invariant point set.
+
+    The points must be the orbits of k base points x_a, those with angle
+    in [0, 2 pi / ROTATION_ORDER), under rotation by
+    w = e^{2 pi i / ROTATION_ORDER}, with one averaging radius per orbit
+    (GridError otherwise); the circles are checked as in
+    neumann_covariance.  The covariance of the values at w^d x_a and
+    w^d' x_b is c(d' - d)[a, b], c(d)[a, b] = G(x_a, w^d x_b): block
+    circulant over the rotation index d, with the Hermitian eigenblocks
+    sum_d c(d)^T e^{-2 pi i q d / ROTATION_ORDER}, q = 0..ROTATION_ORDER/2,
+    which circulant_root factors and circulant_fields draws from.
+    """
+
+    def __init__(self, points, eps):
+        pts = np.asarray(points, dtype=complex)
+        eps = np.broadcast_to(np.asarray(eps, dtype=float), pts.shape)
+        check_averaging_circles(pts, eps)
+        n = ROTATION_ORDER
+        sector = np.floor(np.angle(pts) % (2.0 * np.pi) * (n / (2.0 * np.pi))).astype(int) % n
+        base = np.flatnonzero(sector == 0)
+        turns = np.exp(2j * np.pi * np.arange(n) / n)
+        unturned = pts * np.conj(turns[sector])
+        gap = np.abs(unturned[:, None] - pts[base][None, :])
+        orbit = np.argmin(gap, axis=1)
+        # value i of a draw is entry (orbit[i], sector[i]) of a (k, n) field block
+        self._index = orbit * n + sector
+        if (
+            len(base) * n != len(pts)
+            or not np.array_equal(np.sort(self._index), np.arange(len(pts)))
+            or np.max(gap[np.arange(len(pts)), orbit]) > 1e-12
+            or np.any(eps != eps[base][orbit])
+        ):
+            raise GridError(f"the points are not invariant under rotation by 2 pi / {n}")
+        self.noise_shape = (len(base), n)
+        self.variances = covariance_entries(pts, pts, eps)
+        x = pts[base]
+        turned = x[None, :] * turns[:, None, None]
+        blocks = covariance_entries(x[:, None], turned, eps[base][:, None])
+        spectrum = np.fft.rfft(blocks.transpose(0, 2, 1), axis=0)
+        self._root, self.min_eigenvalue = circulant_root(spectrum)
+
+    def fields(self, noise):
+        """Field values in point order, shape (n, size), from noise of shape (n, *noise_shape)."""
+        x = circulant_fields(self._root, noise)
+        return x.reshape(len(noise), -1)[:, self._index]
+
+
+def circulant_root(spectrum):
+    """Square roots of a block-circulant covariance's eigenblocks, and its smallest eigenvalue.
+
+    spectrum holds the Hermitian (or real symmetric) eigenblocks q = 0..M/2
+    of the embedding; each is factored by its Hermitian square root.  The
+    eigenvalues must pass check_eigenvalues (FactorizationError otherwise).
+    """
+    w, v = np.linalg.eigh(spectrum)
+    check_eigenvalues(w)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.conj(v).transpose(0, 2, 1)
+    return root, float(w.min())
+
+
+def circulant_fields(root, noise):
+    """irfft(root[q] rfft(noise)[q]) over the last axis of real noise of shape (n, k, M).
+
+    With root from circulant_root, the result has the block-circulant
+    covariance whose eigenblocks root squares.
+    """
+    spec = np.ascontiguousarray(np.fft.rfft(noise, axis=-1).transpose(2, 1, 0))
+    if np.isrealobj(root):
+        # real roots apply to the real and imaginary parts alike
+        spec = np.matmul(root, spec.view(float)).view(complex)
+    else:
+        spec = np.matmul(root, spec)
+    return np.fft.irfft(spec.transpose(2, 1, 0), n=noise.shape[-1], axis=-1)
+
+
+def replica_map(fn, streams, shape):
+    """fn applied to standard normal noise of the given shape drawn per replica, in blocks.
+
+    Replica r draws its noise from streams[r] alone.  fn receives blocks
+    of REPLICA_BLOCK replicas, shape (REPLICA_BLOCK, *shape), and returns
+    one result per row; the last block is padded with zero rows, so every
+    block has one shape and replica r's result depends neither on the
+    number of replicas nor on its neighbours.  Returns the results of the
+    replicas, concatenated in order.
+    """
+    out = []
+    # at least one block, so that no streams give an empty result of the right shape
+    for start in range(0, max(len(streams), 1), REPLICA_BLOCK):
+        block = streams[start : start + REPLICA_BLOCK]
+        noise = np.zeros((REPLICA_BLOCK, *shape))
+        for j, stream in enumerate(block):
+            noise[j] = stream.generator().standard_normal(shape)
+        out.append(fn(noise)[: len(block)])
+    return np.concatenate(out)
 
 
 def _symmetric_factor(cov):

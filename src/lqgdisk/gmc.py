@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GridError
-from .gff import arc_centers
+from .gff import ROTATION_ORDER, arc_centers
 
 __all__ = [
     "AtomicMeasure",
@@ -176,7 +176,10 @@ def graded_disk_grid(n_bands, rings_per_band=2, aspect=2.0):
     Band b < n_bands - 1 spans radii [1 - 2^-b, 1 - 2^-(b+1)]; the last
     band spans [1 - 2^-(n_bands-1), 1].  Each band is split into
     `rings_per_band` rings, and each ring into cells whose angular width is
-    `aspect` times the ring width.  Refining n_bands by one splits the last
+    about `aspect` times the ring width: the cell count of a band is
+    rounded up to a multiple of gff.ROTATION_ORDER, so the grid is
+    invariant under rotation by 2 pi / ROTATION_ORDER (the symmetry
+    gff.RotationSampler uses).  Refining n_bands by one splits the last
     band and leaves all other cells unchanged.
     """
     if n_bands < 1:
@@ -190,7 +193,8 @@ def graded_disk_grid(n_bands, rings_per_band=2, aspect=2.0):
         hi = 1.0 if b == n_bands - 1 else 1.0 - 2.0 ** (-b - 1)
         w = (hi - lo) / rings_per_band
         r_mid = 0.5 * (lo + hi)
-        n_theta = max(4, int(np.ceil(2.0 * np.pi * r_mid / (aspect * w))))
+        per_turn = 2.0 * np.pi * r_mid / (aspect * w * ROTATION_ORDER)
+        n_theta = ROTATION_ORDER * int(np.ceil(per_turn))
         theta = arc_centers(n_theta)
         for i in range(rings_per_band):
             a = lo + i * w

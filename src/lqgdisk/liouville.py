@@ -40,7 +40,13 @@ from .geometry import (
     green,
     poincare_density,
 )
-from .gff import FieldSampler, arc_centers, boundary_synthesis, truncated_boundary_variance
+from .gff import (
+    RotationSampler,
+    arc_centers,
+    boundary_synthesis_matrix,
+    replica_map,
+    truncated_boundary_variance,
+)
 from .gmc import AtomicMeasure, boundary_masses, bulk_masses, graded_disk_grid, jackknife_var
 
 __all__ = [
@@ -234,7 +240,10 @@ class ChaosBasis:
     undrifted measures; any insertion set at the same gamma can then be
     applied as a deterministic atomwise drift, so several insertion
     configurations can share one set of field replicas (paired-replica
-    comparisons of partition functions use exactly this).
+    comparisons of partition functions use exactly this).  Replica r
+    draws its bulk field from rng.child(2r) through a RotationSampler and
+    its boundary coefficients from rng.child(2r + 1), in blocks of
+    gff.replica_map.
     """
 
     def __init__(
@@ -253,26 +262,27 @@ class ChaosBasis:
         self.gamma = float(gamma)
         self.n_replicas = int(n_replicas)
         self.grid = graded_disk_grid(depth, rings_per_band, aspect)
-        self.sampler = FieldSampler(self.grid.centers, self.grid.eps)
+        self.sampler = RotationSampler(self.grid.centers, self.grid.eps)
         self.n_modes = int(n_modes)
         self.n_arcs = int(n_arcs)
         self.arc_theta = arc_centers(n_arcs)
         self.arc_points = np.exp(1j * self.arc_theta)
 
         g = self.gamma
-        variances = np.diag(self.sampler.covariance)
         weights = self.grid.density_weights(0.5 * g**2)
         var_n = truncated_boundary_variance(self.n_modes)
-        cosb, sinb = boundary_synthesis(self.arc_theta, self.n_modes)
+        synthesis = boundary_synthesis_matrix(self.arc_theta, self.n_modes)
 
-        self.bulk_masses = np.empty((self.n_replicas, self.grid.size))
-        self.bdry_masses = np.empty((self.n_replicas, self.n_arcs))
-        for r in range(self.n_replicas):
-            vals = self.sampler.draw(rng.child(2 * r))
-            self.bulk_masses[r] = bulk_masses(vals, variances, weights, g)
-            coef = rng.child(2 * r + 1).generator().standard_normal((2, self.n_modes))
-            x = cosb @ coef[0] + sinb @ coef[1]
-            self.bdry_masses[r] = boundary_masses(x, var_n, g, self.n_arcs)
+        def bulk_block(noise):
+            return bulk_masses(self.sampler.fields(noise), self.sampler.variances, weights, g)
+
+        def boundary_block(coef):
+            x = coef.reshape(len(coef), -1) @ synthesis
+            return boundary_masses(x, var_n, g, self.n_arcs)
+
+        streams = [rng.child(k) for k in range(2 * self.n_replicas)]
+        self.bulk_masses = replica_map(bulk_block, streams[0::2], self.sampler.noise_shape)
+        self.bdry_masses = replica_map(boundary_block, streams[1::2], (2, self.n_modes))
 
     def drift_factors(self, ins):
         """Atomwise drift weights for an insertion set on this basis grid."""

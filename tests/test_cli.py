@@ -145,7 +145,76 @@ class TestGridConfig:
         assert basis.grid.size == cli._grid_from(config).size
 
 
+def marked_config(**extra):
+    g = 1.6329931618554518
+    return {
+        "gamma": g,
+        "mu": 1.0,
+        "mu_boundary": 0.0,
+        "insertions": [
+            {"kind": "bulk", "position": [0.0, 0.0], "weight": g},
+            {"kind": "boundary", "position": [1.0, 0.0], "weight": g},
+        ],
+        "grid": {"n_r": 4},
+        "n_modes": 64,
+        "n_replicas": 100,
+        "n_draws": 500,
+        **extra,
+    }
+
+
+class TestGradedSampler:
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("gmc-bulk", {"gamma": 1.0, "grid": {"n_r": 4}, "n_replicas": 20}),
+            ("volume-law", marked_config()),
+            ("partition", marked_config()),
+            (
+                "kpz-covariance",
+                marked_config(
+                    insertions=[
+                        {"kind": "bulk", "position": [0.4, 0.0], "weight": 1.5},
+                        {"kind": "bulk", "position": [-0.3, 0.2], "weight": 1.5},
+                    ]
+                ),
+            ),
+        ],
+        ids=["gmc-bulk", "volume-law", "partition", "kpz-covariance"],
+    )
+    def test_summary_reports_the_sampler(self, tmp_path, capsys, command, config):
+        assert run_cli(tmp_path, command, config, seed=3) == 0
+        outdir = tmp_path / "out" / command
+        summary = json.loads((outdir / f"{command}-summary.json").read_text())
+        assert summary["n_points"] == cli._grid_from(config).size == 256
+        assert summary["rotation_order"] == gff.ROTATION_ORDER == 16
+        assert summary["min_eigenvalue"] > 0.0
+
+    def test_replica_total_ignores_replica_count(self, tmp_path, capsys):
+        # 600 replicas fill several blocks; replica r draws from RngStream(seed, r) alone
+        config = {"gamma": 1.0, "grid": {"n_r": 4}, "seed": 8}
+        assert run_cli(tmp_path, "gmc-bulk", {**config, "n_replicas": 3}, outname="few") == 0
+        assert run_cli(tmp_path, "gmc-bulk", {**config, "n_replicas": 600}, outname="many") == 0
+        few = (tmp_path / "few" / "gmc-bulk" / "gmc-bulk.csv").read_text().splitlines()
+        many = (tmp_path / "many" / "gmc-bulk" / "gmc-bulk.csv").read_text().splitlines()
+        assert len(few) == 4 and len(many) == 601
+        assert few == many[:4]
+
+    def test_negative_spectrum_is_exit_4(self, tmp_path, capsys, monkeypatch):
+        entries = gff.covariance_entries
+        monkeypatch.setattr(gff, "covariance_entries", lambda *a: entries(*a) - 1000.0)
+        config = {"gamma": 1.0, "grid": {"n_r": 4}, "n_replicas": 5, "seed": 1}
+        assert run_cli(tmp_path, "gmc-bulk", config) == 4
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "numeric"
+
+
 class TestCriticalLadder:
+    def test_boundary_counts_per_level(self, tmp_path, capsys):
+        config = {"kind": "boundary", "mode_levels": [64, 128], "n_replicas": [200, 100]}
+        assert run_cli(tmp_path, "critical-ladder", config, seed=3) == 0
+        rows = (tmp_path / "out" / "critical-ladder" / "critical-ladder.csv").read_text().splitlines()
+        assert [r.split(",")[:2] for r in rows[1:]] == [["64", "200"], ["128", "100"]]
+
     def test_summary_reports_min_eigenvalues(self, tmp_path, capsys):
         config = {"kind": "bulk", "levels": [4, 5, 6], "n_replicas": [300, 200, 100]}
         assert run_cli(tmp_path, "critical-ladder", config, seed=3) == 0
@@ -214,6 +283,30 @@ class TestValidate:
         assert match in findings[0]["message"]
         assert run_cli(tmp_path, "critical-ladder", config) == 2
         assert not (tmp_path / "out" / "critical-ladder" / "critical-ladder.csv").exists()
+
+    @pytest.mark.parametrize(
+        "mode_levels, n_replicas, match",
+        [
+            ([64, 128], [100], "1 counts for 2 levels"),
+            ([64, 128], [100, 0], "positive"),
+            ([128, 64], 10, "increase"),
+            ([0, 64], 10, "at least 1"),
+        ],
+        ids=["dropped-level", "zero-count", "decreasing", "no-modes"],
+    )
+    def test_boundary_ladder_finding(self, tmp_path, capsys, mode_levels, n_replicas, match):
+        config = {"kind": "boundary", "mode_levels": mode_levels, "n_replicas": n_replicas, "seed": 5}
+        findings = cli.validate(config)
+        assert [f["code"] for f in findings] == ["ladder"]
+        assert match in findings[0]["message"]
+        assert run_cli(tmp_path, "critical-ladder", config) == 2
+
+    def test_grid_finding(self, tmp_path, capsys):
+        config = {"gamma": 1.0, "grid": {"n_r": 9}, "seed": 5}
+        findings = cli.validate(config)
+        assert [f["code"] for f in findings] == ["grid"]
+        assert "at most 8192 points" in findings[0]["message"]
+        assert run_cli(tmp_path, "gmc-bulk", config) == 2
 
     def test_maps_tail_bound_finding(self, tmp_path, capsys):
         config = {"a": 0.2, "mu": 1, "mu_boundary": 1, "n_max": 40, "seed": 5}

@@ -72,7 +72,7 @@ class TestCriticalMeasures:
 
     def test_all_replica_masses_finite(self):
         totals, _ = boundary_ladder_totals([64, 256], 500, RngStream(61, 2))
-        assert np.all(np.isfinite(totals)) and np.all(totals > 0)
+        assert all(np.all(np.isfinite(t)) and np.all(t > 0) for t in totals)
 
 
 class TestLadders:
@@ -164,6 +164,28 @@ class TestLadderConfig:
     def test_bad_ladders_rejected(self, levels, n_replicas):
         with pytest.raises(ConfigurationError):
             bulk_ladder_totals(levels, n_replicas, RngStream(67, 0))
+
+    @pytest.mark.parametrize(
+        "mode_levels, n_replicas, error",
+        [
+            ([64, 128], [100], ConfigurationError),
+            ([64, 128], [100, 0], ConfigurationError),
+            ([128, 64], 10, ConfigurationError),
+            ([0, 64], 10, GridError),
+        ],
+        ids=["short", "zero-count", "decreasing", "no-modes"],
+    )
+    def test_bad_boundary_ladders_rejected(self, mode_levels, n_replicas, error):
+        with pytest.raises(error):
+            boundary_ladder_totals(mode_levels, n_replicas, RngStream(67, 1))
+
+    def test_boundary_levels_share_one_coefficient_block(self):
+        levels = [64, 128, 256]
+        pushed, plain = boundary_ladder_totals(levels, [300, 200, 100], RngStream(67, 2))
+        assert [len(t) for t in pushed] == [len(t) for t in plain] == [300, 200, 100]
+        _, full = boundary_ladder_totals(levels, 300, RngStream(67, 2))
+        for t, f in zip(plain, full):
+            assert np.allclose(t, f[: len(t)], rtol=1e-12, atol=0.0)
 
     def test_level_limit(self):
         with pytest.raises(GridError, match="from 4 to 10"):

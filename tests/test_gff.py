@@ -4,19 +4,25 @@ import numpy as np
 import pytest
 
 from lqgdisk import gff, io
-from lqgdisk.errors import GridError, UnsupportedSeparationError
+from lqgdisk.errors import FactorizationError, GridError, UnsupportedSeparationError
 from lqgdisk.geometry import green, poincare_density
 from lqgdisk.gff import (
+    ROTATION_ORDER,
     FieldSampler,
     RngStream,
+    RotationSampler,
+    arc_centers,
     boundary_covariance_truncated,
+    boundary_synthesis_matrix,
     harmonic_extension,
     harmonic_extension_variance,
     neumann_covariance,
+    replica_map,
     sample_boundary_trace,
     sample_field,
     variance_asymptotic_check,
 )
+from lqgdisk.gmc import graded_disk_grid
 
 
 def batched_trace_values(theta, n_modes, n_replicas, rng):
@@ -161,6 +167,81 @@ class TestFieldSampler:
         assert cov[0, 0] == pytest.approx(math.log(1 / 0.05) - math.log(1 - 0.04), abs=1e-13)
         assert cov[1, 1] == pytest.approx(math.log(1 / 0.1) - math.log(1 - 0.36), abs=1e-13)
         assert cov[0, 1] == pytest.approx(green(0.2, 0.6), abs=1e-13)
+
+
+def dense_rotation_covariance(sampler):
+    """Covariance of sampler.fields, from its values on each unit noise vector."""
+    size = int(np.prod(sampler.noise_shape))
+    unit = np.eye(size).reshape(size, *sampler.noise_shape)
+    rows = np.concatenate([sampler.fields(unit[i : i + 256]) for i in range(0, size, 256)])
+    return rows.T @ rows
+
+
+class TestRotationSampler:
+    @pytest.mark.parametrize("depth", [4, 5, 6, 7])
+    def test_embedding_matches_dense_covariance(self, depth):
+        grid = graded_disk_grid(depth, 2, 2.0)
+        sampler = RotationSampler(grid.centers, grid.eps)
+        dense = neumann_covariance(grid.centers, grid.eps)
+        cov = dense_rotation_covariance(sampler)
+        assert np.max(np.abs(cov - dense)) <= 1e-13 * np.max(np.abs(dense))
+        assert np.array_equal(sampler.variances, np.diag(dense))
+        assert sampler.min_eigenvalue > 0.0
+
+    def test_empirical_covariance(self):
+        grid = graded_disk_grid(5, 2, 2.0)
+        sampler = RotationSampler(grid.centers, grid.eps)
+        dense = neumann_covariance(grid.centers, grid.eps)
+        # every pair of points is a rotation of a pair whose first point has angle below 2 pi / 16
+        base = np.flatnonzero(np.angle(grid.centers) % (2 * np.pi) < 2 * np.pi / ROTATION_ORDER)
+        gen = RngStream(14, 0).generator()
+        n_draws, chunk = 200_000, 10_000
+        second = np.zeros((len(base), grid.size))
+        for _ in range(n_draws // chunk):
+            x = sampler.fields(gen.standard_normal((chunk, *sampler.noise_shape)))
+            second += x[:, base].T @ x
+        emp, want = second / n_draws, dense[base]
+        se = np.sqrt((np.outer(np.diag(dense)[base], np.diag(dense)) + want**2) / n_draws)
+        assert np.max(np.abs(emp - want) / se) < 5.0
+
+    @pytest.mark.parametrize("case", ["invariant", "count", "moved", "eps"])
+    def test_points_that_are_not_invariant_raise(self, case):
+        pts = np.concatenate([0.3 * np.exp(1j * arc_centers(16)), 0.7 * np.exp(1j * arc_centers(32))])
+        eps = np.full(len(pts), 0.01)
+        if case == "count":
+            pts, eps = pts[:-1], eps[:-1]
+        elif case == "moved":
+            pts[20] *= np.exp(0.01j)
+        elif case == "eps":
+            eps[20] = 0.009
+        if case == "invariant":
+            assert RotationSampler(pts, eps).noise_shape == (3, ROTATION_ORDER)
+        else:
+            with pytest.raises(GridError, match="not invariant"):
+                RotationSampler(pts, eps)
+
+    def test_negative_eigenblock_raises(self, monkeypatch):
+        entries = gff.covariance_entries
+        # a constant shift of every c(d) moves the q = 0 block alone, by 16 times the shift
+        monkeypatch.setattr(gff, "covariance_entries", lambda *a: entries(*a) - 1000.0)
+        grid = graded_disk_grid(4, 2, 2.0)
+        with pytest.raises(FactorizationError):
+            RotationSampler(grid.centers, grid.eps)
+
+    def test_replica_noise_ignores_block_size(self, monkeypatch):
+        streams = [RngStream(15, r) for r in range(11)]
+        want = np.stack([s.generator().standard_normal((3, 4)) for s in streams])
+        assert np.array_equal(replica_map(lambda b: b, streams, (3, 4)), want)
+        monkeypatch.setattr(gff, "REPLICA_BLOCK", 4)
+        assert np.array_equal(replica_map(lambda b: b, streams, (3, 4)), want)
+
+    def test_block_boundary_synthesis_matches_per_replica_products(self):
+        theta, n_modes = arc_centers(256), 1024
+        coef = gff.sample_boundary_coefficients(n_modes, 300, RngStream(16, 0))
+        block = coef.reshape(300, -1) @ boundary_synthesis_matrix(theta, n_modes)
+        cosb, sinb = gff.boundary_synthesis(theta, n_modes)
+        single = np.stack([cosb @ c[0] + sinb @ c[1] for c in coef])
+        assert np.max(np.abs(block - single)) <= 1e-12 * np.max(np.abs(single))
 
 
 class TestVarianceAsymptotics:

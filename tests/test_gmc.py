@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.spatial
 
 from lqgdisk import io
 from lqgdisk.errors import DomainError, GridError
 from lqgdisk.geometry import MobiusMap
-from lqgdisk.gff import FieldSampler, RngStream, sample_boundary_trace
+from lqgdisk.gff import ROTATION_ORDER, FieldSampler, RngStream, sample_boundary_trace
 from lqgdisk.gmc import (
     AtomicMeasure,
     boundary_measure,
@@ -58,6 +59,25 @@ class TestGradedGrid:
         shared7 = g7.centers[g7.band < 6]
         shared8 = g8.centers[g8.band < 6]
         assert np.array_equal(shared7, shared8)
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_rotation_invariance_separation_and_clearance(self, depth):
+        grid = graded_disk_grid(depth, 2, 2.0)
+        turn = np.exp(2j * np.pi / ROTATION_ORDER)
+        starts = np.flatnonzero(np.diff(grid.r_lo, prepend=-1.0))
+        for lo, hi in zip(starts, list(starts[1:]) + [grid.size]):
+            ring, n = grid.centers[lo:hi], hi - lo
+            assert n % ROTATION_ORDER == 0
+            # rotation by 2 pi / ROTATION_ORDER moves cell k of a ring to cell k + n / ROTATION_ORDER
+            assert np.max(np.abs(ring * turn - np.roll(ring, -n // ROTATION_ORDER))) < 1e-14
+            assert np.all(grid.eps[lo:hi] == grid.eps[lo])
+        pts, eps = grid.centers, grid.eps
+        pairs = scipy.spatial.cKDTree(np.c_[pts.real, pts.imag]).query_pairs(
+            2.0 * eps.max(), output_type="ndarray"
+        )
+        i, j = pairs.T
+        assert np.all(np.abs(pts[i] - pts[j]) >= (eps[i] + eps[j]) * (1.0 - 1e-12))
+        assert np.all(eps < 1.0 - np.abs(pts))
 
     def test_window_grid_nesting(self):
         g5 = window_sector_grid(5)
