@@ -13,33 +13,29 @@ from .geometry import (
     curvatures,
     gauss_bonnet,
     green,
-    green_mean_boundary,
     green_regularized,
     poincare_density,
     weyl_anomaly,
 )
 from .gff import (
-    BoundaryTrace,
-    FieldRealization,
     FieldSampler,
     RngStream,
-    harmonic_extension,
-    sample_boundary_trace,
-    sample_field,
-    variance_asymptotic_check,
+    RotationSampler,
+    boundary_synthesis_matrix,
+    replica_map,
 )
 from .gmc import (
     AtomicMeasure,
     GradedDiskGrid,
-    boundary_measure,
-    bulk_measure,
+    boundary_masses,
+    bulk_masses,
     graded_disk_grid,
     window_sector_grid,
 )
 from .critical import (
-    moment_diagnostic,
-    seneta_heyde_boundary,
-    seneta_heyde_bulk,
+    SectorSampler,
+    boundary_ladder_totals,
+    bulk_ladder_totals,
 )
 from .liouville import (
     AdmissibilityVerdict,
@@ -51,13 +47,11 @@ from .liouville import (
     partition_estimate,
     sample_liouville_triple,
     seiberg_check,
-    shifted_chaos,
     unit_volume_expectation,
     volume_law_params,
 )
 from .maps import (
     BoltzmannConfig,
-    boltzmann_sample,
     count_exact,
     joint_density_check,
     log_count_asymptotic,

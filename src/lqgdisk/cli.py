@@ -32,13 +32,13 @@ from .errors import (
 from .geometry import ConformalFactor, LiouvilleParams, MobiusMap, green, weyl_anomaly
 from .gff import (
     ROTATION_ORDER,
+    FieldSampler,
     RngStream,
     RotationSampler,
     arc_centers,
     boundary_synthesis_matrix,
     check_averaging_circles,
     replica_map,
-    sample_field,
     truncated_boundary_variance,
 )
 from .gmc import boundary_masses, bulk_masses, graded_disk_grid
@@ -152,12 +152,13 @@ def run_field_sample(config, seed, outdir):
     else:
         grid = _grid_from(config)
         pts, eps = grid.centers, grid.eps
-    field = sample_field(pts, eps, RngStream(seed, 0))
-    files = io.save_field(field, os.path.join(outdir, "field-sample"), seed, 0)
+    sampler = FieldSampler(pts, eps)
+    values = sampler.draw(RngStream(seed, 0))
+    files = io.save_field(pts, sampler.eps, values, os.path.join(outdir, "field-sample"), seed, 0)
     summary = {
         "quantity": "one exact-covariance draw of regularized field values",
-        "estimate": float(np.mean(field.values)),
-        "stderr": float(np.std(field.values, ddof=1) / math.sqrt(len(field.values))),
+        "estimate": float(np.mean(values)),
+        "stderr": float(np.std(values, ddof=1) / math.sqrt(len(values))),
         "n_replicas": 1,
         "n_points": int(len(pts)),
     }

@@ -2,12 +2,12 @@
 
 At the critical coupling the subcritical normalization produces measures
 that vanish in the small-scale limit; a square-root-of-log push restores a
-nontrivial limit.  The measures here carry that push in a variance-matched
-form:
+nontrivial limit.  The ladders here report both, with the push in a
+variance-matched form:
 
-* bulk atoms on the graded grid are pushed by sqrt(ln 1/eps_c) with eps_c
-  the cell's own averaging radius;
-* boundary atoms built from an N-mode trace are pushed by sqrt(Var_N / 2),
+* bulk totals in a fixed window at the uniform scale eps are pushed by
+  sqrt(ln 1/eps);
+* boundary totals built from an N-mode trace are pushed by sqrt(Var_N / 2),
   the truncated variance standing in for ln N.
 
 Ladder drivers refine the cutoff and report total-mass medians, the
@@ -17,11 +17,10 @@ diagnostic of choice since only moments of order q < 1 exist.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, GridError
+from .errors import ConfigurationError, GridError
 from .gff import (
     arc_centers,
     boundary_synthesis,
@@ -30,79 +29,18 @@ from .gff import (
     covariance_entries,
     truncated_boundary_variance,
 )
-from .gmc import AtomicMeasure, bulk_masses, jackknife_var, window_sector_grid
+from .gmc import bulk_masses, window_sector_grid
 
 __all__ = [
     "MAX_LADDER_LEVEL",
-    "nominal_bulk_norming",
-    "nominal_boundary_norming",
-    "seneta_heyde_bulk",
-    "seneta_heyde_boundary",
     "SectorSampler",
     "coarsen_noise",
     "check_bulk_ladder",
     "check_boundary_ladder",
     "bulk_ladder_totals",
     "boundary_ladder_totals",
-    "moment_diagnostic",
     "median_ratios",
 ]
-
-
-def nominal_bulk_norming(eps):
-    """Nominal per-scale normalization sqrt(ln 1/eps) eps^2 of the bulk measure."""
-    if not (0.0 < eps < 1.0):
-        raise DomainError("eps must lie in (0, 1)")
-    return float(np.sqrt(np.log(1.0 / eps)) * eps**2)
-
-
-def nominal_boundary_norming(n_modes):
-    """Nominal normalization sqrt(ln N) / N of the boundary measure at cutoff N."""
-    if n_modes < 2:
-        raise DomainError("n_modes must be at least 2")
-    return float(np.sqrt(np.log(n_modes)) / n_modes)
-
-
-def seneta_heyde_bulk(field, grid, push=True):
-    """Critical bulk measure e^{2X} dlambda with the log push.
-
-    Atom masses are
-
-        sqrt(ln 1/eps_c) exp(2 X_c - 2 Var X_c) int_c (1 - r^2)^{-2},
-
-    where the per-cell push uses the cell's averaging radius (the grid's
-    local cutoff scale).  With push=False the sqrt factor is dropped,
-    which reproduces the vanishing subcritical normalization at gamma = 2.
-    """
-    weights = grid.density_weights(2.0)
-    masses = bulk_masses(field.values, field.variances, weights, 2.0)
-    if push:
-        masses = masses * np.sqrt(np.log(1.0 / grid.eps))
-    meta = {"gamma": 2.0, "critical": True, "push": bool(push), "n_bands": grid.n_bands}
-    return AtomicMeasure("bulk", field.points.copy(), masses, meta)
-
-
-def seneta_heyde_boundary(trace, n_arcs=None, push=True):
-    """Critical boundary measure e^{X} dlambda_boundary with the log push.
-
-    Uses the Fourier cutoff N of the trace with equivalent scale 1/N; the
-    exponent normalization is the exact truncated variance, and the push is
-    its square root over two:
-
-        sqrt(Var_N / 2) exp(X(theta) - Var_N / 2) (2 pi / n_arcs).
-    """
-    n = trace.n_modes
-    if n < 64:
-        raise GridError("boundary critical measure needs at least 64 modes")
-    if n_arcs is None:
-        n_arcs = 2 * n
-    theta = arc_centers(n_arcs)
-    var = truncated_boundary_variance(n)
-    masses = np.exp(trace.evaluate(theta) - 0.5 * var) * (2.0 * np.pi / n_arcs)
-    if push:
-        masses = masses * np.sqrt(0.5 * var)
-    meta = {"gamma": 2.0, "critical": True, "push": bool(push), "n_modes": n}
-    return AtomicMeasure("boundary", np.exp(1j * theta), masses, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +157,10 @@ def bulk_ladder_totals(levels, n_replicas, rng, report=None):
     newly resolved boundary mass).  Levels and counts are checked by
     check_bulk_ladder; n_replicas may be a single count or one count per
     level, since the coarse levels are cheap and benefit from more
-    replicas.  Each level is drawn exactly by its SectorSampler.
+    replicas.  Each level is drawn exactly by its SectorSampler, and its
+    atom masses are exp(2 X_c - 2 Var X_c) int_c (1 - r^2)^{-2}
+    (gmc.bulk_masses at gamma = 2): the subcritical normalization, which
+    vanishes in the limit unless pushed.
 
     The levels are coupled: replica r draws its white noise once, at its
     finest level (the last level with more than r replicas), from one
@@ -261,8 +202,13 @@ def bulk_ladder_totals(levels, n_replicas, rng, report=None):
 def boundary_ladder_totals(mode_levels, n_replicas, rng):
     """Total masses of the critical boundary measure along a cutoff ladder.
 
-    Level N has 2N arcs, as in seneta_heyde_boundary.  Levels and counts
-    are checked by check_boundary_ladder; n_replicas is one count or one
+    Level N is the measure e^{X} dlambda_boundary of the N-mode trace
+    (equivalent scale 1/N) on 2N equal arcs, with arc masses
+
+        sqrt(Var_N / 2) exp(X(theta) - Var_N / 2) (2 pi / 2N):
+
+    the exponent is normalized by the exact truncated variance Var_N, and
+    the push is its square root over two.  Levels and counts are checked by check_boundary_ladder; n_replicas is one count or one
     per level.  All levels share one block of Fourier coefficients, drawn
     once at the largest cutoff for the largest count, and level i uses its
     first n_i replicas, so consecutive-level ratios are strongly coupled.
@@ -278,7 +224,7 @@ def boundary_ladder_totals(mode_levels, n_replicas, rng):
         cosb, sinb = boundary_synthesis(arc_centers(n_arcs), n)
         x = coeffs[:count, 0, :n] @ cosb.T + coeffs[:count, 1, :n] @ sinb.T
         var = truncated_boundary_variance(n)
-        # the critical normalization has no e^{-gamma^2/8} factor (see seneta_heyde_boundary)
+        # unlike gmc.boundary_masses at gamma = 2, no e^{-gamma^2/8} factor
         masses = np.exp(x - 0.5 * var) * (2.0 * np.pi / n_arcs)
         pushed.append((masses * np.sqrt(0.5 * var)).sum(axis=1))
         plain.append(masses.sum(axis=1))
@@ -289,26 +235,3 @@ def median_ratios(totals):
     """Consecutive ratios of per-level medians of ladder totals."""
     med = np.array([np.median(t) for t in totals])
     return med[1:] / med[:-1]
-
-
-def moment_diagnostic(measures, q):
-    """Empirical q-th moment of total masses with a jackknife standard error.
-
-    Accepts a sequence of AtomicMeasure or an array of totals.  Values of
-    q >= 1 are outside the finite-moment guarantee of the critical
-    measures; they are computed anyway and flagged with a warning.
-    """
-    if q <= 0.0:
-        raise DomainError("q must be positive")
-    totals = np.asarray(
-        [m.total if isinstance(m, AtomicMeasure) else float(m) for m in measures]
-    )
-    if len(totals) < 100:
-        raise DomainError("at least 100 replicas are required")
-    if q >= 1.0:
-        warnings.warn(
-            f"q = {q} is outside the guaranteed moment range q < 1", RuntimeWarning
-        )
-    powered = totals**q
-    loo = (powered.sum() - powered) / (len(powered) - 1)
-    return float(powered.mean()), math.sqrt(jackknife_var(loo))

@@ -72,20 +72,6 @@ def green(x, y):
     return float(out) if out.ndim == 0 else out
 
 
-def green_mean_boundary(x, n_quad):
-    """Trapezoidal mean of G(x, .) over the unit circle.
-
-    Vanishes identically for interior x; the returned value measures only
-    quadrature error.  Uses n_quad >= 16 uniform nodes (spectrally accurate
-    for the analytic integrand).
-    """
-    if n_quad < 16:
-        raise GridError("n_quad must be at least 16")
-    check_interior(x, "x")
-    theta = 2.0 * np.pi * np.arange(n_quad) / n_quad
-    return float(np.mean(green(x, np.exp(1j * theta))))
-
-
 def green_regularized(x, y, eps):
     """Double circle-average of G at radius eps, in closed form.
 
@@ -204,17 +190,6 @@ def mobius_green_residual(psi, x, y):
     gxy = green(x, y)
     gpp = green(psi(x), psi(y))
     return gpp - gxy + np.log(np.abs(psi.derivative(x))) + np.log(np.abs(psi.derivative(y)))
-
-
-def mobius_variance_limit(psi, x):
-    """Small-radius variance limit of the field composed with psi.
-
-    Equals 0.5 ln g_P(x) - 2 ln|psi'(x)|, which follows from the exact
-    transformation rule of G under Mobius maps applied to the regularized
-    diagonal.
-    """
-    check_interior(x, "x")
-    return 0.5 * np.log(poincare_density(x)) - 2.0 * np.log(abs(psi.derivative(x)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Free-boundary Gaussian field on the disk and its regularizations.
 
 The field is centered with covariance G and zero boundary mean.  Two
-samplers are provided:
+kinds of draws are provided:
 
-* a spectral synthesis of the boundary restriction (no constant mode, so
-  the boundary mean vanishes exactly for every draw), together with its
-  harmonic extension into the disk;
+* its boundary restriction as a truncated Fourier series without a
+  constant mode (so the boundary mean vanishes exactly for every draw),
+  synthesized at given angles for a block of coefficient draws at once
+  (boundary_synthesis_matrix);
 * an exact-covariance Gaussian vector of circle-average values on a point
   set, built from the closed-form regularized covariance and a symmetric
   factorization (FieldSampler), or, on a point set invariant under
@@ -23,7 +24,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import FactorizationError, GridError, UnsupportedSeparationError
-from .geometry import check_interior, green_regularized
 
 MAX_FIELD_POINTS = 8192
 # RotationSampler's symmetry: rotation by 2 pi / ROTATION_ORDER
@@ -56,65 +56,14 @@ class RngStream:
 # boundary trace
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundaryTrace:
-    """Truncated Fourier representation of the field on the unit circle.
-
-    X(theta) = sum_{n=1}^{N} sqrt(2/n) (a_n cos n theta + b_n sin n theta).
-    There is no constant mode, so the boundary mean is exactly zero.  With
-    standard normal coefficients the covariance converges to
-    2 ln 1/|e^{i t} - e^{i s}| as N grows.
-    """
-
-    cos_coeffs: np.ndarray
-    sin_coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.cos_coeffs.shape != self.sin_coeffs.shape or self.cos_coeffs.ndim != 1:
-            raise GridError("coefficient arrays must be 1-d and equal length")
-        if len(self.cos_coeffs) < 1:
-            raise GridError("at least one Fourier mode is required")
-
-    @property
-    def n_modes(self):
-        return len(self.cos_coeffs)
-
-    def truncate(self, n):
-        """The same draw restricted to its first n modes."""
-        if not (1 <= n <= self.n_modes):
-            raise GridError(f"cannot truncate {self.n_modes} modes to {n}")
-        return BoundaryTrace(self.cos_coeffs[:n], self.sin_coeffs[:n])
-
-    def evaluate(self, theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        cosb, sinb = boundary_synthesis(theta, self.n_modes)
-        out = cosb @ self.cos_coeffs + sinb @ self.sin_coeffs
-        return out if out.size > 1 else float(out[0])
-
-    def variance(self):
-        """Pointwise variance sum_{n<=N} 2/n of the truncated series."""
-        return truncated_boundary_variance(self.n_modes)
-
-
 def truncated_boundary_variance(n_modes):
+    """Pointwise variance sum_{n<=N} 2/n of the N-mode boundary trace.
+
+    The trace is X(theta) = sum_{n=1}^{N} sqrt(2/n) (a_n cos n theta +
+    b_n sin n theta) with standard normal coefficients; its covariance
+    converges to 2 ln 1/|e^{i t} - e^{i s}| as N grows.
+    """
     return float(2.0 * np.sum(1.0 / np.arange(1, n_modes + 1)))
-
-
-def boundary_covariance_truncated(delta_theta, n_modes):
-    """Covariance sum_{n<=N} (2/n) cos(n delta) of the truncated trace."""
-    n = np.arange(1, n_modes + 1)
-    d = np.atleast_1d(np.asarray(delta_theta, dtype=float))
-    out = np.cos(np.outer(d, n)) @ (2.0 / n)
-    return out if out.size > 1 else float(out[0])
-
-
-def sample_boundary_trace(n_modes, rng):
-    """Draw a trace with i.i.d. standard normal coefficients."""
-    if n_modes < 1:
-        raise GridError("n_modes must be at least 1")
-    gen = rng.generator()
-    coeffs = gen.standard_normal((2, n_modes))
-    return BoundaryTrace(cos_coeffs=coeffs[0], sin_coeffs=coeffs[1])
 
 
 def arc_centers(n_arcs):
@@ -142,32 +91,6 @@ def boundary_synthesis_matrix(theta, n_modes):
     c.reshape(n, -1) @ boundary_synthesis_matrix(theta, n_modes).
     """
     return np.concatenate(boundary_synthesis(theta, n_modes), axis=1).T
-
-
-def sample_boundary_coefficients(n_modes, n_replicas, rng):
-    """Coefficient block (n_replicas, 2, n_modes) from a single stream."""
-    gen = rng.generator()
-    return gen.standard_normal((n_replicas, 2, n_modes))
-
-
-def harmonic_extension(trace, x):
-    """Harmonic extension of the trace at interior points.
-
-    P(r e^{i t}) = sum sqrt(2/n) r^n (a_n cos n t + b_n sin n t); the series
-    is finite, harmonic in the disk, and vanishes at the origin.
-    """
-    xa = np.atleast_1d(np.asarray(x, dtype=complex))
-    check_interior(xa, "x")
-    cosb, sinb = boundary_synthesis(np.angle(xa), trace.n_modes)
-    radial = np.abs(xa)[:, None] ** np.arange(1, trace.n_modes + 1)[None, :]
-    out = (radial * cosb) @ trace.cos_coeffs + (radial * sinb) @ trace.sin_coeffs
-    return out if out.size > 1 else float(out[0])
-
-
-def harmonic_extension_variance(r, n_modes):
-    """Variance sum_{n<=N} (2/n) r^{2n} of the harmonic extension at radius r."""
-    n = np.arange(1, n_modes + 1)
-    return float(np.sum((2.0 / n) * np.asarray(r, dtype=float) ** (2 * n)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +133,12 @@ def covariance_entries(x, y, eps):
     return cov
 
 
+def check_point_count(n):
+    """Raise GridError if n points exceed MAX_FIELD_POINTS."""
+    if n > MAX_FIELD_POINTS:
+        raise GridError(f"at most {MAX_FIELD_POINTS} points are supported, got {n}")
+
+
 def check_averaging_circles(points, eps):
     """Raise unless circles of radii eps at the points admit the closed-form covariance.
 
@@ -220,8 +149,7 @@ def check_averaging_circles(points, eps):
     tolerance of 1e-12 (UnsupportedSeparationError).
     """
     pts = np.asarray(points, dtype=complex)
-    if len(pts) > MAX_FIELD_POINTS:
-        raise GridError(f"at most {MAX_FIELD_POINTS} points are supported, got {len(pts)}")
+    check_point_count(len(pts))
     eps_arr = np.broadcast_to(np.asarray(eps, dtype=float), pts.shape)
     if np.any(eps_arr <= 0.0):
         raise GridError("eps must be positive")
@@ -235,20 +163,6 @@ def check_averaging_circles(points, eps):
         raise UnsupportedSeparationError(
             "pairwise distances must be at least the sum of the averaging radii"
         )
-
-
-@dataclass(frozen=True)
-class FieldRealization:
-    """One Gaussian draw of regularized field values with its covariance."""
-
-    points: np.ndarray
-    eps: np.ndarray
-    values: np.ndarray
-    covariance: np.ndarray
-
-    @property
-    def variances(self):
-        return np.diag(self.covariance)
 
 
 class FieldSampler:
@@ -277,14 +191,6 @@ class FieldSampler:
         gen = rng.generator()
         z = gen.standard_normal((len(self.points), n))
         return self._factor @ z
-
-    def realize(self, rng):
-        return FieldRealization(
-            points=self.points,
-            eps=self.eps,
-            values=self.draw(rng),
-            covariance=self.covariance,
-        )
 
 
 class RotationSampler:
@@ -403,25 +309,3 @@ def check_eigenvalues(w):
     lo, hi = float(np.min(w)), float(np.max(w))
     if hi <= 0.0 or lo < -1e-10 * hi:
         raise FactorizationError(f"covariance is not positive semidefinite (min eig {lo:.3e})")
-
-
-def sample_field(points, eps, rng):
-    """One exact-covariance draw of circle-average values.
-
-    For repeated draws on the same point set build a FieldSampler once.
-    """
-    return FieldSampler(points, eps).realize(rng)
-
-
-def variance_asymptotic_check(x, eps_ladder):
-    """Values of G_eps(x, x) + ln eps along a ladder of radii.
-
-    With the closed-form covariance this is constant in eps and equals
-    0.5 ln g_P(x); deviations would indicate a regularization bug.
-    """
-    eps_ladder = np.asarray(eps_ladder, dtype=float)
-    if np.any(np.diff(eps_ladder) >= 0.0):
-        raise GridError("eps ladder must be strictly decreasing")
-    return np.array(
-        [green_regularized(x, x, e) + np.log(e) for e in eps_ladder]
-    )

@@ -13,12 +13,12 @@ is then the exact integral whenever that integral is finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, GridError
-from .gff import ROTATION_ORDER, arc_centers
+from .gff import ROTATION_ORDER, arc_centers, check_point_count
 
 __all__ = [
     "AtomicMeasure",
@@ -27,8 +27,6 @@ __all__ = [
     "window_sector_grid",
     "bulk_masses",
     "boundary_masses",
-    "bulk_measure",
-    "boundary_measure",
     "jackknife_var",
 ]
 
@@ -44,7 +42,6 @@ class AtomicMeasure:
     kind: str
     points: np.ndarray
     masses: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in ("bulk", "boundary"):
@@ -64,17 +61,6 @@ class AtomicMeasure:
         if vals.shape != self.points.shape:
             vals = np.array([float(f(p)) for p in self.points])
         return float(np.sum(vals * self.masses))
-
-    def push_forward(self, psi):
-        """Relocate atoms to psi(location); masses are unchanged.
-
-        Jacobian factors required by covariance statements are applied by
-        callers through integrate.
-        """
-        pts = psi(self.points)
-        if self.kind == "boundary":
-            pts = pts / np.abs(pts)
-        return AtomicMeasure(self.kind, pts, self.masses.copy(), dict(self.metadata))
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +89,6 @@ class GradedDiskGrid:
     @property
     def size(self):
         return len(self.centers)
-
-    @property
-    def areas(self):
-        return 0.5 * self.dtheta * (self.r_hi**2 - self.r_lo**2)
 
     def density_weights(self, s):
         """Exact cell integrals of (1 - r^2)^{-s} dlambda.
@@ -180,21 +162,25 @@ def graded_disk_grid(n_bands, rings_per_band=2, aspect=2.0):
     rounded up to a multiple of gff.ROTATION_ORDER, so the grid is
     invariant under rotation by 2 pi / ROTATION_ORDER (the symmetry
     gff.RotationSampler uses).  Refining n_bands by one splits the last
-    band and leaves all other cells unchanged.
+    band and leaves all other cells unchanged.  A grid of more than
+    gff.MAX_FIELD_POINTS cells raises GridError before any cell is built.
     """
     if n_bands < 1:
         raise GridError("n_bands must be at least 1")
     if rings_per_band < 1:
         raise GridError("rings_per_band must be at least 1")
-    centers, eps, r_lo, r_hi, dtheta, band = [], [], [], [], [], []
-    shave = 1.0 - 1e-9
+    bands = []
     for b in range(n_bands):
         lo = 1.0 - 2.0 ** (-b)
         hi = 1.0 if b == n_bands - 1 else 1.0 - 2.0 ** (-b - 1)
         w = (hi - lo) / rings_per_band
         r_mid = 0.5 * (lo + hi)
         per_turn = 2.0 * np.pi * r_mid / (aspect * w * ROTATION_ORDER)
-        n_theta = ROTATION_ORDER * int(np.ceil(per_turn))
+        bands.append((lo, w, ROTATION_ORDER * int(np.ceil(per_turn))))
+    check_point_count(rings_per_band * sum(n for _, _, n in bands))
+    centers, eps, r_lo, r_hi, dtheta, band = [], [], [], [], [], []
+    shave = 1.0 - 1e-9
+    for b, (lo, w, n_theta) in enumerate(bands):
         theta = arc_centers(n_theta)
         for i in range(rings_per_band):
             a = lo + i * w
@@ -229,8 +215,9 @@ def bulk_masses(values, variances, weights, gamma):
 
     The arguments broadcast against each other, so a (points, replicas)
     block of field values takes variances and weights of shape
-    (points, 1).  Any gamma is accepted; at gamma = 2 these are the plain
-    critical masses.
+    (points, 1).  With w the exact cell integral of (1 - r^2)^{-gamma^2/2}
+    (GradedDiskGrid.density_weights), each atom has mean w.  Any gamma is
+    accepted; at gamma = 2 these are the plain critical masses.
     """
     return np.exp(gamma * values - 0.5 * gamma**2 * variances) * weights
 
@@ -239,52 +226,16 @@ def boundary_masses(x, variance, gamma, n_arcs):
     """Boundary arc masses e^{-gamma^2/8} exp((gamma/2) X - (gamma^2/8) Var) (2 pi / n_arcs).
 
     Elementwise in the trace values x; variance is the truncated trace
-    variance, constant along the circle.
+    variance, constant along the circle, which replaces the divergent limit
+    in the normalization.  The factor e^{-gamma^2/8} carries the
+    boundary-average constant of the limiting density, so the expected
+    total mass is 2 pi e^{-gamma^2/8} at every truncation level.
     """
     return (
         np.exp(-0.125 * gamma**2)
         * np.exp(0.5 * gamma * x - 0.125 * gamma**2 * variance)
         * (2.0 * np.pi / n_arcs)
     )
-
-
-def bulk_measure(field, gamma, grid):
-    """Atomized chaos measure e^{gamma X} dlambda on the disk.
-
-    The atom at cell c has mass
-
-        exp(gamma X_c - (gamma^2/2) Var X_c) * int_c (1 - r^2)^{-gamma^2/2},
-
-    the cell-normalized exponential times the exact integral of the
-    deterministic density, so each atom has mean equal to that integral.
-    """
-    if not (0.0 < gamma < 2.0):
-        raise DomainError(
-            "gamma must lie in (0, 2); the critical measure (gamma = 2) has its own constructor"
-        )
-    weights = grid.density_weights(0.5 * gamma**2)
-    masses = bulk_masses(field.values, field.variances, weights, gamma)
-    meta = {"gamma": gamma, "n_bands": grid.n_bands}
-    return AtomicMeasure("bulk", field.points.copy(), masses, meta)
-
-
-def boundary_measure(trace, gamma, n_arcs):
-    """Atomized chaos measure e^{(gamma/2) X} dlambda on the unit circle.
-
-    Atoms sit at arc centers; the truncated variance of the trace (constant
-    in theta) replaces the divergent limit in the normalization, and the
-    extra factor e^{-gamma^2/8} carries the boundary-average constant of
-    the limiting density.  The expected total mass is 2 pi e^{-gamma^2/8}
-    exactly, for every truncation level.
-    """
-    if not (0.0 < gamma < 2.0):
-        raise DomainError("gamma must lie in (0, 2)")
-    if n_arcs < 64:
-        raise GridError("n_arcs must be at least 64")
-    theta = arc_centers(n_arcs)
-    masses = boundary_masses(trace.evaluate(theta), trace.variance(), gamma, n_arcs)
-    meta = {"gamma": gamma, "n_modes": trace.n_modes}
-    return AtomicMeasure("boundary", np.exp(1j * theta), masses, meta)
 
 
 # ---------------------------------------------------------------------------

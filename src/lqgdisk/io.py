@@ -1,4 +1,4 @@
-"""Deterministic file formats: round-trip CSV, canonical JSON, snapshots.
+"""Deterministic file formats: round-trip CSV, canonical JSON, field snapshots.
 
 Every float is written with 17 significant digits so that identical runs
 produce byte-identical files; JSON is emitted with sorted keys and fixed
@@ -11,8 +11,6 @@ import hashlib
 import json
 
 import numpy as np
-
-from .gmc import AtomicMeasure
 
 
 def fmt(x):
@@ -35,13 +33,6 @@ def write_csv(path, header, rows):
                     cells.append(fmt(c))
             fh.write(",".join(cells) + "\n")
     return path
-
-
-def read_csv(path):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    return header, rows
 
 
 def write_json(path, obj):
@@ -78,54 +69,20 @@ def config_hash(config):
 # snapshots
 # ---------------------------------------------------------------------------
 
-def save_field(field, base_path, seed, stream_id):
-    """Field snapshot: CSV of re,im,value plus a JSON sidecar."""
-    eps = field.eps
+def save_field(points, eps, values, base_path, seed, stream_id):
+    """Field snapshot: CSV of re,im,value plus a JSON sidecar; returns both paths."""
     sidecar = {
         "seed": int(seed),
         "stream_id": int(stream_id),
         "eps": float(eps[0]) if np.ptp(eps) == 0.0 else [float(e) for e in eps],
-        "n_points": int(len(field.points)),
+        "n_points": int(len(points)),
     }
-    return _save_snapshot(base_path, "value", field.points, field.values, sidecar)
-
-
-def save_measure(measure, base_path, seed):
-    """Measure snapshot: CSV of re,im,mass plus a JSON sidecar."""
-    meta = measure.metadata
-    sidecar = {
-        "support_kind": measure.kind,
-        "gamma": float(meta.get("gamma", float("nan"))),
-        "seed": int(seed),
-        "eps_or_modes": meta.get("n_modes", meta.get("n_bands")),
-    }
-    if meta.get("critical"):
-        sidecar["critical"] = True
-    return _save_snapshot(base_path, "mass", measure.points, measure.masses, sidecar)
-
-
-def _save_snapshot(base_path, column, points, values, sidecar):
     csv_path = base_path + ".csv"
     write_csv(
         csv_path,
-        ["re", "im", column],
+        ["re", "im", "value"],
         ((p.real, p.imag, v) for p, v in zip(points, values)),
     )
     json_path = base_path + ".json"
     write_json(json_path, sidecar)
     return [csv_path, json_path]
-
-
-def load_field(base_path):
-    """Read back a snapshot of a field or a measure as (points, values, sidecar)."""
-    header, rows = read_csv(base_path + ".csv")
-    pts = np.array([complex(float(r[0]), float(r[1])) for r in rows])
-    values = np.array([float(r[2]) for r in rows])
-    with open(base_path + ".json") as fh:
-        sidecar = json.load(fh)
-    return pts, values, sidecar
-
-
-def load_measure(base_path):
-    pts, masses, sidecar = load_field(base_path)
-    return AtomicMeasure(sidecar["support_kind"], pts, masses, sidecar)

@@ -57,7 +57,6 @@ __all__ = [
     "seiberg_check",
     "insertion_drift",
     "log_constant",
-    "shifted_chaos",
     "volume_law_params",
     "sample_liouville_triple",
     "partition_estimate",
@@ -305,9 +304,8 @@ class ChaosBasis:
 
     def _pair(self, factors, r):
         fb, fd = factors
-        meta = {"gamma": self.gamma, "replica": int(r)}
-        bulk = AtomicMeasure("bulk", self.grid.centers, self.bulk_masses[r] * fb, meta)
-        bdry = AtomicMeasure("boundary", self.arc_points, self.bdry_masses[r] * fd, meta)
+        bulk = AtomicMeasure("bulk", self.grid.centers, self.bulk_masses[r] * fb)
+        bdry = AtomicMeasure("boundary", self.arc_points, self.bdry_masses[r] * fd)
         return ShiftedChaosPair(bulk, bdry)
 
 
@@ -372,29 +370,6 @@ def _drift_factors(ins, atoms, exponent, near, subgrid):
         drift = np.exp(exponent * insertion_drift(ins, pts[ok]))
         factors[c] = float(np.sum(drift * w[ok]) / np.sum(w[ok]))
     return factors
-
-
-def shifted_chaos(ins, field, grid, trace, n_arcs=256):
-    """Drifted chaos pair (Z0, Z0_boundary) from one field and one trace.
-
-    Applies e^{gamma H} atomwise to the bulk measure and e^{(gamma/2) H}
-    to the boundary measure, with subgrid-averaged factors on the cells
-    nearest to marked points.  Raises for non-admissible insertion sets.
-    """
-    from .gmc import boundary_measure, bulk_measure
-
-    if ins.bulk or ins.boundary:
-        require_admissible(ins)
-    g = ins.params.gamma
-    bulk = bulk_measure(field, g, grid)
-    bdry = boundary_measure(trace, g, n_arcs)
-    arc_theta = arc_centers(n_arcs)
-    fb = bulk_drift_factors(ins, grid, g)
-    fd = boundary_drift_factors(ins, arc_theta, g)
-    return ShiftedChaosPair(
-        AtomicMeasure("bulk", bulk.points, bulk.masses * fb, dict(bulk.metadata)),
-        AtomicMeasure("boundary", bdry.points, bdry.masses * fd, dict(bdry.metadata)),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ __all__ = [
     "BOUNDARY_CRITICAL_WEIGHT_PER_EDGE",
     "BoltzmannConfig",
     "BoltzmannSampler",
-    "boltzmann_sample",
     "joint_density_check",
     "histogram_check",
     "conjectured_log_density",
@@ -235,11 +234,12 @@ class BoltzmannConfig:
             raise ConfigurationError("mesh a must be positive")
         if self.mu < 0.0 or self.mu_boundary < 0.0:
             raise ConfigurationError("mu and mu_boundary must be nonnegative")
-        if self.mu + self.mu_boundary <= 0.0:
-            raise ConfigurationError("mu + mu_boundary must be positive")
+        if self.mu == 0.0:
+            raise ConfigurationError(
+                "mu must be positive: at mu = 0 the n-tail of the weights decays only "
+                f"like a power of n, so no n_max meets the tail bound {TAIL_BOUND:g}"
+            )
         if self.n_max is None:
-            if self.mu <= 0.0:
-                raise ConfigurationError("n_max must be given when mu = 0")
             object.__setattr__(self, "n_max", int(math.ceil(20.0 / (self.a**2 * self.mu))))
         gauss_cap = int(math.ceil(math.sqrt(80.0 * self.n_max / 9.0))) + 8
         if self.p_max is None:
@@ -342,11 +342,6 @@ class BoltzmannSampler:
     def p_probabilities(self):
         return np.exp(self.log_p_marginal - self.log_total)
 
-    def log_prob(self, n, p):
-        if not (1 <= p <= self.cfg.p_max) or not (0 <= n <= self.cfg.n_max):
-            return -np.inf
-        return float(self.log_weight_row(p)[n] - self.log_total)
-
     def sample(self, n_draws, rng):
         """n_draws exact draws of (n, p); deterministic under the stream."""
         gen = rng.generator()
@@ -362,11 +357,6 @@ class BoltzmannSampler:
             cdf /= cdf[-1]
             n_draws_out[sel] = np.searchsorted(cdf, u[sel], side="left")
         return n_draws_out, p_draws.astype(np.int64)
-
-
-def boltzmann_sample(cfg, rng, n_draws=1):
-    """Draws of (n, p) from the truncated Boltzmann law."""
-    return BoltzmannSampler(cfg).sample(n_draws, rng)
 
 
 # ---------------------------------------------------------------------------

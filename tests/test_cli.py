@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -314,6 +315,29 @@ class TestValidate:
         assert [f["code"] for f in findings] == ["maps-config"]
         assert "truncation tail mass" in findings[0]["message"]
         assert run_cli(tmp_path, "maps-sample", config) == 2
+
+    def test_grid_cap_reported_before_the_grid_is_built(self):
+        # depth 16 would have 1,235,200 cells
+        config = {"gamma": 1.0, "grid": {"n_r": 16}}
+        tracemalloc.start()
+        try:
+            findings = cli.validate(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [f["code"] for f in findings] == ["grid"]
+        assert "at most 8192 points are supported, got 1235200" in findings[0]["message"]
+        assert peak < 5 * 2**20
+
+    def test_maps_mu_zero_finding(self, tmp_path, capsys):
+        config = {"a": 0.2, "mu": 0.0, "mu_boundary": 1.0, "n_max": 300, "seed": 5}
+        findings = cli.validate(config)
+        assert [f["code"] for f in findings] == ["maps-config"]
+        assert "power of n" in findings[0]["message"]
+        capsys.readouterr()
+        assert run_cli(tmp_path, "maps-sample", config) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"type": "config", "message": findings[0]["message"]}
 
     def test_clean_config_has_no_findings(self):
         g = 1.6329931618554518

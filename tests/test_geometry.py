@@ -20,11 +20,16 @@ from lqgdisk.geometry import (
     dirichlet_energy,
     gauss_bonnet,
     green,
-    green_mean_boundary,
     green_regularized,
     poincare_density,
     weyl_anomaly,
 )
+
+
+def green_mean_boundary(x, n_quad):
+    """Trapezoidal mean of G(x, .) over n_quad uniform nodes of the unit circle."""
+    theta = 2.0 * np.pi * np.arange(n_quad) / n_quad
+    return float(np.mean(green(x, np.exp(1j * theta))))
 
 
 def double_circle_average(x, y, eps, n):
@@ -169,15 +174,6 @@ class TestMobius:
         psi = MobiusMap(a=0.6j, alpha=2.0)
         theta = np.linspace(0, 2 * np.pi, 17)
         assert np.max(np.abs(np.abs(psi(np.exp(1j * theta))) - 1.0)) < 1e-14
-
-    def test_variance_limit_two_routes(self):
-        # quadrature circle-average of ln|psi'| versus the closed form
-        psi = MobiusMap(a=0.3 + 0.1j, alpha=0.5)
-        x, eps = 0.2 - 0.35j, 1e-3
-        theta = 2 * np.pi * np.arange(512) / 512
-        avg_logd = np.mean(np.log(np.abs(psi.derivative(x + eps * np.exp(1j * theta)))))
-        direct = (green_regularized(x, x, eps) - 2.0 * avg_logd) + math.log(eps)
-        assert ge.mobius_variance_limit(psi, x) == pytest.approx(direct, abs=1e-12)
 
 
 class TestParamsAndWeights:

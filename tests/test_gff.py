@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from lqgdisk import gff, io
 from lqgdisk.errors import FactorizationError, GridError, UnsupportedSeparationError
+from lqgdisk.critical import boundary_ladder_totals
 from lqgdisk.geometry import green, poincare_density
 from lqgdisk.gff import (
     ROTATION_ORDER,
@@ -12,38 +14,33 @@ from lqgdisk.gff import (
     RngStream,
     RotationSampler,
     arc_centers,
-    boundary_covariance_truncated,
     boundary_synthesis_matrix,
-    harmonic_extension,
-    harmonic_extension_variance,
+    covariance_entries,
     neumann_covariance,
     replica_map,
-    sample_boundary_trace,
-    sample_field,
-    variance_asymptotic_check,
+    truncated_boundary_variance,
 )
 from lqgdisk.gmc import graded_disk_grid
+from tests_support import boundary_coefficients, truncated_boundary_covariance
 
 
 def batched_trace_values(theta, n_modes, n_replicas, rng):
     """Trace evaluations of many replicas at the given angles."""
-    coef = gff.sample_boundary_coefficients(n_modes, n_replicas, rng)
-    cosb, sinb = gff.boundary_synthesis(theta, n_modes)
-    return coef[:, 0, :] @ cosb.T + coef[:, 1, :] @ sinb.T
+    coef = boundary_coefficients(n_modes, n_replicas, rng)
+    return coef.reshape(n_replicas, -1) @ boundary_synthesis_matrix(theta, n_modes)
 
 
 class TestBoundaryTrace:
     def test_zero_boundary_mean_every_draw(self):
         # no constant mode: the uniform-grid mean vanishes to roundoff
         theta = 2 * np.pi * np.arange(4096) / 4096
-        for sid in range(5):
-            tr = sample_boundary_trace(128, RngStream(3, sid))
-            assert abs(np.mean(tr.evaluate(theta))) < 1e-12
+        vals = batched_trace_values(theta, 128, 5, RngStream(3, 0))
+        assert np.max(np.abs(np.mean(vals, axis=1))) < 1e-12
 
     def test_covariance_at_pi(self):
         # alternating series sum 2(-1)^n/n -> -2 ln 2
         n_modes = 1024
-        analytic = boundary_covariance_truncated(np.pi, n_modes)
+        analytic = truncated_boundary_covariance(np.pi, n_modes)
         series = 2.0 * np.sum((-1.0) ** np.arange(1, n_modes + 1) / np.arange(1, n_modes + 1))
         assert analytic == pytest.approx(series, abs=1e-12)
         assert analytic == pytest.approx(-2 * math.log(2), abs=2e-3)
@@ -54,62 +51,22 @@ class TestBoundaryTrace:
 
     def test_covariance_at_half_pi(self):
         # chord sqrt(2): limit is -ln 2
-        analytic = boundary_covariance_truncated(np.pi / 2, 4096)
+        analytic = truncated_boundary_covariance(np.pi / 2, 4096)
         assert analytic == pytest.approx(-math.log(2), abs=1e-3)
 
     def test_truncate_shares_coefficients(self):
-        tr = sample_boundary_trace(256, RngStream(9, 0))
-        tr64 = tr.truncate(64)
-        assert np.array_equal(tr64.cos_coeffs, tr.cos_coeffs[:64])
-        with pytest.raises(GridError):
-            tr.truncate(0)
-
-
-class TestHarmonicExtension:
-    def test_zero_at_origin(self):
-        tr = sample_boundary_trace(64, RngStream(1, 0))
-        assert harmonic_extension(tr, 0.0) == 0.0
-
-    def test_variance_at_half(self):
-        # power series sum (2/n) r^{2n} -> -2 ln(1 - r^2)
-        assert harmonic_extension_variance(0.5, 4096) == pytest.approx(
-            -2 * math.log(0.75), abs=1e-12
-        )
-        # empirical variance at x = 0.5 (theta = 0: only cosine modes load)
-        gen = RngStream(6, 2).generator()
-        n = np.arange(1, 129)
-        radial = np.sqrt(2.0 / n) * 0.5**n
-        coef = gen.standard_normal((20000, 2, 128))
-        samples = coef[:, 0, :] @ radial
-        emp = np.var(samples, ddof=1)
-        want = harmonic_extension_variance(0.5, 128)
-        se = want * math.sqrt(2.0 / len(samples))
-        assert abs(emp - want) < 3 * se
-
-    def test_recovers_trace_toward_boundary(self):
-        tr = sample_boundary_trace(64, RngStream(2, 3))
-        theta = 1.234
-        target = tr.evaluate(theta)
-        gaps = [
-            abs(harmonic_extension(tr, r * np.exp(1j * theta)) - target)
-            for r in (0.9, 0.99, 0.999, 1 - 1e-7)
-        ]
-        assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
-        assert gaps[-1] < 1e-4
-
-    def test_harmonicity_mean_value(self):
-        tr = sample_boundary_trace(32, RngStream(4, 4))
-        x = 0.3 + 0.2j
-        theta = 2 * np.pi * np.arange(256) / 256
-        ring = np.mean(harmonic_extension(tr, x + 0.1 * np.exp(1j * theta)))
-        assert ring == pytest.approx(harmonic_extension(tr, x), abs=1e-10)
+        # ladder level N synthesizes the first N modes of one shared coefficient block
+        _, plain = boundary_ladder_totals([64, 256], 40, RngStream(9, 0))
+        coef = boundary_coefficients(256, 40, RngStream(9, 0))[:, :, :64]
+        x = coef.reshape(40, -1) @ boundary_synthesis_matrix(arc_centers(128), 64)
+        want = np.exp(x - truncated_boundary_variance(64) / 2.0).sum(axis=1) * (2.0 * np.pi / 128)
+        assert np.allclose(plain[0], want, rtol=1e-12, atol=0.0)
 
 
 class TestFieldSampler:
     def test_single_point_variance(self):
-        fr = sample_field(np.array([0.0 + 0.0j]), 0.01, RngStream(7, 0))
-        assert fr.covariance[0, 0] == pytest.approx(math.log(100.0), abs=1e-12)
         sampler = FieldSampler(np.array([0.0 + 0.0j]), 0.01)
+        assert sampler.covariance[0, 0] == pytest.approx(math.log(100.0), abs=1e-12)
         draws = sampler.draw_batch(100000, RngStream(7, 1))[0]
         emp = np.var(draws, ddof=1)
         se = math.log(100.0) * math.sqrt(2.0 / len(draws))
@@ -141,9 +98,9 @@ class TestFieldSampler:
 
     def test_determinism_and_stream_independence(self):
         pts = np.array([0.1, 0.5j, -0.4])
-        a = sample_field(pts, 0.03, RngStream(42, 7)).values
-        b = sample_field(pts, 0.03, RngStream(42, 7)).values
-        c = sample_field(pts, 0.03, RngStream(42, 8)).values
+        a = FieldSampler(pts, 0.03).draw(RngStream(42, 7))
+        b = FieldSampler(pts, 0.03).draw(RngStream(42, 7))
+        c = FieldSampler(pts, 0.03).draw(RngStream(42, 8))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -237,7 +194,7 @@ class TestRotationSampler:
 
     def test_block_boundary_synthesis_matches_per_replica_products(self):
         theta, n_modes = arc_centers(256), 1024
-        coef = gff.sample_boundary_coefficients(n_modes, 300, RngStream(16, 0))
+        coef = boundary_coefficients(n_modes, 300, RngStream(16, 0))
         block = coef.reshape(300, -1) @ boundary_synthesis_matrix(theta, n_modes)
         cosb, sinb = gff.boundary_synthesis(theta, n_modes)
         single = np.stack([cosb @ c[0] + sinb @ c[1] for c in coef])
@@ -246,17 +203,14 @@ class TestRotationSampler:
 
 class TestVarianceAsymptotics:
     def test_constant_in_eps(self):
+        # the regularized variance plus ln eps is 0.5 ln g_P(x) at every radius
         ladder = np.array([0.05, 0.025, 0.0125, 0.00625])
-        vals = variance_asymptotic_check(0.0, ladder)
-        assert np.max(np.abs(vals)) < 1e-12
-        vals = variance_asymptotic_check(0.8, ladder / 4)
-        want = 0.5 * math.log(poincare_density(0.8))
-        assert want == pytest.approx(-math.log(0.36), abs=1e-12)
-        assert np.max(np.abs(vals - want)) < 1e-12
-
-    def test_ladder_must_decrease(self):
-        with pytest.raises(GridError):
-            variance_asymptotic_check(0.0, np.array([0.01, 0.02]))
+        for x, eps in ((0.0, ladder), (0.8, ladder / 4)):
+            pts = np.full(len(eps), x, dtype=complex)
+            vals = covariance_entries(pts, pts, eps) + np.log(eps)
+            want = 0.5 * math.log(poincare_density(x))
+            assert np.max(np.abs(vals - want)) < 1e-12
+        assert 0.5 * math.log(poincare_density(0.8)) == pytest.approx(-math.log(0.36), abs=1e-12)
 
     def test_dirichlet_harmonic_split(self):
         # (ln 1/eps + ln(1-r^2)) + (-2 ln(1-r^2)) = regularized diagonal
@@ -273,14 +227,16 @@ class TestVarianceAsymptotics:
 class TestPersistence:
     def test_field_roundtrip(self, tmp_path):
         pts = np.array([0.1, 0.4j, -0.2 - 0.3j])
-        field = sample_field(pts, 0.02, RngStream(13, 5))
+        values = FieldSampler(pts, 0.02).draw(RngStream(13, 5))
         base = str(tmp_path / "snap")
-        files = io.save_field(field, base, seed=13, stream_id=5)
-        assert len(files) == 2
-        pts2, vals2, sidecar = io.load_field(base)
-        assert np.array_equal(pts2, pts)
-        assert np.array_equal(vals2, field.values)
-        assert sidecar["n_points"] == 3
-        assert sidecar["eps"] == 0.02
+        files = io.save_field(pts, np.full(3, 0.02), values, base, seed=13, stream_id=5)
+        assert files == [base + ".csv", base + ".json"]
         with open(files[0]) as fh:
             assert fh.readline().strip() == "re,im,value"
+            rows = [[float(c) for c in line.split(",")] for line in fh]
+        # 17 significant digits read back to the same floats
+        assert np.array_equal([complex(r[0], r[1]) for r in rows], pts)
+        assert np.array_equal([r[2] for r in rows], values)
+        with open(files[1]) as fh:
+            sidecar = json.load(fh)
+        assert sidecar == {"eps": 0.02, "n_points": 3, "seed": 13, "stream_id": 5}

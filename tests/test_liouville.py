@@ -13,7 +13,7 @@ from lqgdisk.errors import (
     ResamplingError,
 )
 from lqgdisk.geometry import LiouvilleParams, MobiusMap, green, weyl_anomaly, ConformalFactor
-from lqgdisk.gff import FieldSampler, RngStream, arc_centers, sample_boundary_trace
+from lqgdisk.gff import FieldSampler, RngStream, arc_centers
 from lqgdisk.gmc import graded_disk_grid
 from lqgdisk.liouville import (
     ChaosBasis,
@@ -28,10 +28,10 @@ from lqgdisk.liouville import (
     partition_estimate,
     sample_liouville_triple,
     seiberg_check,
-    shifted_chaos,
     unit_volume_expectation,
     volume_law_params,
 )
+from tests_support import batched_bulk_masses
 
 GAMMA_83 = math.sqrt(8.0 / 3.0)
 
@@ -164,23 +164,21 @@ class TestShiftedChaos:
     def test_no_insertions_is_plain_pair(self):
         p = LiouvilleParams(gamma=1.2, mu=1.0)
         ins = InsertionSet(params=p)
-        grid = graded_disk_grid(5, 2, 2.0)
-        field = FieldSampler(grid.centers, grid.eps).realize(RngStream(71, 0))
-        trace = sample_boundary_trace(256, RngStream(71, 1))
-        pair = shifted_chaos(ins, field, grid, trace, n_arcs=128)
-        from lqgdisk.gmc import boundary_measure, bulk_measure
-
-        assert np.array_equal(pair.bulk.masses, bulk_measure(field, 1.2, grid).masses)
-        assert np.array_equal(pair.boundary.masses, boundary_measure(trace, 1.2, 128).masses)
+        basis = ChaosBasis(1.2, 3, RngStream(71, 0), depth=5, n_modes=256, n_arcs=128)
+        bulk_tot, bdry_tot = basis.drifted_totals(ins)
+        assert np.array_equal(bulk_tot, basis.bulk_masses @ np.ones(basis.grid.size))
+        assert np.array_equal(bdry_tot, basis.bdry_masses @ np.ones(128))
+        pairs = basis.functional_values(ins, lambda pair: pair)
+        for r, pair in enumerate(pairs):
+            assert np.array_equal(pair.bulk.masses, basis.bulk_masses[r])
+            assert np.array_equal(pair.boundary.masses, basis.bdry_masses[r])
 
     def test_inadmissible_rejected(self):
         p = LiouvilleParams(gamma=1.2, mu=1.0)
         ins = InsertionSet(params=p, bulk=((0.3, 0.1),))  # s_total < 0
-        grid = graded_disk_grid(5, 2, 2.0)
-        field = FieldSampler(grid.centers, grid.eps).realize(RngStream(71, 2))
-        trace = sample_boundary_trace(256, RngStream(71, 3))
+        basis = ChaosBasis(1.2, 3, RngStream(71, 2), depth=5, n_modes=256)
         with pytest.raises(NotAdmissibleError):
-            shifted_chaos(ins, field, grid, trace)
+            sample_liouville_triple(ins, 10, RngStream(71, 3), basis=basis)
 
     def test_boundary_insertion_every_replica_finite(self):
         p = LiouvilleParams(gamma=1.5, mu=1.0)
@@ -204,14 +202,8 @@ class TestShiftedChaos:
             grid = graded_disk_grid(depth, 2, 2.0)
             sampler = FieldSampler(grid.centers, grid.eps)
             fb = bulk_drift_factors(ins, grid, p.gamma)
-            vals = sampler.draw_batch(1000, RngStream(71, 60 + depth))
-            var = np.diag(sampler.covariance)
-            w = grid.density_weights(0.5 * p.gamma**2)
-            tot = (
-                np.exp(p.gamma * vals - 0.5 * p.gamma**2 * var[:, None])
-                * w[:, None]
-                * fb[:, None]
-            ).sum(axis=0)
+            masses = batched_bulk_masses(p.gamma, grid, sampler, 1000, RngStream(71, 60 + depth))
+            tot = (masses * fb[:, None]).sum(axis=0)
             assert np.all(np.isfinite(tot))
             medians.append(float(np.median(tot)))
         ratios = np.array(medians[1:]) / np.array(medians[:-1])
@@ -229,10 +221,7 @@ class TestShiftedChaos:
             sampler = FieldSampler(grid.centers, grid.eps)
             fb = bulk_drift_factors(ins, grid, p.gamma)
             near = np.abs(grid.centers - 1.0) < 0.3
-            vals = sampler.draw_batch(300, RngStream(71, 5 + depth))
-            var = np.diag(sampler.covariance)
-            w = grid.density_weights(0.5 * p.gamma**2)
-            masses = np.exp(p.gamma * vals - 0.5 * p.gamma**2 * var[:, None]) * w[:, None]
+            masses = batched_bulk_masses(p.gamma, grid, sampler, 300, RngStream(71, 5 + depth))
             medians.append(np.median((masses[near] * fb[near, None]).sum(axis=0)))
         assert medians[0] < medians[1] < medians[2]
 

@@ -10,7 +10,6 @@ from lqgdisk.maps import (
     BULK_CRITICAL_WEIGHT,
     BoltzmannConfig,
     BoltzmannSampler,
-    boltzmann_sample,
     conjectured_log_density,
     count_exact,
     histogram_check,
@@ -89,9 +88,9 @@ class TestBoltzmann:
 
     def test_probability_ratio_unmarked(self):
         cfg = BoltzmannConfig(a=0.25, mu=1.0, mu_boundary=1.0, interior_marked=False)
-        s = BoltzmannSampler(cfg)
+        row = BoltzmannSampler(cfg).log_weight_row(1)
         want = math.exp(-cfg.mu_bar) * count_exact(2, 1) / count_exact(1, 1)
-        assert math.exp(s.log_prob(2, 1) - s.log_prob(1, 1)) == pytest.approx(want, rel=1e-12)
+        assert math.exp(row[2] - row[1]) == pytest.approx(want, rel=1e-12)
 
     def test_large_weights_concentrate_on_minimal_maps(self):
         cfg = BoltzmannConfig(a=1.0, mu=6.0, mu_boundary=6.0, interior_marked=False)
@@ -128,9 +127,9 @@ class TestBoltzmann:
         assert (zmax, n_cells) == (want, cells)
 
     def test_determinism(self):
-        cfg = BoltzmannConfig(a=0.2, mu=1.0, mu_boundary=1.0)
-        a1 = boltzmann_sample(cfg, RngStream(9, 9), n_draws=50)
-        a2 = boltzmann_sample(cfg, RngStream(9, 9), n_draws=50)
+        s = BoltzmannSampler(BoltzmannConfig(a=0.2, mu=1.0, mu_boundary=1.0))
+        a1 = s.sample(50, RngStream(9, 9))
+        a2 = s.sample(50, RngStream(9, 9))
         assert np.array_equal(a1[0], a2[0]) and np.array_equal(a1[1], a2[1])
 
     def test_tail_bound_violation(self):
@@ -143,7 +142,13 @@ class TestBoltzmann:
         with pytest.raises(ConfigurationError):
             BoltzmannConfig(a=0.1, mu=0.0, mu_boundary=0.0)
         with pytest.raises(ConfigurationError):
-            BoltzmannConfig(a=0.1, mu=0.0)  # n_max required when mu = 0
+            BoltzmannConfig(a=0.1, mu=0.0)
+
+    @pytest.mark.parametrize("n_max", [None, 300, 10**6])
+    def test_mu_zero_rejected_for_every_n_max(self, n_max):
+        # at mu = 0 a row decays like a power of n, so no cap meets TAIL_BOUND
+        with pytest.raises(ConfigurationError, match="power of n"):
+            BoltzmannConfig(a=0.2, mu=0.0, mu_boundary=1.0, n_max=n_max)
 
 
 def _reference_row(sampler, p):
@@ -174,11 +179,10 @@ class TestTablePath:
     @pytest.mark.parametrize(
         "cfg",
         [
-            BoltzmannConfig(a=0.2, mu=0.0, n_max=300),
             BoltzmannConfig(a=0.5, n_max=3, p_max=9),
             BoltzmannConfig(a=0.5, n_max=3, p_max=9, interior_marked=False),
         ],
-        ids=["mu-zero", "p-cap-beyond-n", "p-cap-beyond-n-unmarked"],
+        ids=["p-cap-beyond-n", "p-cap-beyond-n-unmarked"],
     )
     def test_rows_at_edge_configs(self, untruncated, cfg):
         s = BoltzmannSampler(cfg)
