@@ -90,6 +90,14 @@ def _grid_from(config):
     return graded_disk_grid(*_grid_shape(config))
 
 
+def _count(config, key, default):
+    """Replica or draw count config[key]; ConfigurationError below 2 (no standard error)."""
+    n = int(config.get(key, default))
+    if n < 2:
+        raise ConfigurationError(f"{key} must be at least 2, got {n}")
+    return n
+
+
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
@@ -196,9 +204,9 @@ def _sampler_report(sampler):
 
 def run_gmc_bulk(config, seed, outdir):
     gamma = float(config["gamma"])
-    n_replicas = int(config.get("n_replicas", 1000))
+    n_replicas = _count(config, "n_replicas", 1000)
     grid = _grid_from(config)
-    sampler = RotationSampler(grid.centers, grid.eps)
+    sampler = RotationSampler(grid)
     weights = grid.density_weights(0.5 * gamma**2)
 
     def block_totals(noise):
@@ -217,7 +225,7 @@ def run_gmc_bulk(config, seed, outdir):
 
 def run_gmc_boundary(config, seed, outdir):
     gamma = float(config["gamma"])
-    n_replicas = int(config.get("n_replicas", 1000))
+    n_replicas = _count(config, "n_replicas", 1000)
     n_modes = int(config.get("n_modes", 1024))
     n_arcs = int(config.get("n_arcs", 256))
     synthesis = boundary_synthesis_matrix(arc_centers(n_arcs), n_modes)
@@ -302,7 +310,7 @@ def _basis_from(config, seed, gamma):
     depth, rings, aspect = _grid_shape(config)
     return liouville.ChaosBasis(
         gamma,
-        int(config.get("n_replicas", 400)),
+        _count(config, "n_replicas", 400),
         RngStream(seed, 1),
         depth=depth,
         rings_per_band=rings,
@@ -315,7 +323,7 @@ def _basis_from(config, seed, gamma):
 def run_volume_law(config, seed, outdir):
     ins = _insertions_from(config)
     liouville.require_admissible(ins)
-    n_draws = int(config.get("n_draws", 10000))
+    n_draws = _count(config, "n_draws", 10000)
     basis = _basis_from(config, seed, ins.params.gamma)
     half = lambda pair: pair.bulk.integrate(lambda z: (np.real(z) > 0).astype(float)) / pair.bulk.total
     draws = liouville.sample_liouville_triple(
@@ -351,8 +359,7 @@ def run_volume_law(config, seed, outdir):
 def run_partition(config, seed, outdir):
     ins = _insertions_from(config)
     basis = _basis_from(config, seed, ins.params.gamma)
-    method = config.get("method", "auto")
-    value, stderr = liouville.partition_estimate(ins, basis=basis, method=method)
+    value, stderr = liouville.partition_estimate(ins, basis=basis)
     bulk_tot, bdry_tot = basis.drifted_totals(ins)
     csv = io.write_csv(
         os.path.join(outdir, "partition.csv"),
@@ -364,7 +371,7 @@ def run_partition(config, seed, outdir):
         "estimate": value,
         "stderr": stderr,
         "n_replicas": basis.n_replicas,
-        "method": method,
+        "method": "gamma" if ins.params.mu_boundary == 0.0 else "quadrature",
         "s_total": float(ins.s_total),
         **_sampler_report(basis.sampler),
     }
@@ -451,7 +458,7 @@ def _maps_config(config):
 
 def run_maps_sample(config, seed, outdir):
     cfg = _maps_config(config)
-    n_draws = int(config.get("n_draws", 100000))
+    n_draws = _count(config, "n_draws", 100000)
     sampler = maps.BoltzmannSampler(cfg)
     n_arr, p_arr = sampler.sample(n_draws, RngStream(seed, 0))
     files = [
@@ -496,7 +503,7 @@ def run_maps_sample(config, seed, outdir):
 
 def run_maps_density(config, seed, outdir):
     cfg = _maps_config(config)
-    n_draws = int(config.get("n_draws", 100000))
+    n_draws = _count(config, "n_draws", 100000)
     bins = tuple(config.get("bins", (20, 20)))
     report = maps.joint_density_check(cfg, n_draws, RngStream(seed, 0), bins=bins)
     rows = []
@@ -594,12 +601,20 @@ def validate(config, command=None):
         except GridError as exc:
             findings.append({"code": "averaging circles", "message": str(exc)})
 
-    if "levels" in config or "mode_levels" in config or command == "critical-ladder":
+    if any(k in config for k in ("kind", "levels", "mode_levels")) or command == "critical-ladder":
         # the check critical-ladder runs before it draws anything
         try:
             _ladder_from(config)
         except (ConfigurationError, GridError) as exc:
             findings.append({"code": "ladder", "message": str(exc)})
+    else:
+        # the count check of every other experiment
+        for key in ("n_replicas", "n_draws"):
+            if isinstance(config.get(key), (int, float)):
+                try:
+                    _count(config, key, None)
+                except ConfigurationError as exc:
+                    findings.append({"code": "counts", "message": str(exc)})
 
     if "grid" in config or command in ("gmc-bulk", "volume-law", "partition", "kpz-covariance"):
         # the graded grid these runs build, under the checks their sampler runs first

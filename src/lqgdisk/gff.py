@@ -9,7 +9,7 @@ kinds of draws are provided:
   (boundary_synthesis_matrix);
 * an exact-covariance Gaussian vector of circle-average values on a point
   set, built from the closed-form regularized covariance and a symmetric
-  factorization (FieldSampler), or, on a point set invariant under
+  factorization (FieldSampler), or, on a graded grid invariant under
   rotation by 2 pi / ROTATION_ORDER, from the block-circulant structure
   of that covariance (RotationSampler).
 
@@ -194,42 +194,30 @@ class FieldSampler:
 
 
 class RotationSampler:
-    """Exact draws of circle-average values on a rotation-invariant point set.
+    """Exact draws of circle-average values on a rotation-invariant grid.
 
-    The points must be the orbits of k base points x_a, those with angle
-    in [0, 2 pi / ROTATION_ORDER), under rotation by
-    w = e^{2 pi i / ROTATION_ORDER}, with one averaging radius per orbit
-    (GridError otherwise); the circles are checked as in
-    neumann_covariance.  The covariance of the values at w^d x_a and
-    w^d' x_b is c(d' - d)[a, b], c(d)[a, b] = G(x_a, w^d x_b): block
-    circulant over the rotation index d, with the Hermitian eigenblocks
-    sum_d c(d)^T e^{-2 pi i q d / ROTATION_ORDER}, q = 0..ROTATION_ORDER/2,
-    which circulant_root factors and circulant_fields draws from.
+    The grid (gmc.graded_disk_grid) consists of the orbits of its base
+    cells x_a, those with slot % ROTATION_ORDER == 0, under rotation by
+    w = e^{2 pi i / ROTATION_ORDER}, with one averaging radius per orbit;
+    cell i is w^d x_a for slot[i] = a * ROTATION_ORDER + d.  The circles
+    are checked as in neumann_covariance.  The covariance of the values at
+    w^d x_a and w^d' x_b is c(d' - d)[a, b], c(d)[a, b] = G(x_a, w^d x_b):
+    block circulant over the rotation index d, with the Hermitian
+    eigenblocks sum_d c(d)^T e^{-2 pi i q d / ROTATION_ORDER},
+    q = 0..ROTATION_ORDER/2, which circulant_root factors and
+    circulant_fields draws from.
     """
 
-    def __init__(self, points, eps):
-        pts = np.asarray(points, dtype=complex)
-        eps = np.broadcast_to(np.asarray(eps, dtype=float), pts.shape)
+    def __init__(self, grid):
+        pts, eps = grid.centers, grid.eps
         check_averaging_circles(pts, eps)
         n = ROTATION_ORDER
-        sector = np.floor(np.angle(pts) % (2.0 * np.pi) * (n / (2.0 * np.pi))).astype(int) % n
-        base = np.flatnonzero(sector == 0)
-        turns = np.exp(2j * np.pi * np.arange(n) / n)
-        unturned = pts * np.conj(turns[sector])
-        gap = np.abs(unturned[:, None] - pts[base][None, :])
-        orbit = np.argmin(gap, axis=1)
-        # value i of a draw is entry (orbit[i], sector[i]) of a (k, n) field block
-        self._index = orbit * n + sector
-        if (
-            len(base) * n != len(pts)
-            or not np.array_equal(np.sort(self._index), np.arange(len(pts)))
-            or np.max(gap[np.arange(len(pts)), orbit]) > 1e-12
-            or np.any(eps != eps[base][orbit])
-        ):
-            raise GridError(f"the points are not invariant under rotation by 2 pi / {n}")
+        base = np.flatnonzero(grid.slot % n == 0)
+        self._index = grid.slot
         self.noise_shape = (len(base), n)
         self.variances = covariance_entries(pts, pts, eps)
         x = pts[base]
+        turns = np.exp(2j * np.pi * np.arange(n) / n)
         turned = x[None, :] * turns[:, None, None]
         blocks = covariance_entries(x[:, None], turned, eps[base][:, None])
         spectrum = np.fft.rfft(blocks.transpose(0, 2, 1), axis=0)

@@ -73,8 +73,8 @@ class GradedDiskGrid:
 
     Bands halve in radial width toward r = 1 and the last band touches the
     boundary; every cell records its radial extent, angular width, center,
-    and averaging radius eps (half the local atom spacing, strictly less
-    than the distance to the boundary).
+    averaging radius eps (half the local atom spacing, strictly less than
+    the distance to the boundary), and slot, its index in its sampler's field block.
     """
 
     centers: np.ndarray
@@ -82,8 +82,7 @@ class GradedDiskGrid:
     r_lo: np.ndarray
     r_hi: np.ndarray
     dtheta: np.ndarray
-    band: np.ndarray
-    n_bands: int
+    slot: np.ndarray
     rings_per_band: int
 
     @property
@@ -146,8 +145,7 @@ def window_sector_grid(depth):
         r_lo=np.repeat(radii - eps, n_t),
         r_hi=np.repeat(radii + eps, n_t),
         dtheta=np.full(centers.shape, dth),
-        band=np.full(centers.shape, depth, dtype=int),
-        n_bands=1,
+        slot=np.arange(centers.size),
         rings_per_band=n_r,
     )
 
@@ -161,9 +159,13 @@ def graded_disk_grid(n_bands, rings_per_band=2, aspect=2.0):
     about `aspect` times the ring width: the cell count of a band is
     rounded up to a multiple of gff.ROTATION_ORDER, so the grid is
     invariant under rotation by 2 pi / ROTATION_ORDER (the symmetry
-    gff.RotationSampler uses).  Refining n_bands by one splits the last
-    band and leaves all other cells unchanged.  A grid of more than
-    gff.MAX_FIELD_POINTS cells raises GridError before any cell is built.
+    gff.RotationSampler uses): cell t of a ring of k ROTATION_ORDER cells,
+    the turn by t div k of the ring's base cell t mod k, has slot
+    (o + t mod k) ROTATION_ORDER + t div k, o the ring's first orbit.
+    Refining n_bands by one splits the last band and leaves all other
+    cells unchanged.  A band of zero width in floating point, or a grid
+    of more than gff.MAX_FIELD_POINTS cells, raises GridError before any
+    cell is built.
     """
     if n_bands < 1:
         raise GridError("n_bands must be at least 1")
@@ -174,14 +176,19 @@ def graded_disk_grid(n_bands, rings_per_band=2, aspect=2.0):
         lo = 1.0 - 2.0 ** (-b)
         hi = 1.0 if b == n_bands - 1 else 1.0 - 2.0 ** (-b - 1)
         w = (hi - lo) / rings_per_band
+        if w <= 0.0:
+            raise GridError(f"band {b} has zero width in floating point; lower the depth")
         r_mid = 0.5 * (lo + hi)
         per_turn = 2.0 * np.pi * r_mid / (aspect * w * ROTATION_ORDER)
         bands.append((lo, w, ROTATION_ORDER * int(np.ceil(per_turn))))
     check_point_count(rings_per_band * sum(n for _, _, n in bands))
-    centers, eps, r_lo, r_hi, dtheta, band = [], [], [], [], [], []
+    centers, eps, r_lo, r_hi, dtheta, slot = [], [], [], [], [], []
     shave = 1.0 - 1e-9
-    for b, (lo, w, n_theta) in enumerate(bands):
+    orbits = 0
+    for lo, w, n_theta in bands:
         theta = arc_centers(n_theta)
+        k = n_theta // ROTATION_ORDER
+        t = np.arange(n_theta)
         for i in range(rings_per_band):
             a = lo + i * w
             c = a + 0.5 * w
@@ -193,15 +200,15 @@ def graded_disk_grid(n_bands, rings_per_band=2, aspect=2.0):
             r_lo.append(np.full(n_theta, a))
             r_hi.append(np.full(n_theta, a + w))
             dtheta.append(np.full(n_theta, 2.0 * np.pi / n_theta))
-            band.append(np.full(n_theta, b, dtype=int))
+            slot.append((orbits + t % k) * ROTATION_ORDER + t // k)
+            orbits += k
     return GradedDiskGrid(
         centers=np.concatenate(centers),
         eps=np.concatenate(eps),
         r_lo=np.concatenate(r_lo),
         r_hi=np.concatenate(r_hi),
         dtheta=np.concatenate(dtheta),
-        band=np.concatenate(band),
-        n_bands=n_bands,
+        slot=np.concatenate(slot),
         rings_per_band=rings_per_band,
     )
 

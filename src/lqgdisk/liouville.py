@@ -13,7 +13,8 @@ The reduced partition function in the flat background metric is
 with I and J the drifted bulk/boundary chaos totals and s_total =
 sum alpha + sum beta/2 - Q.  When mu_b = 0 the c-integral is a Gamma
 integral and the total volume follows a Gamma(s_total/gamma, mu) law,
-independent of the normalized measures.
+independent of the normalized measures.  Every estimator reads the
+per-replica c-integrals from one helper, _log_zero_mode.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
-import scipy.special
 
 from .errors import (
     ConfigurationError,
@@ -261,7 +261,7 @@ class ChaosBasis:
         self.gamma = float(gamma)
         self.n_replicas = int(n_replicas)
         self.grid = graded_disk_grid(depth, rings_per_band, aspect)
-        self.sampler = RotationSampler(self.grid.centers, self.grid.eps)
+        self.sampler = RotationSampler(self.grid)
         self.n_modes = int(n_modes)
         self.n_arcs = int(n_arcs)
         self.arc_theta = arc_centers(n_arcs)
@@ -390,86 +390,31 @@ def log_prefactor(ins):
     return out
 
 
-def _log_c_integral(s_total, gamma, mu_i, mub_j):
-    """log of int e^{s c} exp(-mu_i e^{gamma c} - mub_j e^{(gamma/2) c}) dc.
+def _log_zero_mode(ins, basis):
+    """log K_r - log(2/gamma) per replica, K_r the zero-mode c-integral, and the totals (I, J).
 
-    The integrand is log-concave with a unique interior maximum whenever
-    s_total > 0 and mu_i + mub_j > 0; integrates around the peak after an
-    exact location of the stationary point.
-    """
-    if s_total <= 0.0:
-        raise NotAdmissibleError("the zero-mode integral diverges for s_total <= 0")
-    g = gamma
-    # stationary point: s = mu_i g u^2 + mub_j (g/2) u with u = e^{(g/2) c}
-    if mu_i > 0.0:
-        disc = (mub_j * g / 2.0) ** 2 + 4.0 * mu_i * g * s_total
-        u_star = (-mub_j * g / 2.0 + math.sqrt(disc)) / (2.0 * mu_i * g)
-    else:
-        u_star = 2.0 * s_total / (g * mub_j)
-    c_star = (2.0 / g) * math.log(u_star)
-
-    def log_f(c):
-        return s_total * c - mu_i * math.exp(g * c) - mub_j * math.exp(g * c / 2.0)
-
-    return _log_peaked_integral(log_f, c_star, "zero-mode")
-
-
-def _log_peaked_integral(log_f, t_star, what):
-    """log of int e^{log_f(t)} dt for a log-concave integrand peaked at t_star.
-
-    Expands the bracket until the integrand is negligible at both ends,
-    then integrates with quad; raises ResamplingError unless quad reports
-    a relative error below 1e-8.
-    """
-    peak = log_f(t_star)
-    lo, hi = t_star - 1.0, t_star + 1.0
-    while log_f(lo) - peak > math.log(1e-14):
-        lo -= 1.0 + (t_star - lo)
-    while log_f(hi) - peak > math.log(1e-14):
-        hi += 1.0 + (hi - t_star)
-    val, err = scipy.integrate.quad(
-        lambda t: math.exp(log_f(t) - peak), lo, hi, limit=200, epsabs=0.0, epsrel=1e-10
-    )
-    if not np.isfinite(val) or val <= 0.0 or err > 1e-8 * val:
-        raise ResamplingError(f"{what} quadrature did not converge (value {val}, err {err})")
-    return peak + math.log(val)
-
-
-def partition_estimate(ins, basis, method="auto"):
-    """Monte Carlo estimate of the reduced partition function over a ChaosBasis.
-
-    Returns (value, stderr).  With mu_boundary = 0 and method "auto" or
-    "gamma" the zero-mode integral is reduced in closed form to
-    gamma^-1 Gamma(s/gamma) mu^{-s/gamma} E[I^{-s/gamma}]; method
-    "quadrature" evaluates the c-integral numerically per replica (the two
-    paths agree to quadrature accuracy on identical replicas).
+    y = J_r e^{(gamma/2) c} turns K_r into (2/gamma) J_r^{-a} int_0^inf y^{a-1}
+    e^{-mu R_r y^2 - mu_b y} dy, a = 2 s / gamma, R_r = I_r / J_r^2: a Gamma
+    integral when mu_b = 0, _log_y_integral otherwise.
     """
     require_admissible(ins)
     p = ins.params
     bulk_tot, bdry_tot = basis.drifted_totals(ins)
-
-    if method == "auto":
-        method = "gamma" if p.mu_boundary == 0.0 else "quadrature"
-    if method == "gamma":
-        if p.mu_boundary != 0.0:
-            raise ConfigurationError("the closed-form reduction requires mu_boundary = 0")
-        q = ins.s_total / p.gamma
-        log_k = (
-            -math.log(p.gamma)
-            + math.lgamma(q)
-            - q * math.log(p.mu)
-            - q * np.log(bulk_tot)
-        )
-    elif method == "quadrature":
-        log_k = np.array(
-            [
-                _log_c_integral(ins.s_total, p.gamma, p.mu * i_r, p.mu_boundary * j_r)
-                for i_r, j_r in zip(bulk_tot, bdry_tot)
-            ]
-        )
+    ratio = bulk_tot / bdry_tot**2
+    a_exp = 2.0 * ins.s_total / p.gamma
+    if p.mu_boundary == 0.0:
+        log_y = math.log(0.5) + math.lgamma(a_exp / 2.0) - (a_exp / 2.0) * np.log(p.mu * ratio)
     else:
-        raise ConfigurationError(f"unknown method {method!r}")
+        log_y = np.array([_log_y_integral(a_exp, p.mu * r, p.mu_boundary) for r in ratio])
+    return log_y - a_exp * np.log(bdry_tot), bulk_tot, bdry_tot
 
+
+def partition_estimate(ins, basis):
+    """Monte Carlo estimate (value, stderr) of the reduced partition function over a ChaosBasis.
+
+    The prefactor times the replica mean of the zero-mode integrals of _log_zero_mode.
+    """
+    log_k = _log_zero_mode(ins, basis)[0] + math.log(2.0 / ins.params.gamma)
     shift = float(np.max(log_k))
     scaled = np.exp(log_k - shift)
     pref = math.exp(log_prefactor(ins) + shift)
@@ -488,13 +433,13 @@ def kpz_ratio_test(ins, psi, basis):
     """
     if ins.params.mu_boundary != 0.0:
         raise ConfigurationError("the ratio test is implemented for mu_boundary = 0")
-    require_admissible(ins)
+    log_orig = _log_zero_mode(ins, basis)[0]
     moved = mobius_moved(ins, psi)
-    q = ins.s_total / ins.params.gamma
-    i_orig, _ = basis.drifted_totals(ins)
-    i_moved, _ = basis.drifted_totals(moved)
-    w_orig = i_orig ** (-q)
-    w_moved = i_moved ** (-q)
+    log_moved = _log_zero_mode(moved, basis)[0]
+    # one shift for both sets, so that it cancels from every ratio below
+    shift = max(float(np.max(log_orig)), float(np.max(log_moved)))
+    w_orig = np.exp(log_orig - shift)
+    w_moved = np.exp(log_moved - shift)
     log_ratio = (
         math.log(w_moved.mean())
         - math.log(w_orig.mean())
@@ -515,35 +460,18 @@ def kpz_ratio_test(ins, psi, basis):
 def sample_liouville_triple(ins, n_draws, rng, basis, functionals=None):
     """Draws of (V, L) with per-draw functionals of the normalized measures.
 
-    Replicas of the drifted chaos pair on the ChaosBasis are importance-weighted by the
-    boundary total to the power -(2/gamma) s_total times the one-dimensional
-    y-integral; a replica is selected per draw and y is drawn from the
-    density proportional to y^{(2/gamma) s_total - 1}
-    e^{-mu y^2 R - mu_b y}.  Returns a dict with arrays V, L, replica, and
-    one column per requested functional (evaluated on the selected
-    replica's normalized pair).
+    Replicas of the drifted chaos pair on the ChaosBasis are importance-weighted by
+    their zero-mode integrals (_log_zero_mode); a replica is selected per
+    draw and y is drawn from the density proportional to
+    y^{(2/gamma) s_total - 1} e^{-mu y^2 R - mu_b y}.  Returns a dict with
+    arrays V, L, replica, and one column per requested functional
+    (evaluated on the selected replica's normalized pair).
     """
-    require_admissible(ins)
     p = ins.params
-    bulk_tot, bdry_tot = basis.drifted_totals(ins)
+    log_w, bulk_tot, bdry_tot = _log_zero_mode(ins, basis)
     ratio = bulk_tot / bdry_tot**2
     a_exp = 2.0 * ins.s_total / p.gamma
-
-    # replica log-weights: y-integral times J^{-a}
-    if p.mu_boundary == 0.0:
-        log_y_int = (
-            math.log(0.5) + math.lgamma(a_exp / 2.0) - (a_exp / 2.0) * np.log(p.mu * ratio)
-        )
-    else:
-        log_y_int = np.array(
-            [
-                _log_y_integral(a_exp, p.mu * r_r, p.mu_boundary)
-                for r_r in ratio
-            ]
-        )
-    log_w = log_y_int - a_exp * np.log(bdry_tot)
-    shift = float(np.max(log_w))
-    w = np.exp(log_w - shift)
+    w = np.exp(log_w - np.max(log_w))
     if not np.any(w > 0.0):
         raise ResamplingError("all replica weights underflowed")
     prob = w / w.sum()
@@ -574,12 +502,26 @@ def _y_peak(a_exp, mu_r, mu_b):
 
 
 def _log_y_integral(a_exp, mu_r, mu_b):
-    """log of int_0^inf y^{a-1} e^{-mu_r y^2 - mu_b y} dy."""
+    """log of int_0^inf y^{a-1} e^{-mu_r y^2 - mu_b y} dy, by quad in t = ln y around the peak.
+
+    Raises ResamplingError unless quad reports a relative error below 1e-8.
+    """
     def log_f(t):
-        # substitute y = e^t
         return a_exp * t - mu_r * math.exp(2.0 * t) - mu_b * math.exp(t)
 
-    return _log_peaked_integral(log_f, math.log(_y_peak(a_exp, mu_r, mu_b)), "y-integral")
+    t_star = math.log(_y_peak(a_exp, mu_r, mu_b))
+    peak = log_f(t_star)
+    lo, hi = t_star - 1.0, t_star + 1.0
+    while log_f(lo) - peak > math.log(1e-14):
+        lo -= 1.0 + (t_star - lo)
+    while log_f(hi) - peak > math.log(1e-14):
+        hi += 1.0 + (hi - t_star)
+    val, err = scipy.integrate.quad(
+        lambda t: math.exp(log_f(t) - peak), lo, hi, limit=200, epsabs=0.0, epsrel=1e-10
+    )
+    if not np.isfinite(val) or val <= 0.0 or err > 1e-8 * val:
+        raise ResamplingError(f"zero-mode quadrature did not converge (value {val}, err {err})")
+    return peak + math.log(val)
 
 
 def _draw_y(a_exp, mu_r, mu_b, gen):
@@ -602,8 +544,9 @@ def unit_volume_expectation(ins, fn, basis):
     """Expectation of a measure functional at unit total volume.
 
     Requires mu_boundary = 0 and exactly three boundary insertions of
-    weight gamma.  The estimator is the I^{-s/gamma}-weighted average of
-    fn over the replicas of the ChaosBasis (normalized pairs), with a
+    weight gamma.  The estimator is the average of fn over the replicas of
+    the ChaosBasis (normalized pairs), weighted by their zero-mode
+    integrals (_log_zero_mode, proportional to I^{-s/gamma}), with a
     jackknife standard error; returns (value, stderr, effective_sample_size).
     """
     p = ins.params
@@ -614,10 +557,8 @@ def unit_volume_expectation(ins, fn, basis):
         raise ConfigurationError(
             "unit-volume expectations require exactly three boundary insertions of weight gamma"
         )
-    require_admissible(ins)
-    bulk_tot, _ = basis.drifted_totals(ins)
-    q = ins.s_total / p.gamma  # equals 3/2 - Q/gamma
-    w = bulk_tot ** (-q)
+    log_w = _log_zero_mode(ins, basis)[0]
+    w = np.exp(log_w - np.max(log_w))
     f_vals = basis.functional_values(ins, fn)
     ess = float(w.sum() ** 2 / np.sum(w**2))
     if ess < 10.0:

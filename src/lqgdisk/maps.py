@@ -435,7 +435,8 @@ def joint_density_check(cfg, n_draws, rng, bins=(20, 20), window=None, min_expec
     edges snapped to half-lattice; expected masses come from the density evaluated on the
     same lattice and normalized over the binned range.  Bins with expected
     count below `min_expected` are flagged underpowered and excluded
-    (degrees of freedom adjust accordingly).
+    (degrees of freedom adjust accordingly); fewer than two bins left
+    leave no degree of freedom and raise ConfigurationError.
     """
     if window is None:
         window = (max(0.05, 600.0 * cfg.a**2), max(0.2, 24.0 * cfg.a))
@@ -468,6 +469,8 @@ def joint_density_check(cfg, n_draws, rng, bins=(20, 20), window=None, min_expec
     expected = probs * in_range.sum()
 
     use = expected >= min_expected
+    if use.sum() < 2:
+        raise ConfigurationError("under two bins reach the expected-count floor; increase n_draws")
     chi2 = float(np.sum((observed[use] - expected[use]) ** 2 / expected[use]))
     dof = int(use.sum()) - 1
     p_value = float(scipy.stats.chi2.sf(chi2, dof))

@@ -164,6 +164,12 @@ def marked_config(**extra):
     }
 
 
+KPZ_INSERTIONS = [
+    {"kind": "bulk", "position": [0.4, 0.0], "weight": 1.5},
+    {"kind": "bulk", "position": [-0.3, 0.2], "weight": 1.5},
+]
+
+
 class TestGradedSampler:
     @pytest.mark.parametrize(
         "command, config",
@@ -171,15 +177,7 @@ class TestGradedSampler:
             ("gmc-bulk", {"gamma": 1.0, "grid": {"n_r": 4}, "n_replicas": 20}),
             ("volume-law", marked_config()),
             ("partition", marked_config()),
-            (
-                "kpz-covariance",
-                marked_config(
-                    insertions=[
-                        {"kind": "bulk", "position": [0.4, 0.0], "weight": 1.5},
-                        {"kind": "bulk", "position": [-0.3, 0.2], "weight": 1.5},
-                    ]
-                ),
-            ),
+            ("kpz-covariance", marked_config(insertions=KPZ_INSERTIONS)),
         ],
         ids=["gmc-bulk", "volume-law", "partition", "kpz-covariance"],
     )
@@ -207,6 +205,89 @@ class TestGradedSampler:
         config = {"gamma": 1.0, "grid": {"n_r": 4}, "n_replicas": 5, "seed": 1}
         assert run_cli(tmp_path, "gmc-bulk", config) == 4
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "numeric"
+
+
+class TestCounts:
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            ("gmc-bulk", {"gamma": 1.0, "grid": {"n_r": 4}, "n_replicas": 1}, "n_replicas"),
+            ("gmc-boundary", {"gamma": 1.0, "n_modes": 64, "n_replicas": 1}, "n_replicas"),
+            ("volume-law", marked_config(n_replicas=1), "n_replicas"),
+            ("volume-law", marked_config(n_draws=1), "n_draws"),
+            ("partition", marked_config(n_replicas=1), "n_replicas"),
+            (
+                "kpz-covariance",
+                marked_config(n_replicas=1, insertions=KPZ_INSERTIONS),
+                "n_replicas",
+            ),
+            ("maps-sample", {"a": 0.3, "mu": 1.0, "mu_boundary": 1.0, "n_draws": 1}, "n_draws"),
+            ("maps-density", {"a": 0.05, "n_draws": 1}, "n_draws"),
+        ],
+        ids=[
+            "gmc-bulk", "gmc-boundary", "volume-law-replicas", "volume-law-draws",
+            "partition", "kpz-covariance", "maps-sample", "maps-density",
+        ],
+    )
+    def test_count_below_two_is_exit_2(self, tmp_path, capsys, command, config, key):
+        message = f"{key} must be at least 2, got 1"
+        assert cli.validate(config) == [{"code": "counts", "message": message}]
+        assert run_cli(tmp_path, command, config, seed=3) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"type": "config", "message": message}
+
+    def test_ladder_counts_follow_the_ladder_rule(self):
+        config = {"kind": "boundary", "mode_levels": [64, 128], "n_replicas": 1}
+        assert cli.validate(config) == []
+
+
+class TestPartitionRoute:
+    @pytest.mark.parametrize(
+        "mu_b, route, ignored", [(0.0, "gamma", "quadrature"), (0.5, "quadrature", "gamma")]
+    )
+    def test_route_follows_mu_boundary(self, tmp_path, capsys, mu_b, route, ignored):
+        config = marked_config(mu_boundary=mu_b, method=ignored)
+        assert run_cli(tmp_path, "partition", config, seed=3) == 0
+        summary = json.loads((tmp_path / "out" / "partition" / "partition-summary.json").read_text())
+        assert summary["method"] == route
+
+
+class TestDensityDegreesOfFreedom:
+    def test_density_without_degrees_of_freedom_is_exit_2(self, tmp_path, capsys):
+        # every bin is below the expected-count floor: no chi-square test is left
+        config = {"a": 0.05, "n_draws": 20000}
+        assert run_cli(tmp_path, "maps-density", config, seed=3) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "config" and "increase n_draws" in err["message"]
+
+
+SMOKE_CONFIGS = {
+    "green-selftest": {"n_samples": 200},
+    "field-sample": {"points": [[0.1, 0.0], [-0.4, 0.3]], "eps": 0.02},
+    "gmc-bulk": {"gamma": 1.0, "grid": {"n_r": 4}, "n_replicas": 20},
+    "gmc-boundary": {"gamma": 1.0, "n_modes": 64, "n_replicas": 20},
+    "critical-ladder": {"kind": "bulk", "levels": [4, 5], "n_replicas": [100, 50]},
+    "seiberg-validate": marked_config(),
+    "volume-law": marked_config(),
+    "partition": marked_config(mu_boundary=0.5),
+    "kpz-covariance": marked_config(insertions=KPZ_INSERTIONS),
+    "weyl-anomaly": {"gamma": 1.0, "n_r": 32},
+    "maps-count": {"n_max": 10, "p_max": 3},
+    "maps-sample": {"a": 0.3, "mu": 1.0, "mu_boundary": 1.0, "n_draws": 500},
+    "maps-density": {"a": 0.03, "mu": 1.0, "mu_boundary": 1.0, "n_draws": 20000},
+}
+
+
+def test_every_summary_is_strict_json(tmp_path, capsys):
+    assert set(SMOKE_CONFIGS) == set(cli.EXPERIMENTS)
+
+    def reject(constant):
+        raise ValueError(f"summary holds {constant}")
+
+    for command, config in SMOKE_CONFIGS.items():
+        assert run_cli(tmp_path, command, config, seed=2) == 0, command
+        text = (tmp_path / "out" / command / f"{command}-summary.json").read_text()
+        json.loads(text, parse_constant=reject)
 
 
 class TestCriticalLadder:
@@ -307,6 +388,15 @@ class TestValidate:
         findings = cli.validate(config)
         assert [f["code"] for f in findings] == ["grid"]
         assert "at most 8192 points" in findings[0]["message"]
+        assert run_cli(tmp_path, "gmc-bulk", config) == 2
+
+    @pytest.mark.parametrize("n_r, match", [(54, "at most 8192 points"), (60, "zero width")])
+    def test_zero_width_band_finding(self, tmp_path, capsys, n_r, match):
+        # from band 54 on, 1 - 2^-b rounds to 1.0 and the band has no width
+        config = {"gamma": 1.0, "grid": {"n_r": n_r}, "seed": 5}
+        findings = cli.validate(config)
+        assert [f["code"] for f in findings] == ["grid"]
+        assert match in findings[0]["message"]
         assert run_cli(tmp_path, "gmc-bulk", config) == 2
 
     def test_maps_tail_bound_finding(self, tmp_path, capsys):

@@ -60,8 +60,8 @@ class TestGradedGrid:
     def test_refinement_splits_last_band_only(self):
         g7 = graded_disk_grid(7, 2, 2.0)
         g8 = graded_disk_grid(8, 2, 2.0)
-        shared7 = g7.centers[g7.band < 6]
-        shared8 = g8.centers[g8.band < 6]
+        shared7 = g7.centers[g7.r_lo < 1 - 2**-6]
+        shared8 = g8.centers[g8.r_lo < 1 - 2**-6]
         assert np.array_equal(shared7, shared8)
 
     @pytest.mark.parametrize("depth", range(1, 9))
@@ -106,12 +106,12 @@ class TestGradedGrid:
             "r_lo": np.repeat(radii - eps, n_t),
             "r_hi": np.repeat(radii + eps, n_t),
             "dtheta": np.full(centers.shape, 0.84 / n_t),
-            "band": np.full(centers.shape, depth, dtype=int),
+            "slot": np.arange(centers.size),
         }
         grid = window_sector_grid(depth)
         for name, value in want.items():
             assert np.array_equal(getattr(grid, name), value), name
-        assert (grid.n_bands, grid.rings_per_band) == (1, n_r)
+        assert grid.rings_per_band == n_r
 
     def test_window_grid_depth_ten_subdivides_depth_nine(self):
         g9, g10 = window_sector_grid(9), window_sector_grid(10)

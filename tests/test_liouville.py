@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 import scipy.stats
 
 from lqgdisk.errors import (
@@ -16,6 +17,7 @@ from lqgdisk.geometry import LiouvilleParams, MobiusMap, green, weyl_anomaly, Co
 from lqgdisk.gff import FieldSampler, RngStream, arc_centers
 from lqgdisk.gmc import graded_disk_grid
 from lqgdisk.liouville import (
+    _log_zero_mode,
     ChaosBasis,
     InsertionSet,
     boundary_drift_factors,
@@ -24,6 +26,7 @@ from lqgdisk.liouville import (
     kpz_log_weight,
     kpz_ratio_test,
     log_constant,
+    log_prefactor,
     mobius_moved,
     partition_estimate,
     sample_liouville_triple,
@@ -240,13 +243,55 @@ class TestShiftedChaos:
                 boundary_drift_factors(ins, theta, p.gamma)
 
 
+def c_form_zero_mode(s, gamma, a_i, b_j):
+    """Independent oracle: quad in c of e^{s c} exp(-a_i e^{gamma c} - b_j e^{(gamma/2) c})."""
+    terms = [(k, e) for k, e in ((a_i, gamma), (b_j, 0.5 * gamma)) if k > 0.0]
+
+    def log_f(c):
+        with np.errstate(over="ignore"):
+            return s * c - sum(k * np.exp(e * c) for k, e in terms)
+
+    c_star = scipy.optimize.minimize_scalar(
+        lambda c: -log_f(c), bounds=(-200.0, 200.0), method="bounded"
+    ).x
+    peak = log_f(c_star)
+    total = 0.0
+    for lo, hi in ((-np.inf, c_star), (c_star, np.inf)):
+        val, err = scipy.integrate.quad(
+            lambda c: np.exp(log_f(c) - peak), lo, hi, epsabs=0.0, epsrel=1e-12, limit=500
+        )
+        assert err < 1e-11 * val
+        total += val
+    return peak + math.log(total)
+
+
 class TestPartition:
-    def test_two_path_consistency(self, basis83):
-        p = LiouvilleParams(gamma=GAMMA_83, mu=1.0, mu_boundary=0.0)
+    @pytest.mark.parametrize(
+        "mu, mu_b", [(1.0, 0.0), (1.0, 0.5), (0.0, 0.5)], ids=["gamma", "quadrature", "mu-zero"]
+    )
+    def test_zero_mode_matches_c_form_quadrature(self, basis83, mu, mu_b):
+        p = LiouvilleParams(gamma=GAMMA_83, mu=mu, mu_boundary=mu_b)
         ins = InsertionSet(params=p, bulk=((0.0, GAMMA_83),), boundary=((1.0, GAMMA_83),))
-        v1, s1 = partition_estimate(ins, basis=basis83, method="gamma")
-        v2, s2 = partition_estimate(ins, basis=basis83, method="quadrature")
-        assert abs(v2 - v1) / v1 < 1e-6
+        log_w, bulk_tot, bdry_tot = _log_zero_mode(ins, basis83)
+        log_k = log_w + math.log(2.0 / GAMMA_83)
+        for r in (0, 1, int(np.argmax(log_w)), int(np.argmin(log_w))):
+            want = c_form_zero_mode(ins.s_total, GAMMA_83, mu * bulk_tot[r], mu_b * bdry_tot[r])
+            assert abs(math.expm1(log_k[r] - want)) < 1e-9
+
+    def test_mu_zero_boundary_positive_closed_form(self, basis83):
+        # at mu = 0 the y-integral is Gamma(a) mu_b^{-a}: K_r = (2/gamma) Gamma(a) (mu_b J_r)^{-a}
+        p = LiouvilleParams(gamma=GAMMA_83, mu=0.0, mu_boundary=0.5)
+        ins = InsertionSet(params=p, bulk=((0.0, GAMMA_83),), boundary=((1.0, GAMMA_83),))
+        assert seiberg_check(ins).case == "mu_zero_boundary_positive"
+        a = 2.0 * ins.s_total / GAMMA_83
+        _, bdry_tot = basis83.drifted_totals(ins)
+        k = 2.0 / GAMMA_83 * math.gamma(a) * (0.5 * bdry_tot) ** (-a)
+        value, stderr = partition_estimate(ins, basis=basis83)
+        pref = math.exp(log_prefactor(ins))
+        assert value == pytest.approx(pref * k.mean(), rel=1e-9)
+        assert stderr == pytest.approx(pref * k.std(ddof=1) / math.sqrt(len(k)), rel=1e-9)
+        draws = sample_liouville_triple(ins, 200, RngStream(72, 6), basis=basis83)
+        assert np.all(draws["V"] > 0) and np.all(draws["L"] > 0)
 
     def test_mu_scaling_exact(self, basis83):
         ins1 = InsertionSet(
@@ -259,8 +304,8 @@ class TestPartition:
             bulk=((0.0, GAMMA_83),),
             boundary=((1.0, GAMMA_83),),
         )
-        v1, _ = partition_estimate(ins1, basis=basis83, method="gamma")
-        v4, _ = partition_estimate(ins4, basis=basis83, method="gamma")
+        v1, _ = partition_estimate(ins1, basis=basis83)
+        v4, _ = partition_estimate(ins4, basis=basis83)
         s = ins1.s_total
         assert v4 == pytest.approx(4.0 ** (-s / GAMMA_83) * v1, rel=1e-12)
 
@@ -306,7 +351,7 @@ class TestVolumeLawSampling:
         monkeypatch.setattr(scipy.integrate, "quad", lambda *args, **kwargs: (1.0, 0.5))
         p = LiouvilleParams(gamma=GAMMA_83, mu=1.0, mu_boundary=0.5)
         ins = InsertionSet(params=p, bulk=((0.0, GAMMA_83),), boundary=((1.0, GAMMA_83),))
-        with pytest.raises(ResamplingError, match="y-integral"):
+        with pytest.raises(ResamplingError, match="zero-mode quadrature"):
             sample_liouville_triple(ins, 10, RngStream(72, 5), basis=basis83)
 
     def test_gamma_law_second_insertion_set(self):
