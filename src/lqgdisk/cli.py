@@ -4,7 +4,7 @@ Each subcommand runs one experiment from a JSON config, writes CSV/JSON
 artifacts plus a manifest with per-file checksums, and is byte-reproducible
 from (config, seed).  --workers is accepted and recorded for compatibility
 and has no effect.  Exit codes: 0 ok, 2 invalid config, 3 admissibility
-rejection, 4 numeric failure.
+rejection, 4 numeric failure; validate exits 2 when it reports a finding.
 """
 
 from __future__ import annotations
@@ -90,12 +90,36 @@ def _grid_from(config):
     return graded_disk_grid(*_grid_shape(config))
 
 
-def _count(config, key, default):
-    """Replica or draw count config[key]; ConfigurationError below 2 (no standard error)."""
-    n = int(config.get(key, default))
-    if n < 2:
-        raise ConfigurationError(f"{key} must be at least 2, got {n}")
-    return n
+def _count(config, key, default, least=2):
+    """Integer count config[key] of at least `least` (2 leaves a standard error)."""
+    n = config.get(key, default)
+    if isinstance(n, bool) or not isinstance(n, (int, float)) or not float(n).is_integer():
+        raise ConfigurationError(f"{key} must be an integer, got {n!r}")
+    if n < least:
+        raise ConfigurationError(f"{key} must be at least {least}, got {int(n)}")
+    return int(n)
+
+
+def _samples_from(config):
+    return _count(config, "n_samples", 10000, least=1)
+
+
+def _points_from(config):
+    """(points, eps) of a field-sample run: the config's points, else the graded grid's cells."""
+    if "points" in config:
+        return np.array([complex(p[0], p[1]) for p in config["points"]]), float(config["eps"])
+    grid = _grid_from(config)
+    return grid.centers, grid.eps
+
+
+def _modes_from(config):
+    """(n_modes, n_arcs) of the boundary synthesis."""
+    return _count(config, "n_modes", 1024, least=1), _count(config, "n_arcs", 256, least=1)
+
+
+def _mobius_from(config):
+    mb = config.get("mobius", {"a": [0.3, 0.0], "alpha": 0.0})
+    return MobiusMap(a=complex(mb["a"][0], mb["a"][1]), alpha=float(mb.get("alpha", 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +127,7 @@ def _count(config, key, default):
 # ---------------------------------------------------------------------------
 
 def run_green_selftest(config, seed, outdir):
-    n = int(config.get("n_samples", 10000))
+    n = _samples_from(config)
     gen = RngStream(seed, 0).generator()
     r = np.sqrt(gen.uniform(size=n)) * 0.999
     x = r * np.exp(2j * np.pi * gen.uniform(size=n))
@@ -154,12 +178,7 @@ def run_green_selftest(config, seed, outdir):
 
 
 def run_field_sample(config, seed, outdir):
-    if "points" in config:
-        pts = np.array([complex(p[0], p[1]) for p in config["points"]])
-        eps = float(config["eps"])
-    else:
-        grid = _grid_from(config)
-        pts, eps = grid.centers, grid.eps
+    pts, eps = _points_from(config)
     sampler = FieldSampler(pts, eps)
     values = sampler.draw(RngStream(seed, 0))
     files = io.save_field(pts, sampler.eps, values, os.path.join(outdir, "field-sample"), seed, 0)
@@ -203,7 +222,7 @@ def _sampler_report(sampler):
 
 
 def run_gmc_bulk(config, seed, outdir):
-    gamma = float(config["gamma"])
+    gamma = _params_from(config).gamma
     n_replicas = _count(config, "n_replicas", 1000)
     grid = _grid_from(config)
     sampler = RotationSampler(grid)
@@ -224,10 +243,9 @@ def run_gmc_bulk(config, seed, outdir):
 
 
 def run_gmc_boundary(config, seed, outdir):
-    gamma = float(config["gamma"])
+    gamma = _params_from(config).gamma
     n_replicas = _count(config, "n_replicas", 1000)
-    n_modes = int(config.get("n_modes", 1024))
-    n_arcs = int(config.get("n_arcs", 256))
+    n_modes, n_arcs = _modes_from(config)
     synthesis = boundary_synthesis_matrix(arc_centers(n_arcs), n_modes)
     var_n = truncated_boundary_variance(n_modes)
 
@@ -308,6 +326,7 @@ def run_seiberg_validate(config, seed, outdir):
 
 def _basis_from(config, seed, gamma):
     depth, rings, aspect = _grid_shape(config)
+    n_modes, n_arcs = _modes_from(config)
     return liouville.ChaosBasis(
         gamma,
         _count(config, "n_replicas", 400),
@@ -315,8 +334,8 @@ def _basis_from(config, seed, gamma):
         depth=depth,
         rings_per_band=rings,
         aspect=aspect,
-        n_modes=int(config.get("n_modes", 1024)),
-        n_arcs=int(config.get("n_arcs", 256)),
+        n_modes=n_modes,
+        n_arcs=n_arcs,
     )
 
 
@@ -380,8 +399,7 @@ def run_partition(config, seed, outdir):
 
 def run_kpz_covariance(config, seed, outdir):
     ins = _insertions_from(config)
-    mb = config.get("mobius", {"a": [0.3, 0.0], "alpha": 0.0})
-    psi = MobiusMap(a=complex(mb["a"][0], mb["a"][1]), alpha=float(mb.get("alpha", 0.0)))
+    psi = _mobius_from(config)
     basis = _basis_from(config, seed, ins.params.gamma)
     dev, stderr = liouville.kpz_ratio_test(ins, psi, basis)
     summary = {
@@ -397,7 +415,7 @@ def run_kpz_covariance(config, seed, outdir):
 
 
 def run_weyl_anomaly(config, seed, outdir):
-    params = _params_from({**config, "mu": config.get("mu", 1.0)})
+    params = _params_from(config)
     n_r = int(config.get("n_r", 512))
     n_theta = int(config.get("n_theta", 2 * n_r))
     c = float(config.get("shift", 0.8))
@@ -555,82 +573,62 @@ EXPERIMENTS = {
 # validation
 # ---------------------------------------------------------------------------
 
+CONFIG_ERRORS = (ConfigurationError, DomainError, GridError, UnsupportedSeparationError, KeyError)
+LADDER_KEYS = ("kind", "levels", "mode_levels")
+
+
+def _bound_findings(config):
+    """A finding per Seiberg bound (seiberg_check) that rejects the config's insertion set."""
+    v = liouville.seiberg_check(_insertions_from(config))
+    failed = (
+        (v.bound1_ok, "bound1 violated", "total weight does not exceed Q"),
+        (v.bound2_ok or v.case != "mu_positive", "bound2 violated", "a bulk weight reaches Q"),
+        (v.bound3_ok, "bound3 violated", "a boundary weight reaches Q"),
+    )
+    return [{"code": code, "message": message} for ok, code, message in failed if not ok]
+
+
+def _graded_grid_check(config):
+    """The check a graded-grid sampler runs before it draws."""
+    grid = _grid_from(config)
+    check_averaging_circles(grid.centers, grid.eps)
+
+
+# (finding code, config keys that trigger it, the reader or check a run calls on them).
+# A reader's error is its finding, coded "separation rule" when averaging circles overlap;
+# a check returns its findings as a list.
+VALIDATION = (
+    ("parameters", ("gamma",), _params_from),
+    ("insertions", ("insertions",), _bound_findings),
+    ("averaging circles", ("points",), lambda c: check_averaging_circles(*_points_from(c))),
+    ("grid", ("grid",), _graded_grid_check),
+    ("ladder", LADDER_KEYS, _ladder_from),
+    ("counts", ("n_replicas",), lambda c: _count(c, "n_replicas", None)),
+    ("counts", ("n_draws",), lambda c: _count(c, "n_draws", None)),
+    ("counts", ("n_samples",), _samples_from),
+    ("modes", ("n_modes", "n_arcs"), _modes_from),
+    ("mobius", ("mobius",), _mobius_from),
+    ("maps-config", ("a",), lambda c: maps.BoltzmannSampler(_maps_config(c))),
+)
+
+
 def validate(config, command=None):
-    """Non-mutating config checks; returns a list of findings."""
-    findings = []
+    """Each distinct error that the readers and checks of VALIDATION raise on the config."""
     command = command or config.get("command")
+    findings = []
     if command is not None and command not in EXPERIMENTS:
         findings.append({"code": "unknown-command", "message": f"unknown experiment {command!r}"})
-
-    if "gamma" in config:
+    ladder = any(key in config for key in LADDER_KEYS)  # its counts are read by _ladder_from
+    for code, keys, read in VALIDATION:
+        if not any(key in config for key in keys) or (ladder and code == "counts"):
+            continue
         try:
-            params = _params_from(config)
-        except DomainError as exc:
-            findings.append({"code": "parameters", "message": str(exc)})
-            params = None
-        if params is not None and "insertions" in config:
-            try:
-                ins = _insertions_from(config)
-                verdict = liouville.seiberg_check(ins)
-                if not verdict.bound1_ok:
-                    findings.append(
-                        {"code": "bound1 violated", "message": "total weight does not exceed Q"}
-                    )
-                if verdict.case == "mu_positive" and not verdict.bound2_ok:
-                    findings.append(
-                        {"code": "bound2 violated", "message": "a bulk weight reaches Q"}
-                    )
-                if not verdict.bound3_ok:
-                    findings.append(
-                        {"code": "bound3 violated", "message": "a boundary weight reaches Q"}
-                    )
-                if verdict.case == "degenerate":
-                    findings.append(
-                        {"code": "degenerate", "message": "mu and mu_boundary are both zero"}
-                    )
-            except DomainError as exc:
-                findings.append({"code": "insertions", "message": str(exc)})
-
-    if "points" in config and "eps" in config:
-        # the checks neumann_covariance applies before a field-sample run
-        pts = np.array([complex(p[0], p[1]) for p in config["points"]])
-        try:
-            check_averaging_circles(pts, float(config["eps"]))
-        except UnsupportedSeparationError as exc:
-            findings.append({"code": "separation rule", "message": str(exc)})
-        except GridError as exc:
-            findings.append({"code": "averaging circles", "message": str(exc)})
-
-    if any(k in config for k in ("kind", "levels", "mode_levels")) or command == "critical-ladder":
-        # the check critical-ladder runs before it draws anything
-        try:
-            _ladder_from(config)
-        except (ConfigurationError, GridError) as exc:
-            findings.append({"code": "ladder", "message": str(exc)})
-    else:
-        # the count check of every other experiment
-        for key in ("n_replicas", "n_draws"):
-            if isinstance(config.get(key), (int, float)):
-                try:
-                    _count(config, key, None)
-                except ConfigurationError as exc:
-                    findings.append({"code": "counts", "message": str(exc)})
-
-    if "grid" in config or command in ("gmc-bulk", "volume-law", "partition", "kpz-covariance"):
-        # the graded grid these runs build, under the checks their sampler runs first
-        try:
-            grid = _grid_from(config)
-            check_averaging_circles(grid.centers, grid.eps)
-        except (GridError, UnsupportedSeparationError) as exc:
-            findings.append({"code": "grid", "message": str(exc)})
-
-    if "a" in config:
-        try:
-            # the sampler checks its truncation tails against maps.TAIL_BOUND
-            maps.BoltzmannSampler(_maps_config(config))
-        except ConfigurationError as exc:
-            findings.append({"code": "maps-config", "message": str(exc)})
-
+            found = read(config)
+        except CONFIG_ERRORS as exc:
+            separation = isinstance(exc, UnsupportedSeparationError)
+            found = [{"code": "separation rule" if separation else code, "message": str(exc)}]
+        if isinstance(found, list):
+            findings += [f for f in found if f["message"] not in {g["message"] for g in findings}]
     return findings
 
 
@@ -671,7 +669,7 @@ def main(argv=None):
     if args.command == "validate":
         findings = validate(config)
         print(json.dumps({"findings": findings}, indent=2))
-        return 0
+        return 2 if findings else 0
 
     try:
         seed = _resolve_seed(args, config)
@@ -704,7 +702,7 @@ def main(argv=None):
     except NotAdmissibleError as exc:
         print(json.dumps({"error": {"type": "not-admissible", "message": str(exc)}}))
         return 3
-    except (ConfigurationError, DomainError, GridError, UnsupportedSeparationError, KeyError) as exc:
+    except CONFIG_ERRORS as exc:
         print(json.dumps({"error": {"type": "config", "message": str(exc)}}))
         return 2
     except (FactorizationError, ResamplingError, ArithmeticError) as exc:

@@ -20,7 +20,7 @@ class UnsupportedSeparationError(ValueError):
     """
 
 
-class InvalidMapError(ValueError):
+class InvalidMapError(DomainError):
     """Mobius map parameter |a| >= 1 does not map the disk to itself."""
 
 

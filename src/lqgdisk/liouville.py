@@ -121,9 +121,9 @@ class AdmissibilityVerdict:
 def seiberg_check(ins):
     """Admissibility verdict for an insertion set.
 
-    With mu > 0 all three bounds are required; with mu = 0 and a positive
-    boundary constant the bulk-weight bound is not (bulk weights may reach
-    or exceed Q).  All inequalities are strict.
+    With mu > 0 all three bounds are required; with mu = 0 (so a positive
+    boundary constant, by LiouvilleParams) the bulk-weight bound is not
+    (bulk weights may reach or exceed Q).  All inequalities are strict.
     """
     p = ins.params
     q = p.Q
@@ -131,15 +131,8 @@ def seiberg_check(ins):
     bound1 = s_total > 0.0
     bound2 = all(a < q for _, a in ins.bulk)
     bound3 = all(b < q for _, b in ins.boundary)
-    if p.mu > 0.0:
-        case = "mu_positive"
-        admissible = bound1 and bound2 and bound3
-    elif p.mu_boundary > 0.0:
-        case = "mu_zero_boundary_positive"
-        admissible = bound1 and bound3
-    else:
-        case = "degenerate"
-        admissible = False
+    case = "mu_positive" if p.mu > 0.0 else "mu_zero_boundary_positive"
+    admissible = bound1 and bound3 and (bound2 or p.mu == 0.0)
     return AdmissibilityVerdict(case, bound1, bound2, bound3, admissible, s_total)
 
 
@@ -282,6 +275,7 @@ class ChaosBasis:
         streams = [rng.child(k) for k in range(2 * self.n_replicas)]
         self.bulk_masses = replica_map(bulk_block, streams[0::2], self.sampler.noise_shape)
         self.bdry_masses = replica_map(boundary_block, streams[1::2], (2, self.n_modes))
+        self._factors = {}
 
     def drift_factors(self, ins):
         """Atomwise drift weights for an insertion set on this basis grid."""
@@ -292,14 +286,20 @@ class ChaosBasis:
         fd = boundary_drift_factors(ins, self.arc_theta, g)
         return fb, fd
 
+    def _drift(self, ins):
+        """drift_factors(ins), computed once per insertion set."""
+        if ins not in self._factors:
+            self._factors[ins] = self.drift_factors(ins)
+        return self._factors[ins]
+
     def drifted_totals(self, ins):
         """Per-replica totals (I_r, J_r) of the drifted measures."""
-        fb, fd = self.drift_factors(ins)
+        fb, fd = self._drift(ins)
         return self.bulk_masses @ fb, self.bdry_masses @ fd
 
     def functional_values(self, ins, fn):
         """fn evaluated on every replica's drifted pair."""
-        factors = self.drift_factors(ins)
+        factors = self._drift(ins)
         return np.array([fn(self._pair(factors, r)) for r in range(self.n_replicas)])
 
     def _pair(self, factors, r):

@@ -285,6 +285,7 @@ def test_every_summary_is_strict_json(tmp_path, capsys):
         raise ValueError(f"summary holds {constant}")
 
     for command, config in SMOKE_CONFIGS.items():
+        assert cli.validate(config, command) == [], command
         assert run_cli(tmp_path, command, config, seed=2) == 0, command
         text = (tmp_path / "out" / command / f"{command}-summary.json").read_text()
         json.loads(text, parse_constant=reject)
@@ -441,6 +442,39 @@ class TestValidate:
             ],
         }
         assert cli.validate(config) == []
+
+    @pytest.mark.parametrize(
+        "command, config, code",
+        [
+            ("gmc-bulk", {"gamma": 1.0, "grid": {"n_r": 4}, "n_replicas": [100]}, "counts"),
+            ("kpz-covariance", marked_config(insertions=KPZ_INSERTIONS, mobius={"a": [1.5, 0]}), "mobius"),
+            ("green-selftest", {"n_samples": 0}, "counts"),
+            ("gmc-boundary", {"gamma": 1.0, "n_modes": 64, "n_replicas": 20, "n_arcs": 0}, "modes"),
+            ("gmc-boundary", {"gamma": 1.0, "n_modes": 0, "n_replicas": 20}, "modes"),
+            ("gmc-bulk", {"gamma": 1.0, "grid": {"n_r": 4}, "n_replicas": 2.5}, "counts"),
+            ("gmc-boundary", {"gamma": 1.0, "n_modes": True, "n_replicas": 20}, "modes"),
+        ],
+        ids=[
+            "list-count", "mobius-outside-disk", "no-samples", "no-arcs", "no-modes",
+            "fractional-count", "boolean-modes",
+        ],
+    )
+    def test_validate_reports_the_error_the_run_stops_at(self, tmp_path, capsys, command, config, code):
+        findings = cli.validate(config, command)
+        assert [f["code"] for f in findings] == [code]
+        assert run_cli(tmp_path, command, config, seed=3) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"type": "config", "message": findings[0]["message"]}
+
+    @pytest.mark.parametrize(
+        "config, code", [({"gamma": 1.0, "grid": {"n_r": 9}}, 2), ({"gamma": 1.0, "grid": {"n_r": 4}}, 0)]
+    )
+    def test_validate_exit_status(self, tmp_path, capsys, config, code):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert cli.main(["validate", "--config", str(cfg_path)]) == code
+        findings = json.loads(capsys.readouterr().out)["findings"]
+        assert [f["code"] for f in findings] == (["grid"] if code else [])
 
     def test_degenerate_constants_finding(self):
         config = {
