@@ -79,7 +79,10 @@ def _grid_shape(config):
     rings = int(grid_cfg.get("rings_per_band", 2))
     if "n_theta" in grid_cfg:
         # angular resolution given as the outermost band's cell count
-        aspect = 2.0 * math.pi * rings * 2.0 ** (depth - 1) / float(grid_cfg["n_theta"])
+        n_theta = float(grid_cfg["n_theta"])
+        if not 0.0 < n_theta < math.inf:
+            raise GridError(f"n_theta must be positive and finite, got {n_theta}")
+        aspect = 2.0 * math.pi * rings * 2.0 ** (depth - 1) / n_theta
         aspect = min(max(aspect, 0.5), 8.0)
     else:
         aspect = float(grid_cfg.get("aspect", 2.0))
@@ -90,14 +93,18 @@ def _grid_from(config):
     return graded_disk_grid(*_grid_shape(config))
 
 
+def _integer(n, name, least):
+    """n as an int, if it is an integer of at least `least`."""
+    if isinstance(n, bool) or not isinstance(n, (int, float)) or not float(n).is_integer():
+        raise ConfigurationError(f"{name} must be an integer, got {n!r}")
+    if n < least:
+        raise ConfigurationError(f"{name} must be at least {least}, got {int(n)}")
+    return int(n)
+
+
 def _count(config, key, default, least=2):
     """Integer count config[key] of at least `least` (2 leaves a standard error)."""
-    n = config.get(key, default)
-    if isinstance(n, bool) or not isinstance(n, (int, float)) or not float(n).is_integer():
-        raise ConfigurationError(f"{key} must be an integer, got {n!r}")
-    if n < least:
-        raise ConfigurationError(f"{key} must be at least {least}, got {int(n)}")
-    return int(n)
+    return _integer(config.get(key, default), key, least)
 
 
 def _samples_from(config):
@@ -414,11 +421,20 @@ def run_kpz_covariance(config, seed, outdir):
     return summary, []
 
 
+def _weyl_from(config):
+    """(n_r, n_theta, c) of weyl-anomaly: its conformal grid and the constant shift c."""
+    n_r = _count(config, "n_r", 512, least=1)
+    n_theta = _count(config, "n_theta", 2 * n_r, least=1)
+    ConformalFactor.check_grid(n_r, n_theta)
+    c = float(config.get("shift", 0.8))
+    if not math.isfinite(c):
+        raise ConfigurationError(f"shift must be finite, got {c}")
+    return n_r, n_theta, c
+
+
 def run_weyl_anomaly(config, seed, outdir):
     params = _params_from(config)
-    n_r = int(config.get("n_r", 512))
-    n_theta = int(config.get("n_theta", 2 * n_r))
-    c = float(config.get("shift", 0.8))
+    n_r, n_theta, c = _weyl_from(config)
     base = ConformalFactor.constant(0.0, n_r, n_theta)
     const = ConformalFactor.constant(c, n_r, n_theta)
     const_resid = weyl_anomaly(const, base, params) - (1.0 + 6.0 * params.Q**2) * c / 12.0
@@ -446,13 +462,20 @@ def run_weyl_anomaly(config, seed, outdir):
     return summary, []
 
 
-def run_maps_count(config, seed, outdir):
+def _pairs_from(config):
+    """(n, p) of maps-count, n >= 0 and p >= 1: its pairs, else n <= n_max for each p <= p_max."""
     pairs = config.get("pairs")
     if pairs is None:
-        n_max = int(config.get("n_max", 20))
-        p_max = int(config.get("p_max", 5))
-        pairs = [(n, p) for p in range(1, p_max + 1) for n in range(0, n_max + 1)]
-    rows = [(n, p, str(maps.count_exact(int(n), int(p)))) for n, p in pairs]
+        n_max = _count(config, "n_max", 20, least=0)
+        p_max = _count(config, "p_max", 5, least=1)
+        return tuple((n, p) for p in range(1, p_max + 1) for n in range(0, n_max + 1))
+    if not isinstance(pairs, list) or not all(isinstance(q, list) and len(q) == 2 for q in pairs):
+        raise ConfigurationError(f"pairs must be a list of [n, p] pairs, got {pairs!r}")
+    return tuple((_integer(n, "n", 0), _integer(p, "p", 1)) for n, p in pairs)
+
+
+def run_maps_count(config, seed, outdir):
+    rows = [(n, p, str(maps.count_exact(n, p))) for n, p in _pairs_from(config)]
     csv = io.write_csv(os.path.join(outdir, "maps-count.csv"), ["n", "p", "count"], rows)
     summary = {
         "quantity": "exact boundary-quadrangulation counts",
@@ -519,10 +542,18 @@ def run_maps_sample(config, seed, outdir):
     return summary, files
 
 
+def _bins_from(config):
+    """(volume, length) bin counts of maps-density, each at least 1."""
+    bins = config.get("bins", [20, 20])
+    if not isinstance(bins, list) or len(bins) != 2:
+        raise ConfigurationError(f"bins must be a list of two counts, got {bins!r}")
+    return tuple(_integer(b, "bins", 1) for b in bins)
+
+
 def run_maps_density(config, seed, outdir):
     cfg = _maps_config(config)
     n_draws = _count(config, "n_draws", 100000)
-    bins = tuple(config.get("bins", (20, 20)))
+    bins = _bins_from(config)
     report = maps.joint_density_check(cfg, n_draws, RngStream(seed, 0), bins=bins)
     rows = []
     for i in range(report.observed.shape[0]):
@@ -575,6 +606,7 @@ EXPERIMENTS = {
 
 CONFIG_ERRORS = (ConfigurationError, DomainError, GridError, UnsupportedSeparationError, KeyError)
 LADDER_KEYS = ("kind", "levels", "mode_levels")
+BASIS_COMMANDS = ("volume-law", "partition", "kpz-covariance")  # they build a ChaosBasis
 
 
 def _bound_findings(config):
@@ -588,20 +620,15 @@ def _bound_findings(config):
     return [{"code": code, "message": message} for ok, code, message in failed if not ok]
 
 
-def _graded_grid_check(config):
-    """The check a graded-grid sampler runs before it draws."""
-    grid = _grid_from(config)
-    check_averaging_circles(grid.centers, grid.eps)
-
-
-# (finding code, config keys that trigger it, the reader or check a run calls on them).
-# A reader's error is its finding, coded "separation rule" when averaging circles overlap;
-# a check returns its findings as a list.
+# (finding code, the config keys or experiments that trigger it, the reader or check a run
+# calls on them).  A reader's error is its finding, coded "separation rule" when averaging
+# circles overlap; a check returns its findings as a list (and no reader returns a list).
 VALIDATION = (
     ("parameters", ("gamma",), _params_from),
+    ("parameters", BASIS_COMMANDS, lambda c: liouville.ChaosBasis.check_gamma(_params_from(c).gamma)),
     ("insertions", ("insertions",), _bound_findings),
     ("averaging circles", ("points",), lambda c: check_averaging_circles(*_points_from(c))),
-    ("grid", ("grid",), _graded_grid_check),
+    ("grid", ("grid",), _grid_from),
     ("ladder", LADDER_KEYS, _ladder_from),
     ("counts", ("n_replicas",), lambda c: _count(c, "n_replicas", None)),
     ("counts", ("n_draws",), lambda c: _count(c, "n_draws", None)),
@@ -609,6 +636,9 @@ VALIDATION = (
     ("modes", ("n_modes", "n_arcs"), _modes_from),
     ("mobius", ("mobius",), _mobius_from),
     ("maps-config", ("a",), lambda c: maps.BoltzmannSampler(_maps_config(c))),
+    ("bins", ("bins",), _bins_from),
+    ("pairs", ("pairs", "maps-count"), _pairs_from),
+    ("conformal grid", ("n_r", "n_theta", "shift"), _weyl_from),
 )
 
 
@@ -619,8 +649,9 @@ def validate(config, command=None):
     if command is not None and command not in EXPERIMENTS:
         findings.append({"code": "unknown-command", "message": f"unknown experiment {command!r}"})
     ladder = any(key in config for key in LADDER_KEYS)  # its counts are read by _ladder_from
-    for code, keys, read in VALIDATION:
-        if not any(key in config for key in keys) or (ladder and code == "counts"):
+    present = {*config, command}
+    for code, triggers, read in VALIDATION:
+        if present.isdisjoint(triggers) or (ladder and code == "counts"):
             continue
         try:
             found = read(config)

@@ -227,16 +227,21 @@ class ConformalFactor:
     boundary: np.ndarray
 
     def __post_init__(self):
-        if self.n_r < 16 or self.n_theta < 16:
-            raise GridError("grid must be at least 16 x 16")
-        if self.n_theta % 2 != 0:
-            raise GridError("n_theta must be even")
+        self.check_grid(self.n_r, self.n_theta)
         if self.values.shape != (self.n_r, self.n_theta):
             raise GridError("values shape does not match the grid")
         if self.boundary.shape != (self.n_theta,):
             raise GridError("boundary shape does not match the grid")
         if not (np.all(np.isfinite(self.values)) and np.all(np.isfinite(self.boundary))):
             raise GridError("conformal factor values must be finite")
+
+    @staticmethod
+    def check_grid(n_r, n_theta):
+        """Raise GridError unless the grid is at least 16 x 16 with n_theta even."""
+        if n_r < 16 or n_theta < 16:
+            raise GridError("grid must be at least 16 x 16")
+        if n_theta % 2 != 0:
+            raise GridError("n_theta must be even")
 
     @property
     def radii(self):

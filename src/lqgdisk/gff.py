@@ -199,8 +199,8 @@ class RotationSampler:
     The grid (gmc.graded_disk_grid) consists of the orbits of its base
     cells x_a, those with slot % ROTATION_ORDER == 0, under rotation by
     w = e^{2 pi i / ROTATION_ORDER}, with one averaging radius per orbit;
-    cell i is w^d x_a for slot[i] = a * ROTATION_ORDER + d.  The circles
-    are checked as in neumann_covariance.  The covariance of the values at
+    cell i is w^d x_a for slot[i] = a * ROTATION_ORDER + d.  The grid
+    has checked its own circles.  The covariance of the values at
     w^d x_a and w^d' x_b is c(d' - d)[a, b], c(d)[a, b] = G(x_a, w^d x_b):
     block circulant over the rotation index d, with the Hermitian
     eigenblocks sum_d c(d)^T e^{-2 pi i q d / ROTATION_ORDER},
@@ -210,7 +210,6 @@ class RotationSampler:
 
     def __init__(self, grid):
         pts, eps = grid.centers, grid.eps
-        check_averaging_circles(pts, eps)
         n = ROTATION_ORDER
         base = np.flatnonzero(grid.slot % n == 0)
         self._index = grid.slot

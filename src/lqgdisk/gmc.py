@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridError
-from .gff import ROTATION_ORDER, arc_centers, check_point_count
+from .gff import ROTATION_ORDER, arc_centers, check_averaging_circles, check_point_count
 
 __all__ = [
     "AtomicMeasure",
@@ -163,14 +163,19 @@ def graded_disk_grid(n_bands, rings_per_band=2, aspect=2.0):
     the turn by t div k of the ring's base cell t mod k, has slot
     (o + t mod k) ROTATION_ORDER + t div k, o the ring's first orbit.
     Refining n_bands by one splits the last band and leaves all other
-    cells unchanged.  A band of zero width in floating point, or a grid
-    of more than gff.MAX_FIELD_POINTS cells, raises GridError before any
-    cell is built.
+    cells unchanged.  An aspect that is not positive and finite, a band
+    of zero width in floating point, or a grid of more than
+    gff.MAX_FIELD_POINTS cells, raises GridError before any cell is
+    built.  The circles pass gff.check_averaging_circles (its errors are
+    raised), checked ring by ring against the next ring out: ring radii
+    grow by at least the sum of the averaging radii.
     """
     if n_bands < 1:
         raise GridError("n_bands must be at least 1")
     if rings_per_band < 1:
         raise GridError("rings_per_band must be at least 1")
+    if not 0.0 < aspect < np.inf:
+        raise GridError(f"aspect must be positive and finite, got {aspect}")
     bands = []
     for b in range(n_bands):
         lo = 1.0 - 2.0 ** (-b)
@@ -180,7 +185,7 @@ def graded_disk_grid(n_bands, rings_per_band=2, aspect=2.0):
             raise GridError(f"band {b} has zero width in floating point; lower the depth")
         r_mid = 0.5 * (lo + hi)
         per_turn = 2.0 * np.pi * r_mid / (aspect * w * ROTATION_ORDER)
-        bands.append((lo, w, ROTATION_ORDER * int(np.ceil(per_turn))))
+        bands.append((lo, w, ROTATION_ORDER * max(int(np.ceil(per_turn)), 1)))
     check_point_count(rings_per_band * sum(n for _, _, n in bands))
     centers, eps, r_lo, r_hi, dtheta, slot = [], [], [], [], [], []
     shave = 1.0 - 1e-9
@@ -202,6 +207,8 @@ def graded_disk_grid(n_bands, rings_per_band=2, aspect=2.0):
             dtheta.append(np.full(n_theta, 2.0 * np.pi / n_theta))
             slot.append((orbits + t % k) * ROTATION_ORDER + t // k)
             orbits += k
+    for i in range(max(len(centers) - 1, 1)):
+        check_averaging_circles(np.concatenate(centers[i : i + 2]), np.concatenate(eps[i : i + 2]))
     return GradedDiskGrid(
         centers=np.concatenate(centers),
         eps=np.concatenate(eps),

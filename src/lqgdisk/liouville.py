@@ -249,8 +249,7 @@ class ChaosBasis:
         n_modes=1024,
         n_arcs=256,
     ):
-        if not (0.0 < gamma < 2.0):
-            raise DomainError("gamma must lie in (0, 2)")
+        self.check_gamma(gamma)
         self.gamma = float(gamma)
         self.n_replicas = int(n_replicas)
         self.grid = graded_disk_grid(depth, rings_per_band, aspect)
@@ -276,6 +275,12 @@ class ChaosBasis:
         self.bulk_masses = replica_map(bulk_block, streams[0::2], self.sampler.noise_shape)
         self.bdry_masses = replica_map(boundary_block, streams[1::2], (2, self.n_modes))
         self._factors = {}
+
+    @staticmethod
+    def check_gamma(gamma):
+        """Raise DomainError unless 0 < gamma < 2, the couplings a basis is built for."""
+        if not (0.0 < gamma < 2.0):
+            raise DomainError("gamma must lie in (0, 2)")
 
     def drift_factors(self, ins):
         """Atomwise drift weights for an insertion set on this basis grid."""

@@ -35,7 +35,6 @@ __all__ = [
     "log_count_exact",
     "log_count_asymptotic",
     "log_count_exact_certified",
-    "log_bigint",
     "BULK_CRITICAL_WEIGHT",
     "BOUNDARY_CRITICAL_WEIGHT_PER_EDGE",
     "BoltzmannConfig",
@@ -175,17 +174,6 @@ def log_count_asymptotic(n, p):
         - math.log(2.0 * math.pi)
         - 9.0 * p**2 / (4.0 * n)
     )
-
-
-def log_bigint(x):
-    """ln of a (possibly huge) positive integer without float overflow."""
-    if x <= 0:
-        raise DomainError("log_bigint needs a positive integer")
-    bits = x.bit_length()
-    if bits <= 900:
-        return math.log(float(x))
-    shift = bits - 60
-    return math.log(float(x >> shift)) + shift * math.log(2.0)
 
 
 def conjectured_log_density(volume, length, mu, mu_boundary):

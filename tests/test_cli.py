@@ -4,7 +4,8 @@ import tracemalloc
 
 import pytest
 
-from lqgdisk import cli, gff, io, maps
+from lqgdisk import cli, gff, gmc, io, maps
+from lqgdisk.errors import GridError, UnsupportedSeparationError
 
 
 def run_cli(tmp_path, command, config, seed=None, workers=1, outname="out"):
@@ -146,6 +147,44 @@ class TestGridConfig:
         assert basis.grid.size == cli._grid_from(config).size
 
 
+# every graded grid shape the tests build up to depth 7; (5, 2, pi) is n_theta = 64 at depth 5
+TEST_GRID_SHAPES = [(d, 2, 2.0) for d in range(1, 8)] + [(5, 3, 0.5), (5, 1, 8.0), (5, 2, math.pi)]
+
+
+def dense_rule_accepts(shape, monkeypatch):
+    """Whether the grid's cells pass the m x m check of every pair of averaging circles."""
+    with monkeypatch.context() as m:
+        m.setattr(gmc, "check_averaging_circles", lambda points, eps: None)
+        try:
+            grid = gmc.graded_disk_grid(*shape)
+        except GridError:
+            return False
+    try:
+        gff.check_averaging_circles(grid.centers, grid.eps)
+    except (GridError, UnsupportedSeparationError):
+        return False
+    return True
+
+
+class TestGridRule:
+    def test_ring_check_decides_as_the_dense_check(self, tmp_path, capsys, monkeypatch):
+        # at aspect 1e20 every ring has 16 cells; past depth 21-23 the rings lie so close
+        # to r = 1 that rounding eats the 1e-9 shave of their averaging radii
+        deep = [(d, r, 1e20) for r in (1, 2, 3) for d in range(18, 56)]
+        accepted = set()
+        for shape in TEST_GRID_SHAPES + deep:
+            config = {"gamma": 1.0, "grid": dict(zip(("n_r", "rings_per_band", "aspect"), shape))}
+            findings = cli.validate(config)
+            assert (findings == []) == dense_rule_accepts(shape, monkeypatch), shape
+            if findings:
+                assert [f["code"] for f in findings] in (["grid"], ["separation rule"]), shape
+                assert run_cli(tmp_path, "gmc-bulk", config, seed=1) == 2, shape
+            else:
+                accepted.add(shape)
+        assert set(TEST_GRID_SHAPES) <= accepted
+        assert [max(d for d, r, _ in accepted & set(deep) if r == k) for k in (1, 2, 3)] == [23, 22, 21]
+
+
 def marked_config(**extra):
     g = 1.6329931618554518
     return {
@@ -162,6 +201,10 @@ def marked_config(**extra):
         "n_draws": 500,
         **extra,
     }
+
+
+def bulk_grid_config(**grid):
+    return {"gamma": 1.0, "grid": {"n_r": 5, **grid}, "n_replicas": 20}
 
 
 KPZ_INSERTIONS = [
@@ -453,10 +496,30 @@ class TestValidate:
             ("gmc-boundary", {"gamma": 1.0, "n_modes": 0, "n_replicas": 20}, "modes"),
             ("gmc-bulk", {"gamma": 1.0, "grid": {"n_r": 4}, "n_replicas": 2.5}, "counts"),
             ("gmc-boundary", {"gamma": 1.0, "n_modes": True, "n_replicas": 20}, "modes"),
+            ("gmc-bulk", bulk_grid_config(aspect=0), "grid"),
+            ("gmc-bulk", bulk_grid_config(aspect=-2), "grid"),
+            ("gmc-bulk", bulk_grid_config(aspect=1e400), "grid"),
+            ("gmc-bulk", bulk_grid_config(aspect=math.nan), "grid"),
+            ("gmc-bulk", bulk_grid_config(n_theta=0), "grid"),
+            ("partition", marked_config(gamma=2.0), "parameters"),
+            ("volume-law", marked_config(gamma=2.0), "parameters"),
+            ("kpz-covariance", marked_config(gamma=2.0, insertions=KPZ_INSERTIONS), "parameters"),
+            ("weyl-anomaly", {"gamma": 1.0, "n_r": 0}, "conformal grid"),
+            ("weyl-anomaly", {"gamma": 1.0, "n_r": 32, "n_theta": 33}, "conformal grid"),
+            ("weyl-anomaly", {"gamma": 1.0, "n_r": 32, "shift": math.nan}, "conformal grid"),
+            ("maps-density", {"a": 0.3, "n_draws": 20000, "bins": [0, 5]}, "bins"),
+            ("maps-count", {"pairs": [[3, 0]]}, "pairs"),
+            ("maps-count", {"pairs": [[3, 1, 2]]}, "pairs"),
+            ("maps-count", {"n_max": 2.5, "p_max": 3}, "pairs"),
+            ("maps-count", {"n_max": 10, "p_max": 0}, "pairs"),
         ],
         ids=[
             "list-count", "mobius-outside-disk", "no-samples", "no-arcs", "no-modes",
-            "fractional-count", "boolean-modes",
+            "fractional-count", "boolean-modes", "zero-aspect", "negative-aspect",
+            "infinite-aspect", "nan-aspect", "zero-n-theta", "partition-gamma-2",
+            "volume-law-gamma-2", "kpz-gamma-2", "weyl-no-radii", "weyl-odd-angles",
+            "weyl-nan-shift", "density-no-bins", "count-pair-domain", "count-pair-shape",
+            "count-fractional-n-max", "count-no-p",
         ],
     )
     def test_validate_reports_the_error_the_run_stops_at(self, tmp_path, capsys, command, config, code):

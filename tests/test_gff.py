@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,16 @@ class TestRotationSampler:
         emp, want = second / n_draws, dense[base]
         se = np.sqrt((np.outer(np.diag(dense)[base], np.diag(dense)) + want**2) / n_draws)
         assert np.max(np.abs(emp - want) / se) < 5.0
+
+    def test_build_memory(self):
+        # the grid's ring-by-ring circle check builds no m x m matrix (m = 2,336 at depth 7)
+        tracemalloc.start()
+        try:
+            RotationSampler(graded_disk_grid(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
     def test_negative_eigenblock_raises(self, monkeypatch):
         entries = gff.covariance_entries

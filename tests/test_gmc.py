@@ -83,6 +83,10 @@ class TestGradedGrid:
         assert np.all(np.abs(pts[i] - pts[j]) >= (eps[i] + eps[j]) * (1.0 - 1e-12))
         assert np.all(eps < 1.0 - np.abs(pts))
 
+    def test_widest_aspect_keeps_one_orbit_per_ring(self):
+        # aspect * ring width overflows to inf: one orbit of cells per ring, not none
+        assert graded_disk_grid(3, 1, 1e308).size == 3 * ROTATION_ORDER
+
     def test_window_grid_nesting(self):
         g5 = window_sector_grid(5)
         g6 = window_sector_grid(6)
