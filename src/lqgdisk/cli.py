@@ -52,9 +52,9 @@ SEED_ENV = "LQG_SEED"
 
 def _params_from(config):
     return LiouvilleParams(
-        gamma=float(config["gamma"]),
-        mu=float(config.get("mu", 1.0)),
-        mu_boundary=float(config.get("mu_boundary", 0.0)),
+        gamma=_real(config["gamma"], "gamma"),
+        mu=_real(config.get("mu", 1.0), "mu"),
+        mu_boundary=_real(config.get("mu_boundary", 0.0), "mu_boundary"),
     )
 
 
@@ -62,11 +62,11 @@ def _insertions_from(config):
     params = _params_from(config)
     bulk, boundary = [], []
     for item in config.get("insertions", []):
-        z = complex(item["position"][0], item["position"][1])
+        z = _point(item["position"], "position")
         if item["kind"] == "bulk":
-            bulk.append((z, float(item["weight"])))
+            bulk.append((z, _real(item["weight"], "weight")))
         elif item["kind"] == "boundary":
-            boundary.append((z, float(item["weight"])))
+            boundary.append((z, _real(item["weight"], "weight")))
         else:
             raise ConfigurationError(f"unknown insertion kind {item['kind']!r}")
     return liouville.InsertionSet(params=params, bulk=tuple(bulk), boundary=tuple(boundary))
@@ -75,17 +75,20 @@ def _insertions_from(config):
 def _grid_shape(config):
     """(depth, rings_per_band, aspect) of the graded grid a config asks for."""
     grid_cfg = config.get("grid", {})
-    depth = int(grid_cfg.get("n_r", grid_cfg.get("depth", 7)))
-    rings = int(grid_cfg.get("rings_per_band", 2))
+    key = "n_r" if "n_r" in grid_cfg else "depth"
+    depth = _integer(grid_cfg.get(key, 7), key, 1)
+    rings = _integer(grid_cfg.get("rings_per_band", 2), "rings_per_band", 1)
     if "n_theta" in grid_cfg:
         # angular resolution given as the outermost band's cell count
-        n_theta = float(grid_cfg["n_theta"])
-        if not 0.0 < n_theta < math.inf:
+        n_theta = _real(grid_cfg["n_theta"], "n_theta")
+        if n_theta <= 0.0:
             raise GridError(f"n_theta must be positive and finite, got {n_theta}")
-        aspect = 2.0 * math.pi * rings * 2.0 ** (depth - 1) / n_theta
+        # the grid refuses depths past 54 (their bands have zero width), so capping
+        # the exponent changes no accepted grid; it keeps 2^(depth - 1) from overflowing
+        aspect = 2.0 * math.pi * rings * 2.0 ** min(depth - 1, 1023) / n_theta
         aspect = min(max(aspect, 0.5), 8.0)
     else:
-        aspect = float(grid_cfg.get("aspect", 2.0))
+        aspect = _real(grid_cfg.get("aspect", 2.0), "aspect")
     return depth, rings, aspect
 
 
@@ -95,11 +98,25 @@ def _grid_from(config):
 
 def _integer(n, name, least):
     """n as an int, if it is an integer of at least `least`."""
-    if isinstance(n, bool) or not isinstance(n, (int, float)) or not float(n).is_integer():
+    if isinstance(n, bool) or not (isinstance(n, int) or isinstance(n, float) and n.is_integer()):
         raise ConfigurationError(f"{name} must be an integer, got {n!r}")
     if n < least:
         raise ConfigurationError(f"{name} must be at least {least}, got {int(n)}")
     return int(n)
+
+
+def _real(x, name):
+    """x as a float, if it is a finite number."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not abs(x) <= sys.float_info.max:
+        raise ConfigurationError(f"{name} must be a finite number, got {x!r}")
+    return float(x)
+
+
+def _point(p, name):
+    """A point [x, y] as x + iy, if x and y are finite numbers."""
+    if not isinstance(p, list) or len(p) != 2:
+        raise ConfigurationError(f"{name} must be a pair [x, y], got {p!r}")
+    return complex(_real(p[0], name), _real(p[1], name))
 
 
 def _count(config, key, default, least=2):
@@ -114,7 +131,7 @@ def _samples_from(config):
 def _points_from(config):
     """(points, eps) of a field-sample run: the config's points, else the graded grid's cells."""
     if "points" in config:
-        return np.array([complex(p[0], p[1]) for p in config["points"]]), float(config["eps"])
+        return np.array([_point(p, "points") for p in config["points"]]), _real(config["eps"], "eps")
     grid = _grid_from(config)
     return grid.centers, grid.eps
 
@@ -126,7 +143,8 @@ def _modes_from(config):
 
 def _mobius_from(config):
     mb = config.get("mobius", {"a": [0.3, 0.0], "alpha": 0.0})
-    return MobiusMap(a=complex(mb["a"][0], mb["a"][1]), alpha=float(mb.get("alpha", 0.0)))
+    alpha = _real(mb.get("alpha", 0.0), "mobius.alpha")
+    return MobiusMap(a=_point(mb["a"], "mobius.a"), alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +384,8 @@ def run_volume_law(config, seed, outdir):
         "stderr": float(np.std(draws["V"], ddof=1) / math.sqrt(n_draws)),
         "n_replicas": basis.n_replicas,
         "n_draws": n_draws,
+        "ess": draws["ess"],
+        "acceptance_rate": draws["acceptance_rate"],
         **_sampler_report(basis.sampler),
     }
     if ins.params.mu_boundary == 0.0:
@@ -426,10 +446,7 @@ def _weyl_from(config):
     n_r = _count(config, "n_r", 512, least=1)
     n_theta = _count(config, "n_theta", 2 * n_r, least=1)
     ConformalFactor.check_grid(n_r, n_theta)
-    c = float(config.get("shift", 0.8))
-    if not math.isfinite(c):
-        raise ConfigurationError(f"shift must be finite, got {c}")
-    return n_r, n_theta, c
+    return n_r, n_theta, _real(config.get("shift", 0.8), "shift")
 
 
 def run_weyl_anomaly(config, seed, outdir):
@@ -488,9 +505,9 @@ def run_maps_count(config, seed, outdir):
 
 def _maps_config(config):
     return maps.BoltzmannConfig(
-        a=float(config["a"]),
-        mu=float(config.get("mu", 1.0)),
-        mu_boundary=float(config.get("mu_boundary", 1.0)),
+        a=_real(config["a"], "a"),
+        mu=_real(config.get("mu", 1.0), "mu"),
+        mu_boundary=_real(config.get("mu_boundary", 1.0), "mu_boundary"),
         n_max=config.get("n_max"),
         p_max=config.get("p_max"),
         interior_marked=bool(config.get("interior_marked", True)),

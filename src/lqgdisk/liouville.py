@@ -466,11 +466,15 @@ def sample_liouville_triple(ins, n_draws, rng, basis, functionals=None):
     """Draws of (V, L) with per-draw functionals of the normalized measures.
 
     Replicas of the drifted chaos pair on the ChaosBasis are importance-weighted by
-    their zero-mode integrals (_log_zero_mode); a replica is selected per
-    draw and y is drawn from the density proportional to
-    y^{(2/gamma) s_total - 1} e^{-mu y^2 R - mu_b y}.  Returns a dict with
-    arrays V, L, replica, and one column per requested functional
-    (evaluated on the selected replica's normalized pair).
+    their zero-mode integrals (_log_zero_mode) and one is selected per draw.
+    Given replica r, V = L^2 R_r, R_r = I_r / J_r^2.  When mu_b = 0, V is
+    drawn from its Gamma(s_total/gamma, mu) law; otherwise L is drawn exactly
+    from the density proportional to y^{(2/gamma) s_total - 1}
+    e^{-mu R_r y^2 - mu_b y} by _sample_y.  Returns a dict with arrays V, L,
+    replica and weight, one column per requested functional (evaluated on
+    the selected replica's normalized pair), the effective sample size `ess`
+    of the replica weights and the y sampler's `acceptance_rate` (1 when
+    mu_b = 0, where nothing is rejected).
     """
     p = ins.params
     log_w, bulk_tot, bdry_tot = _log_zero_mode(ins, basis)
@@ -479,6 +483,7 @@ def sample_liouville_triple(ins, n_draws, rng, basis, functionals=None):
     w = np.exp(log_w - np.max(log_w))
     if not np.any(w > 0.0):
         raise ResamplingError("all replica weights underflowed")
+    ess = _effective_sample_size(w)
     prob = w / w.sum()
 
     gen = rng.generator()
@@ -486,13 +491,13 @@ def sample_liouville_triple(ins, n_draws, rng, basis, functionals=None):
     if p.mu_boundary == 0.0:
         volume = gen.gamma(shape=a_exp / 2.0, scale=1.0 / p.mu, size=n_draws)
         length = np.sqrt(volume / ratio[idx])
+        acceptance = 1.0
     else:
-        length = np.array(
-            [_draw_y(a_exp, p.mu * ratio[i], p.mu_boundary, gen) for i in idx]
-        )
+        length, acceptance = _sample_y(a_exp, p.mu * ratio[idx], p.mu_boundary, gen)
         volume = length**2 * ratio[idx]
 
     out = {"V": volume, "L": length, "replica": idx, "weight": prob[idx]}
+    out.update(ess=ess, acceptance_rate=acceptance)
     if functionals:
         for name, fn in functionals.items():
             per_replica = basis.functional_values(ins, fn)
@@ -500,10 +505,22 @@ def sample_liouville_triple(ins, n_draws, rng, basis, functionals=None):
     return out
 
 
+def _effective_sample_size(w):
+    """(sum w)^2 / sum w^2 of replica weights w; warns (RuntimeWarning) below 10."""
+    ess = float(w.sum() ** 2 / np.sum(w**2))
+    if ess < 10.0:
+        warnings.warn(f"effective sample size {ess:.1f} < 10", RuntimeWarning)
+    return ess
+
+
 def _y_peak(a_exp, mu_r, mu_b):
-    """Peak y* of y^a e^{-mu_r y^2 - mu_b y}, the stationary point in t = ln y."""
-    disc = mu_b**2 + 8.0 * mu_r * a_exp
-    return (-mu_b + math.sqrt(disc)) / (4.0 * mu_r) if mu_r > 0 else a_exp / mu_b
+    """Peak y* of y^a e^{-mu_r y^2 - mu_b y}, the stationary point in t = ln y.
+
+    The positive root of 2 mu_r y^2 + mu_b y = a, written without the
+    cancellation (or the division by mu_r) of the quadratic formula;
+    elementwise on arrays.
+    """
+    return 2.0 * a_exp / (mu_b + np.sqrt(mu_b**2 + 8.0 * mu_r * a_exp))
 
 
 def _log_y_integral(a_exp, mu_r, mu_b):
@@ -529,16 +546,42 @@ def _log_y_integral(a_exp, mu_r, mu_b):
     return peak + math.log(val)
 
 
-def _draw_y(a_exp, mu_r, mu_b, gen):
-    """Inverse-CDF draw from the density prop to y^{a-1} e^{-mu_r y^2 - mu_b y}."""
-    t_star = math.log(_y_peak(a_exp, mu_r, mu_b))
-    t = np.linspace(t_star - 40.0, t_star + 8.0, 2048)
-    log_pdf = a_exp * t - mu_r * np.exp(2.0 * t) - mu_b * np.exp(t)
-    pdf = np.exp(log_pdf - log_pdf.max())
-    cdf = np.cumsum(pdf)
-    cdf /= cdf[-1]
-    u = gen.uniform()
-    return float(np.exp(np.interp(u, cdf, t)))
+Y_ROUNDS = 64
+
+
+def _sample_y(a_exp, mu_r, mu_b, gen):
+    """Exact draws y_i from the densities proportional to y^{a-1} e^{-mu_r[i] y^2 - mu_b y}.
+
+    Rejection from the tangent-line envelope (Devroye 1986, ch. II.3): at
+    y* = _y_peak, -mu_r y^2 <= -2 mu_r y* y + mu_r y*^2, so a proposal
+    y ~ Gamma(a, rate mu_b + 2 mu_r y*) accepted with probability
+    e^{-mu_r (y - y*)^2} has exactly the target law, for any y* > 0.  With y*
+    the peak, the acceptance rate is at least 1/sqrt(2) (1 when mu_r = 0, a
+    plain Gamma draw).  Rejected entries are proposed again, for at most
+    Y_ROUNDS rounds.  Returns the draws and the share of proposals accepted;
+    raises ResamplingError if a rate or y* is not finite and positive, or if
+    a draw is still rejected after Y_ROUNDS rounds.
+    """
+    with np.errstate(invalid="ignore"):  # a non-finite mu_r is reported below
+        y_star = _y_peak(a_exp, mu_r, mu_b)
+        rate = mu_b + 2.0 * mu_r * y_star
+    ok = np.isfinite(y_star) & np.isfinite(rate) & (y_star > 0.0) & (rate > 0.0)
+    if not np.all(ok):
+        raise ResamplingError("y sampler: the envelope peak and rate must be finite and positive")
+    y = np.empty(len(y_star))
+    todo = np.arange(len(y_star))
+    proposed = 0
+    for _ in range(Y_ROUNDS):
+        if len(todo) == 0:
+            break
+        proposal = gen.standard_gamma(a_exp, size=len(todo)) / rate[todo]
+        keep = gen.random(len(todo)) < np.exp(-mu_r[todo] * (proposal - y_star[todo]) ** 2)
+        y[todo[keep]] = proposal[keep]
+        proposed += len(todo)
+        todo = todo[~keep]
+    if len(todo):
+        raise ResamplingError(f"y sampler: {len(todo)} draws still rejected after {Y_ROUNDS} rounds")
+    return y, len(y) / proposed if proposed else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +608,7 @@ def unit_volume_expectation(ins, fn, basis):
     log_w = _log_zero_mode(ins, basis)[0]
     w = np.exp(log_w - np.max(log_w))
     f_vals = basis.functional_values(ins, fn)
-    ess = float(w.sum() ** 2 / np.sum(w**2))
-    if ess < 10.0:
-        warnings.warn(f"effective sample size {ess:.1f} < 10", RuntimeWarning)
+    ess = _effective_sample_size(w)
     value = float(np.sum(w * f_vals) / w.sum())
     loo = (np.sum(w * f_vals) - w * f_vals) / (w.sum() - w)
     return value, math.sqrt(jackknife_var(loo)), ess

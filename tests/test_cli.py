@@ -92,9 +92,18 @@ class TestRunAndManifest:
         out = json.loads(capsys.readouterr().out)
         assert out["summary"]["gamma_shape"] == pytest.approx(0.25, abs=1e-9)
         assert out["summary"]["ks_pvalue"] > 0.01
+        assert 10.0 < out["summary"]["ess"] <= 120
+        assert out["summary"]["acceptance_rate"] == 1.0  # V is drawn directly
         csv_path = tmp_path / "out" / "volume-law" / "volume-law.csv"
         with open(csv_path) as fh:
             assert fh.readline().strip() == "replica,V,L,weight"
+
+    def test_volume_law_summary_with_boundary_constant(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "volume-law", marked_config(mu_boundary=0.5), seed=99) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert 10.0 < summary["ess"] <= 100
+        assert 1.0 / math.sqrt(2.0) < summary["acceptance_rate"] < 1.0
+        assert "gamma_shape" not in summary and "ks_pvalue" not in summary
 
     def test_maps_sample_formats(self, tmp_path, capsys):
         config = {"a": 0.3, "mu": 1.0, "mu_boundary": 1.0, "n_draws": 500, "seed": 3}
@@ -205,6 +214,10 @@ def marked_config(**extra):
 
 def bulk_grid_config(**grid):
     return {"gamma": 1.0, "grid": {"n_r": 5, **grid}, "n_replicas": 20}
+
+
+def bulk_point(position, weight):
+    return {"kind": "bulk", "position": position, "weight": weight}
 
 
 KPZ_INSERTIONS = [
@@ -512,6 +525,20 @@ class TestValidate:
             ("maps-count", {"pairs": [[3, 1, 2]]}, "pairs"),
             ("maps-count", {"n_max": 2.5, "p_max": 3}, "pairs"),
             ("maps-count", {"n_max": 10, "p_max": 0}, "pairs"),
+            ("gmc-bulk", {"gamma": "x"}, "parameters"),
+            ("volume-law", marked_config(mu_boundary=None), "parameters"),
+            ("volume-law", marked_config(insertions=[bulk_point([0.0], 1.6)]), "insertions"),
+            ("volume-law", marked_config(insertions=[bulk_point([0.0, 0.0], "2")]), "insertions"),
+            ("gmc-bulk", bulk_grid_config(n_r="x"), "grid"),
+            ("gmc-bulk", bulk_grid_config(n_r=4.7), "grid"),
+            ("gmc-bulk", bulk_grid_config(n_r=2000, n_theta=64), "grid"),
+            ("gmc-bulk", bulk_grid_config(n_r=10**400), "grid"),
+            ("gmc-bulk", bulk_grid_config(rings_per_band=1.5), "grid"),
+            ("gmc-bulk", bulk_grid_config(n_theta="64"), "grid"),
+            ("gmc-bulk", bulk_grid_config(aspect=[2.0]), "grid"),
+            ("field-sample", {"points": [[0.1, "0"]], "eps": 0.02}, "averaging circles"),
+            ("kpz-covariance", marked_config(mobius={"a": [0.3, 0], "alpha": "1"}), "mobius"),
+            ("maps-density", {"a": "0.03", "n_draws": 20000}, "maps-config"),
         ],
         ids=[
             "list-count", "mobius-outside-disk", "no-samples", "no-arcs", "no-modes",
@@ -519,7 +546,10 @@ class TestValidate:
             "infinite-aspect", "nan-aspect", "zero-n-theta", "partition-gamma-2",
             "volume-law-gamma-2", "kpz-gamma-2", "weyl-no-radii", "weyl-odd-angles",
             "weyl-nan-shift", "density-no-bins", "count-pair-domain", "count-pair-shape",
-            "count-fractional-n-max", "count-no-p",
+            "count-fractional-n-max", "count-no-p", "string-gamma", "null-mu-boundary",
+            "short-position", "string-weight", "string-depth", "fractional-depth",
+            "overflowing-depth", "huge-integer-depth", "fractional-rings", "string-n-theta",
+            "list-aspect", "string-point", "string-mobius-alpha", "string-maps-a",
         ],
     )
     def test_validate_reports_the_error_the_run_stops_at(self, tmp_path, capsys, command, config, code):

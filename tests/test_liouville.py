@@ -15,9 +15,11 @@ from lqgdisk.errors import (
 )
 from lqgdisk.geometry import LiouvilleParams, MobiusMap, green, weyl_anomaly, ConformalFactor
 from lqgdisk.gff import FieldSampler, RngStream, arc_centers
+from lqgdisk import liouville
 from lqgdisk.gmc import graded_disk_grid
 from lqgdisk.liouville import (
     _log_zero_mode,
+    _sample_y,
     ChaosBasis,
     InsertionSet,
     boundary_drift_factors,
@@ -37,6 +39,22 @@ from lqgdisk.liouville import (
 from tests_support import batched_bulk_masses
 
 GAMMA_83 = math.sqrt(8.0 / 3.0)
+
+
+def ln_y_cdf(a, log_coef, mu_r, mu_b, n=400_001):
+    """A grid in t = ln y and, on it, the CDF of the mixture law
+    prop to sum_k e^{log_coef[k]} y^{a-1} e^{-mu_r[k] y^2 - mu_b y} dy.
+
+    One cumulative trapezoid rule in t, where the density is y^a e^{...}; the
+    grid spans the components' peaks, 25/a + 5 below (the left tail falls
+    like e^{a t}) and 5 above.
+    """
+    peaks = np.log((-mu_b + np.sqrt(mu_b**2 + 8.0 * mu_r * a)) / (4.0 * mu_r))
+    t = np.linspace(peaks.min() - 25.0 / a - 5.0, peaks.max() + 5.0, n)
+    log_f = log_coef[:, None] + a * t - np.outer(mu_r, np.exp(2.0 * t)) - mu_b * np.exp(t)
+    f = np.exp(log_f - log_f.max()).sum(axis=0)
+    cdf = scipy.integrate.cumulative_trapezoid(f, t, initial=0.0)
+    return t, cdf / cdf[-1]
 
 
 @pytest.fixture(scope="module")
@@ -292,6 +310,9 @@ class TestPartition:
         assert stderr == pytest.approx(pref * k.std(ddof=1) / math.sqrt(len(k)), rel=1e-9)
         draws = sample_liouville_triple(ins, 200, RngStream(72, 6), basis=basis83)
         assert np.all(draws["V"] > 0) and np.all(draws["L"] > 0)
+        # with mu_r = 0 the envelope is the target: L ~ Gamma(a, rate mu_b), nothing rejected
+        assert draws["acceptance_rate"] == 1.0
+        assert scipy.stats.kstest(draws["L"], "gamma", args=(a, 0.0, 1.0 / 0.5)).pvalue > 0.01
 
     def test_mu_scaling_exact(self, basis83):
         ins1 = InsertionSet(
@@ -346,6 +367,20 @@ class TestVolumeLawSampling:
         draws = sample_liouville_triple(ins, 400, RngStream(72, 2), basis=basis83)
         assert np.all(draws["V"] > 0) and np.all(draws["L"] > 0)
 
+    def test_mixed_boundary_length_law(self, basis83):
+        # given replica r, L has density prop to J_r^{-a} y^{a-1} e^{-mu R_r y^2 - mu_b y}
+        # (the zero-mode integrand), so the L draws follow that mixture over the replicas
+        p = LiouvilleParams(gamma=GAMMA_83, mu=1.0, mu_boundary=0.5)
+        ins = InsertionSet(params=p, bulk=((0.0, GAMMA_83),), boundary=((1.0, GAMMA_83),))
+        draws = sample_liouville_triple(ins, 20000, RngStream(72, 7), basis=basis83)
+        bulk_tot, bdry_tot = basis83.drifted_totals(ins)
+        a = 2.0 * ins.s_total / GAMMA_83
+        t, cdf = ln_y_cdf(a, -a * np.log(bdry_tot), bulk_tot / bdry_tot**2, 0.5, n=20_001)
+        ks = scipy.stats.kstest(np.log(draws["L"]), lambda x: np.interp(x, t, cdf))
+        assert ks.pvalue > 0.01
+        assert 1.0 / math.sqrt(2.0) < draws["acceptance_rate"] < 1.0
+        assert 10.0 < draws["ess"] <= basis83.n_replicas
+
     def test_y_integral_checks_quadrature_error(self, basis83, monkeypatch):
         # a y-quadrature whose error estimate is half its value must not pass
         monkeypatch.setattr(scipy.integrate, "quad", lambda *args, **kwargs: (1.0, 0.5))
@@ -366,6 +401,34 @@ class TestVolumeLawSampling:
         draws = sample_liouville_triple(ins, 4000, RngStream(72, 4), basis=basis)
         ks = scipy.stats.kstest(draws["V"], "gamma", args=(shape, 0.0, 1.0 / rate))
         assert ks.pvalue > 0.01
+
+
+class TestYSampler:
+    @pytest.mark.parametrize(
+        "a, mu_r, mu_b, n, seed",
+        [(40.0, 0.01, 5.0, 20_000, 0), (3.0, 5.0, 0.1, 200_000, 1), (0.5, 1.0, 3.0, 1_000_000, 2)],
+        ids=["narrow", "bulk-dominated", "wide"],
+    )
+    def test_exact_law(self, a, mu_r, mu_b, n, seed):
+        # draw counts at which the half-cell shift of an inverse CDF on a
+        # 2,048-node log grid fails this test
+        y, acceptance = _sample_y(a, np.full(n, mu_r), mu_b, RngStream(76, seed).generator())
+        t, cdf = ln_y_cdf(a, np.zeros(1), np.array([mu_r]), mu_b)
+        ks = scipy.stats.kstest(np.log(y), lambda x: np.interp(x, t, cdf))
+        assert ks.pvalue > 0.01
+        assert 1.0 / math.sqrt(2.0) < acceptance <= 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rate_raises(self, bad):
+        mu_r = np.array([1.0, bad, 2.0])
+        with pytest.raises(ResamplingError, match="y sampler"):
+            _sample_y(1.5, mu_r, 0.5, RngStream(76, 3).generator())
+
+    def test_round_cap_raises(self, monkeypatch):
+        # about 30% of the proposals are rejected here, so one round leaves draws behind
+        monkeypatch.setattr(liouville, "Y_ROUNDS", 1)
+        with pytest.raises(ResamplingError, match="y sampler: .* still rejected after 1 rounds"):
+            _sample_y(3.0, np.full(1000, 5.0), 0.1, RngStream(76, 4).generator())
 
 
 class TestKPZ:
