@@ -17,7 +17,6 @@ import sys
 import time
 
 import numpy as np
-import scipy.stats
 
 from . import critical, io, liouville, maps
 from .errors import (
@@ -389,6 +388,7 @@ def run_volume_law(config, seed, outdir):
         **_sampler_report(basis.sampler),
     }
     if ins.params.mu_boundary == 0.0:
+        import scipy.stats
         shape, rate = liouville.volume_law_params(ins)
         ks = scipy.stats.kstest(draws["V"], "gamma", args=(shape, 0.0, 1.0 / rate))
         corr = float(np.corrcoef(draws["V"], draws["half_disk"])[0, 1])
@@ -404,6 +404,7 @@ def run_volume_law(config, seed, outdir):
 
 def run_partition(config, seed, outdir):
     ins = _insertions_from(config)
+    liouville.require_admissible(ins)
     basis = _basis_from(config, seed, ins.params.gamma)
     value, stderr = liouville.partition_estimate(ins, basis=basis)
     bulk_tot, bdry_tot = basis.drifted_totals(ins)
@@ -426,6 +427,7 @@ def run_partition(config, seed, outdir):
 
 def run_kpz_covariance(config, seed, outdir):
     ins = _insertions_from(config)
+    liouville.require_admissible(ins)
     psi = _mobius_from(config)
     basis = _basis_from(config, seed, ins.params.gamma)
     dev, stderr = liouville.kpz_ratio_test(ins, psi, basis)
@@ -641,6 +643,7 @@ def _bound_findings(config):
 # calls on them).  A reader's error is its finding, coded "separation rule" when averaging
 # circles overlap; a check returns its findings as a list (and no reader returns a list).
 VALIDATION = (
+    ("seed", ("seed",), lambda c: _integer(c["seed"], "seed", 0)),
     ("parameters", ("gamma",), _params_from),
     ("parameters", BASIS_COMMANDS, lambda c: liouville.ChaosBasis.check_gamma(_params_from(c).gamma)),
     ("insertions", ("insertions",), _bound_findings),
@@ -686,11 +689,16 @@ def validate(config, command=None):
 
 def _resolve_seed(args, config):
     if args.seed is not None:
-        return int(args.seed)
+        return _integer(args.seed, "--seed", 0)
     if "seed" in config:
-        return int(config["seed"])
-    if os.environ.get(SEED_ENV):
-        return int(os.environ[SEED_ENV])
+        return _integer(config["seed"], "seed", 0)
+    env = os.environ.get(SEED_ENV)
+    if env:
+        try:
+            env = int(env)
+        except ValueError:
+            pass  # _integer refuses the string and names it
+        return _integer(env, SEED_ENV, 0)
     raise ConfigurationError(f"no seed given (flag --seed, config key, or {SEED_ENV})")
 
 

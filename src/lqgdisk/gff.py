@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import FactorizationError, GridError, UnsupportedSeparationError
 
@@ -278,6 +277,7 @@ def replica_map(fn, streams, shape):
 
 
 def _symmetric_factor(cov):
+    import scipy.linalg
     try:
         return scipy.linalg.cholesky(cov, lower=True)
     except scipy.linalg.LinAlgError:

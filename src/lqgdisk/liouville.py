@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .errors import (
     ConfigurationError,
@@ -528,6 +527,8 @@ def _log_y_integral(a_exp, mu_r, mu_b):
 
     Raises ResamplingError unless quad reports a relative error below 1e-8.
     """
+    import scipy.integrate
+
     def log_f(t):
         return a_exp * t - mu_r * math.exp(2.0 * t) - mu_b * math.exp(t)
 

@@ -63,6 +63,27 @@ class TestRunAndManifest:
         code = run_cli(tmp_path, "green-selftest", {"n_samples": 500})
         assert code == 2
 
+    @pytest.mark.parametrize("seed", [2.7, "abc", -3], ids=["fractional", "string", "negative"])
+    def test_malformed_config_seed_is_exit_2(self, tmp_path, capsys, seed):
+        config = {"n_samples": 500, "seed": seed}
+        findings = cli.validate(config, "green-selftest")
+        assert [f["code"] for f in findings] == ["seed"]
+        assert run_cli(tmp_path, "green-selftest", config) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"type": "config", "message": findings[0]["message"]}
+        assert not (tmp_path / "out" / "green-selftest" / "manifest.json").exists()
+
+    def test_malformed_seed_env_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(cli.SEED_ENV, "2.7")
+        assert run_cli(tmp_path, "green-selftest", {"n_samples": 500}) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"type": "config", "message": f"{cli.SEED_ENV} must be an integer, got '2.7'"}
+
+    def test_negative_seed_flag_is_exit_2(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "green-selftest", {"n_samples": 500}, seed=-3) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"type": "config", "message": "--seed must be at least 0, got -3"}
+
     def test_field_sample_snapshot_format(self, tmp_path, capsys):
         config = {"points": [[0.1, 0.0], [0.5, 0.2]], "eps": 0.02, "seed": 5}
         assert run_cli(tmp_path, "field-sample", config) == 0
@@ -138,6 +159,16 @@ class TestExitCodes:
         assert run_cli(tmp_path, "partition", config) == 3
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["type"] == "not-admissible"
+
+    @pytest.mark.parametrize("command", ["volume-law", "partition", "kpz-covariance"])
+    def test_inadmissible_exits_before_the_basis_is_built(self, tmp_path, capsys, monkeypatch, command):
+        def no_basis(*args):
+            raise AssertionError("the chaos basis was built for an inadmissible insertion set")
+
+        monkeypatch.setattr(cli, "_basis_from", no_basis)
+        config = marked_config(insertions=[bulk_point([0.0, 0.0], 0.1)], seed=1)
+        assert run_cli(tmp_path, command, config) == 3
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "not-admissible"
 
     def test_bad_config_is_exit_2(self, tmp_path, capsys):
         config = {"points": [[0.1, 0.0], [0.12, 0.0]], "eps": 0.05, "seed": 4}
