@@ -399,6 +399,8 @@ def run_volume_law(config, seed, outdir):
             ks_pvalue=float(ks.pvalue),
             half_disk_corr=corr,
         )
+    if draws["zero_mode_rel_err"] is not None:
+        summary["zero_mode_rel_err"] = draws["zero_mode_rel_err"]
     return summary, [csv]
 
 
@@ -406,7 +408,7 @@ def run_partition(config, seed, outdir):
     ins = _insertions_from(config)
     liouville.require_admissible(ins)
     basis = _basis_from(config, seed, ins.params.gamma)
-    value, stderr = liouville.partition_estimate(ins, basis=basis)
+    value, stderr, rel_err = liouville.partition_estimate(ins, basis=basis)
     bulk_tot, bdry_tot = basis.drifted_totals(ins)
     csv = io.write_csv(
         os.path.join(outdir, "partition.csv"),
@@ -422,12 +424,15 @@ def run_partition(config, seed, outdir):
         "s_total": float(ins.s_total),
         **_sampler_report(basis.sampler),
     }
+    if rel_err is not None:
+        summary["zero_mode_rel_err"] = rel_err
     return summary, [csv]
 
 
 def run_kpz_covariance(config, seed, outdir):
     ins = _insertions_from(config)
     liouville.require_admissible(ins)
+    liouville.check_ratio_test(ins.params)
     psi = _mobius_from(config)
     basis = _basis_from(config, seed, ins.params.gamma)
     dev, stderr = liouville.kpz_ratio_test(ins, psi, basis)
@@ -646,6 +651,7 @@ VALIDATION = (
     ("seed", ("seed",), lambda c: _integer(c["seed"], "seed", 0)),
     ("parameters", ("gamma",), _params_from),
     ("parameters", BASIS_COMMANDS, lambda c: liouville.ChaosBasis.check_gamma(_params_from(c).gamma)),
+    ("parameters", ("kpz-covariance",), lambda c: liouville.check_ratio_test(_params_from(c))),
     ("insertions", ("insertions",), _bound_findings),
     ("averaging circles", ("points",), lambda c: check_averaging_circles(*_points_from(c))),
     ("grid", ("grid",), _grid_from),

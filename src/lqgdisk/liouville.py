@@ -219,10 +219,6 @@ class ShiftedChaosPair:
         if self.bulk.total <= 0.0 or self.boundary.total <= 0.0:
             raise DomainError("drifted chaos totals must be positive")
 
-    @property
-    def ratio(self):
-        return self.bulk.total / self.boundary.total**2
-
 
 class ChaosBasis:
     """Replicated plain chaos measures on a fixed grid, ready for drifting.
@@ -395,36 +391,44 @@ def log_prefactor(ins):
 
 
 def _log_zero_mode(ins, basis):
-    """log K_r - log(2/gamma) per replica, K_r the zero-mode c-integral, and the totals (I, J).
+    """log K_r - log(2/gamma) per replica, K_r the zero-mode c-integral, the totals (I, J), and rel_err.
 
     y = J_r e^{(gamma/2) c} turns K_r into (2/gamma) J_r^{-a} int_0^inf y^{a-1}
     e^{-mu R_r y^2 - mu_b y} dy, a = 2 s / gamma, R_r = I_r / J_r^2: a Gamma
-    integral when mu_b = 0, _log_y_integral otherwise.
+    integral when mu_b = 0 (rel_err None), _log_y_integral otherwise (rel_err its error estimate).
     """
     require_admissible(ins)
     p = ins.params
     bulk_tot, bdry_tot = basis.drifted_totals(ins)
     ratio = bulk_tot / bdry_tot**2
     a_exp = 2.0 * ins.s_total / p.gamma
+    rel_err = None
     if p.mu_boundary == 0.0:
         log_y = math.log(0.5) + math.lgamma(a_exp / 2.0) - (a_exp / 2.0) * np.log(p.mu * ratio)
     else:
-        log_y = np.array([_log_y_integral(a_exp, p.mu * r, p.mu_boundary) for r in ratio])
-    return log_y - a_exp * np.log(bdry_tot), bulk_tot, bdry_tot
+        log_y, rel_err = _log_y_integral(a_exp, p.mu * ratio, p.mu_boundary)
+    return log_y - a_exp * np.log(bdry_tot), bulk_tot, bdry_tot, rel_err
 
 
 def partition_estimate(ins, basis):
-    """Monte Carlo estimate (value, stderr) of the reduced partition function over a ChaosBasis.
+    """Monte Carlo estimate (value, stderr, rel_err) of the reduced partition function over a ChaosBasis.
 
-    The prefactor times the replica mean of the zero-mode integrals of _log_zero_mode.
+    The prefactor times the replica mean of the zero-mode integrals of _log_zero_mode, and their rel_err.
     """
-    log_k = _log_zero_mode(ins, basis)[0] + math.log(2.0 / ins.params.gamma)
+    log_k, _, _, rel_err = _log_zero_mode(ins, basis)
+    log_k = log_k + math.log(2.0 / ins.params.gamma)
     shift = float(np.max(log_k))
     scaled = np.exp(log_k - shift)
     pref = math.exp(log_prefactor(ins) + shift)
     value = pref * float(scaled.mean())
     stderr = pref * float(scaled.std(ddof=1) / math.sqrt(len(scaled)))
-    return value, stderr
+    return value, stderr, rel_err
+
+
+def check_ratio_test(params):
+    """Raise ConfigurationError unless mu_boundary = 0, the case kpz_ratio_test is implemented for."""
+    if params.mu_boundary != 0.0:
+        raise ConfigurationError("the ratio test is implemented for mu_boundary = 0")
 
 
 def kpz_ratio_test(ins, psi, basis):
@@ -435,8 +439,7 @@ def kpz_ratio_test(ins, psi, basis):
     the replicas of one basis, so the comparison is paired and the stderr
     is the jackknife error of the paired log ratio.  mu_boundary = 0.
     """
-    if ins.params.mu_boundary != 0.0:
-        raise ConfigurationError("the ratio test is implemented for mu_boundary = 0")
+    check_ratio_test(ins.params)
     log_orig = _log_zero_mode(ins, basis)[0]
     moved = mobius_moved(ins, psi)
     log_moved = _log_zero_mode(moved, basis)[0]
@@ -472,11 +475,12 @@ def sample_liouville_triple(ins, n_draws, rng, basis, functionals=None):
     e^{-mu R_r y^2 - mu_b y} by _sample_y.  Returns a dict with arrays V, L,
     replica and weight, one column per requested functional (evaluated on
     the selected replica's normalized pair), the effective sample size `ess`
-    of the replica weights and the y sampler's `acceptance_rate` (1 when
-    mu_b = 0, where nothing is rejected).
+    of the replica weights, the y sampler's `acceptance_rate` (1 when
+    mu_b = 0, where nothing is rejected) and the `zero_mode_rel_err` of
+    _log_zero_mode.
     """
     p = ins.params
-    log_w, bulk_tot, bdry_tot = _log_zero_mode(ins, basis)
+    log_w, bulk_tot, bdry_tot, rel_err = _log_zero_mode(ins, basis)
     ratio = bulk_tot / bdry_tot**2
     a_exp = 2.0 * ins.s_total / p.gamma
     w = np.exp(log_w - np.max(log_w))
@@ -496,7 +500,7 @@ def sample_liouville_triple(ins, n_draws, rng, basis, functionals=None):
         volume = length**2 * ratio[idx]
 
     out = {"V": volume, "L": length, "replica": idx, "weight": prob[idx]}
-    out.update(ess=ess, acceptance_rate=acceptance)
+    out.update(ess=ess, acceptance_rate=acceptance, zero_mode_rel_err=rel_err)
     if functionals:
         for name, fn in functionals.items():
             per_replica = basis.functional_values(ins, fn)
@@ -522,29 +526,47 @@ def _y_peak(a_exp, mu_r, mu_b):
     return 2.0 * a_exp / (mu_b + np.sqrt(mu_b**2 + 8.0 * mu_r * a_exp))
 
 
+Y_LOG_TAIL, Y_NODE_CAP = 37.0, 2**14  # tails below e^{-37} of the peak; trapezoid intervals
+
+
 def _log_y_integral(a_exp, mu_r, mu_b):
-    """log of int_0^inf y^{a-1} e^{-mu_r y^2 - mu_b y} dy, by quad in t = ln y around the peak.
+    """log of int_0^inf y^{a-1} e^{-mu_r y^2 - mu_b y} dy on 1-D arrays, and the largest relative error.
 
-    Raises ResamplingError unless quad reports a relative error below 1e-8.
+    With y = y* e^s (y* = _y_peak) the integrand is e^g, g(s) = -c1 k(s) - c2 k(2s), k(z) = e^z - 1 - z,
+    c1 = mu_b y*, c2 = mu_r y*^2, a = c1 + 2 c2: analytic and log-concave.  g <= a s + c1 + c2, and
+    g <= -max((a - c1/2) s^2, (c1 + c2) k(s)) for s > 0, so g < -Y_LOG_TAIL outside [lo, hi]; the
+    tangents there (g' >= a (1 - e^lo) at lo, g' <= (c1 - 2a) hi at hi, as g'' <= c1 - 2a) bound the
+    tails.  s = tau (u + 1 - e^{-u}), tau = (1 - g''(0))^{-1/2}, makes the left tail (37/a long) decay
+    double-exponentially in u, and trapezoid sums in u converge geometrically (Trefethen & Weideman
+    2014) in a node count that does not grow with 1/a.  Steps halve until change plus tail bounds is
+    below 1e-10 of every sum; ResamplingError if one exceeds 1e-8 at Y_NODE_CAP.
     """
-    import scipy.integrate
-
-    def log_f(t):
-        return a_exp * t - mu_r * math.exp(2.0 * t) - mu_b * math.exp(t)
-
-    t_star = math.log(_y_peak(a_exp, mu_r, mu_b))
-    peak = log_f(t_star)
-    lo, hi = t_star - 1.0, t_star + 1.0
-    while log_f(lo) - peak > math.log(1e-14):
-        lo -= 1.0 + (t_star - lo)
-    while log_f(hi) - peak > math.log(1e-14):
-        hi += 1.0 + (hi - t_star)
-    val, err = scipy.integrate.quad(
-        lambda t: math.exp(log_f(t) - peak), lo, hi, limit=200, epsabs=0.0, epsrel=1e-10
-    )
-    if not np.isfinite(val) or val <= 0.0 or err > 1e-8 * val:
-        raise ResamplingError(f"zero-mode quadrature did not converge (value {val}, err {err})")
-    return peak + math.log(val)
+    a, m, b = (x[:, None] for x in np.broadcast_arrays(a_exp, mu_r, mu_b))
+    with np.errstate(all="ignore"):  # a non-finite entry fails the error check below
+        y = _y_peak(a, m, b)
+        c2, c1 = m * y**2, b * y
+        tau, lo = 1.0 / np.sqrt(1.0 + c1 + 4.0 * c2), -(Y_LOG_TAIL + c1 + c2) / a
+        hi = np.minimum(np.sqrt(Y_LOG_TAIL / (a - 0.5 * c1)), np.log(2.0 + 2.0 * Y_LOG_TAIL / (c1 + c2)))
+        tails = math.exp(-Y_LOG_TAIL) * (1.0 / (-a * np.expm1(lo)) + 1.0 / ((2.0 * a - c1) * hi))
+        u_lo, u_hi = -np.log1p(-lo / tau), hi / tau  # their s lie at or beyond lo and hi
+        def f(q, v):  # the integrand in u at u_lo + v (u_hi - u_lo), rows q
+            u = u_lo[q] + (u_hi - u_lo)[q] * v
+            s = tau[q] * (u - np.expm1(-u))
+            g = a[q] * s - c2[q] * np.expm1(2.0 * s) - c1[q] * np.expm1(s)
+            return np.exp(g) * tau[q] * (1.0 + np.exp(-u))
+        n, todo, err = 1, np.arange(len(a)), np.full(len(a), np.inf)
+        total = f(todo, np.array([0.0, 1.0])).mean(axis=1)  # trapezoid sums in v
+        while len(todo) and 2 * n <= Y_NODE_CAP:
+            n *= 2
+            blocks = np.array_split(todo, 1 + len(todo) * n // 2**20)  # at most 2^19 nodes each
+            mid = np.concatenate([f(q, np.arange(1, n, 2) / n).sum(axis=1) for q in blocks]) / n
+            new = 0.5 * total[todo] + mid
+            err[todo] = (np.abs(new - total[todo]) + (tails / (u_hi - u_lo))[todo, 0]) / new
+            total[todo] = new
+            todo = todo[~(err[todo] < 1e-10)]
+    if not np.all(err <= 1e-8):
+        raise ResamplingError(f"zero-mode quadrature did not converge (relative error {np.max(err)})")
+    return (a * np.log(y) - c2 - c1 + np.log(u_hi - u_lo))[:, 0] + np.log(total), float(np.max(err))
 
 
 Y_ROUNDS = 64

@@ -125,6 +125,7 @@ class TestRunAndManifest:
         assert 10.0 < summary["ess"] <= 100
         assert 1.0 / math.sqrt(2.0) < summary["acceptance_rate"] < 1.0
         assert "gamma_shape" not in summary and "ks_pvalue" not in summary
+        assert 0.0 < summary["zero_mode_rel_err"] < 1e-8
 
     def test_maps_sample_formats(self, tmp_path, capsys):
         config = {"a": 0.3, "mu": 1.0, "mu_boundary": 1.0, "n_draws": 500, "seed": 3}
@@ -169,6 +170,15 @@ class TestExitCodes:
         config = marked_config(insertions=[bulk_point([0.0, 0.0], 0.1)], seed=1)
         assert run_cli(tmp_path, command, config) == 3
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "not-admissible"
+
+    def test_kpz_boundary_constant_exits_before_the_basis_is_built(self, tmp_path, capsys, monkeypatch):
+        def no_basis(*args):
+            raise AssertionError("the chaos basis was built for a ratio test it cannot run")
+
+        monkeypatch.setattr(cli, "_basis_from", no_basis)
+        config = marked_config(mu_boundary=0.5, insertions=KPZ_INSERTIONS, seed=1)
+        assert run_cli(tmp_path, "kpz-covariance", config) == 2
+        assert "mu_boundary = 0" in json.loads(capsys.readouterr().out)["error"]["message"]
 
     def test_bad_config_is_exit_2(self, tmp_path, capsys):
         config = {"points": [[0.1, 0.0], [0.12, 0.0]], "eps": 0.05, "seed": 4}
@@ -337,6 +347,10 @@ class TestPartitionRoute:
         assert run_cli(tmp_path, "partition", config, seed=3) == 0
         summary = json.loads((tmp_path / "out" / "partition" / "partition-summary.json").read_text())
         assert summary["method"] == route
+        if route == "quadrature":
+            assert 0.0 < summary["zero_mode_rel_err"] < 1e-8
+        else:
+            assert "zero_mode_rel_err" not in summary
 
 
 class TestDensityDegreesOfFreedom:
@@ -548,6 +562,7 @@ class TestValidate:
             ("partition", marked_config(gamma=2.0), "parameters"),
             ("volume-law", marked_config(gamma=2.0), "parameters"),
             ("kpz-covariance", marked_config(gamma=2.0, insertions=KPZ_INSERTIONS), "parameters"),
+            ("kpz-covariance", marked_config(mu_boundary=0.5, insertions=KPZ_INSERTIONS), "parameters"),
             ("weyl-anomaly", {"gamma": 1.0, "n_r": 0}, "conformal grid"),
             ("weyl-anomaly", {"gamma": 1.0, "n_r": 32, "n_theta": 33}, "conformal grid"),
             ("weyl-anomaly", {"gamma": 1.0, "n_r": 32, "shift": math.nan}, "conformal grid"),
@@ -575,7 +590,7 @@ class TestValidate:
             "list-count", "mobius-outside-disk", "no-samples", "no-arcs", "no-modes",
             "fractional-count", "boolean-modes", "zero-aspect", "negative-aspect",
             "infinite-aspect", "nan-aspect", "zero-n-theta", "partition-gamma-2",
-            "volume-law-gamma-2", "kpz-gamma-2", "weyl-no-radii", "weyl-odd-angles",
+            "volume-law-gamma-2", "kpz-gamma-2", "kpz-boundary-constant", "weyl-no-radii", "weyl-odd-angles",
             "weyl-nan-shift", "density-no-bins", "count-pair-domain", "count-pair-shape",
             "count-fractional-n-max", "count-no-p", "string-gamma", "null-mu-boundary",
             "short-position", "string-weight", "string-depth", "fractional-depth",

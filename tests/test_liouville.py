@@ -18,6 +18,7 @@ from lqgdisk.gff import FieldSampler, RngStream, arc_centers
 from lqgdisk import liouville
 from lqgdisk.gmc import graded_disk_grid
 from lqgdisk.liouville import (
+    _log_y_integral,
     _log_zero_mode,
     _sample_y,
     ChaosBasis,
@@ -290,7 +291,7 @@ class TestPartition:
     def test_zero_mode_matches_c_form_quadrature(self, basis83, mu, mu_b):
         p = LiouvilleParams(gamma=GAMMA_83, mu=mu, mu_boundary=mu_b)
         ins = InsertionSet(params=p, bulk=((0.0, GAMMA_83),), boundary=((1.0, GAMMA_83),))
-        log_w, bulk_tot, bdry_tot = _log_zero_mode(ins, basis83)
+        log_w, bulk_tot, bdry_tot, _ = _log_zero_mode(ins, basis83)
         log_k = log_w + math.log(2.0 / GAMMA_83)
         for r in (0, 1, int(np.argmax(log_w)), int(np.argmin(log_w))):
             want = c_form_zero_mode(ins.s_total, GAMMA_83, mu * bulk_tot[r], mu_b * bdry_tot[r])
@@ -304,7 +305,7 @@ class TestPartition:
         a = 2.0 * ins.s_total / GAMMA_83
         _, bdry_tot = basis83.drifted_totals(ins)
         k = 2.0 / GAMMA_83 * math.gamma(a) * (0.5 * bdry_tot) ** (-a)
-        value, stderr = partition_estimate(ins, basis=basis83)
+        value, stderr, _ = partition_estimate(ins, basis=basis83)
         pref = math.exp(log_prefactor(ins))
         assert value == pytest.approx(pref * k.mean(), rel=1e-9)
         assert stderr == pytest.approx(pref * k.std(ddof=1) / math.sqrt(len(k)), rel=1e-9)
@@ -325,8 +326,8 @@ class TestPartition:
             bulk=((0.0, GAMMA_83),),
             boundary=((1.0, GAMMA_83),),
         )
-        v1, _ = partition_estimate(ins1, basis=basis83)
-        v4, _ = partition_estimate(ins4, basis=basis83)
+        v1, _, _ = partition_estimate(ins1, basis=basis83)
+        v4, _, _ = partition_estimate(ins4, basis=basis83)
         s = ins1.s_total
         assert v4 == pytest.approx(4.0 ** (-s / GAMMA_83) * v1, rel=1e-12)
 
@@ -382,8 +383,8 @@ class TestVolumeLawSampling:
         assert 10.0 < draws["ess"] <= basis83.n_replicas
 
     def test_y_integral_checks_quadrature_error(self, basis83, monkeypatch):
-        # a y-quadrature whose error estimate is half its value must not pass
-        monkeypatch.setattr(scipy.integrate, "quad", lambda *args, **kwargs: (1.0, 0.5))
+        # at 8 trapezoid intervals the step-halving estimate stays far above 1e-8
+        monkeypatch.setattr(liouville, "Y_NODE_CAP", 8)
         p = LiouvilleParams(gamma=GAMMA_83, mu=1.0, mu_boundary=0.5)
         ins = InsertionSet(params=p, bulk=((0.0, GAMMA_83),), boundary=((1.0, GAMMA_83),))
         with pytest.raises(ResamplingError, match="zero-mode quadrature"):
@@ -401,6 +402,69 @@ class TestVolumeLawSampling:
         draws = sample_liouville_triple(ins, 4000, RngStream(72, 4), basis=basis)
         ks = scipy.stats.kstest(draws["V"], "gamma", args=(shape, 0.0, 1.0 / rate))
         assert ks.pvalue > 0.01
+
+
+def quad_log_y_integral(a_exp, mu_r, mu_b):
+    """Reference: log of int_0^inf y^{a-1} e^{-mu_r y^2 - mu_b y} dy by scipy's quad in t = ln y,
+    on a window around the peak widened until the integrand is 1e-14 of its peak value.
+
+    quad is told the breakpoints t* - 10^k: at small a the left tail is about 37/a long, and on the
+    unsplit window quad misses the O(1)-wide structure at the peak while reporting convergence
+    (its log off by up to 5e-4 at a = 1e-3, against the closed forms of TestYIntegral).
+    """
+
+    def log_f(t):
+        return a_exp * t - mu_r * math.exp(2.0 * t) - mu_b * math.exp(t)
+
+    t_star = math.log(liouville._y_peak(a_exp, mu_r, mu_b))
+    peak = log_f(t_star)
+    lo, hi = t_star - 1.0, t_star + 1.0
+    while log_f(lo) - peak > math.log(1e-14):
+        lo -= 1.0 + (t_star - lo)
+    while log_f(hi) - peak > math.log(1e-14):
+        hi += 1.0 + (hi - t_star)
+    points = [t for t in t_star + np.array([-1e4, -1e3, -1e2, -10.0, -1.0, 0.0, 1.0]) if lo < t < hi]
+    val, err = scipy.integrate.quad(
+        lambda t: math.exp(log_f(t) - peak), lo, hi, points=points, limit=200, epsabs=0.0, epsrel=1e-10
+    )
+    assert err <= 1e-10 * val
+    return peak + math.log(val)
+
+
+class TestYIntegral:
+    def test_matches_quad_oracle(self):
+        # the y sampler's parameter ranges and a down to 1e-4, every combination in one call
+        a, mu_r, mu_b = (
+            x.ravel()
+            for x in np.meshgrid(
+                [1e-4, 1e-3, 0.01, 0.5, 3.0, 40.0, 1e3, 1e5],
+                [0.0, 1e-6, 1.0, 1e6],
+                [1e-4, 0.5, 1e3],
+                indexing="ij",
+            )
+        )
+        got, rel_err = _log_y_integral(a, mu_r, mu_b)
+        want = np.array([quad_log_y_integral(*args) for args in zip(a, mu_r, mu_b)])
+        assert rel_err < 1e-10
+        # 1e-11 relative in the integral, up to a few roundings of its log (up to 1.1e6 here)
+        np.testing.assert_allclose(got, want, rtol=4.0 * np.finfo(float).eps, atol=1e-11)
+
+    def test_non_finite_entry_fails_the_check(self):
+        with pytest.raises(ResamplingError, match="zero-mode quadrature"):
+            _log_y_integral(0.5, np.array([1.0, np.inf]), 0.5)
+
+    @pytest.mark.parametrize("a", [1e-9, 1e-6, 1e-4, 1e-3, 0.01, 0.5, 3.0, 1e3, 1e5])
+    def test_gamma_closed_forms_within_1024_intervals(self, a, monkeypatch):
+        # mu_b = 0: (1/2) Gamma(a/2) mu_r^{-a/2}; mu_r = 0: Gamma(a) mu_b^{-a}.  The node count must
+        # not grow with 1/a, where the left tail in ln y is about 37/a long.
+        monkeypatch.setattr(liouville, "Y_NODE_CAP", 2**10)
+        scale, zero = np.array([1e-6, 1.0, 1e6]), np.zeros(3)
+        got, rel_err = _log_y_integral(a, np.concatenate([scale, zero]), np.concatenate([zero, scale]))
+        want = np.concatenate(
+            [math.log(0.5) + math.lgamma(a / 2.0) - (a / 2.0) * np.log(scale), math.lgamma(a) - a * np.log(scale)]
+        )
+        assert rel_err < 1e-10
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
 
 class TestYSampler:

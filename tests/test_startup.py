@@ -25,10 +25,26 @@ codes = [lqgdisk.cli.main(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps({"after_import": after_import, "after_runs": scipy_modules(), "codes": codes}))
 """
 
+GAMMA = 1.6329931618554518
+MARKED = {
+    "gamma": GAMMA,
+    "mu_boundary": 0.5,
+    "insertions": [
+        {"kind": "bulk", "position": [0.0, 0.0], "weight": GAMMA},
+        {"kind": "boundary", "position": [1.0, 0.0], "weight": GAMMA},
+    ],
+    "grid": {"n_r": 4},
+    "n_modes": 64,
+    "n_replicas": 100,
+}
+
 NUMPY_ONLY_RUNS = {
     "gmc-bulk": {"gamma": 1.0, "grid": {"n_r": 4}, "n_replicas": 20},
     "gmc-boundary": {"gamma": 1.0, "n_modes": 64, "n_replicas": 20},
     "critical-ladder": {"kind": "bulk", "levels": [4, 5], "n_replicas": [100, 50]},
+    # the zero-mode quadrature route (mu_boundary > 0)
+    "volume-law": {**MARKED, "n_draws": 500},
+    "partition": MARKED,
 }
 
 
@@ -51,7 +67,7 @@ def test_numpy_experiments_load_no_scipy(tmp_path):
     argvs = [cli_argv(tmp_path, c, cfg, 1, "out") for c, cfg in NUMPY_ONLY_RUNS.items()]
     lines = run_python(SCIPY_PROBE, [json.dumps(argvs)]).splitlines()
     probe = json.loads(lines[-1])
-    assert probe["codes"] == [0, 0, 0]
+    assert probe["codes"] == [0] * len(NUMPY_ONLY_RUNS)
     assert probe["after_import"] == []
     assert probe["after_runs"] == []
 
