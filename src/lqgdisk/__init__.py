@@ -21,7 +21,7 @@ from .gff import (
     FieldSampler,
     RngStream,
     RotationSampler,
-    boundary_synthesis_matrix,
+    TraceSampler,
     replica_map,
 )
 from .gmc import (

@@ -34,11 +34,9 @@ from .gff import (
     FieldSampler,
     RngStream,
     RotationSampler,
-    arc_centers,
-    boundary_synthesis_matrix,
+    TraceSampler,
     check_averaging_circles,
     replica_map,
-    truncated_boundary_variance,
 )
 from .gmc import boundary_masses, bulk_masses, graded_disk_grid
 
@@ -60,8 +58,8 @@ def _params_from(config):
 def _insertions_from(config):
     params = _params_from(config)
     bulk, boundary = [], []
-    for item in config.get("insertions", []):
-        z = _point(item["position"], "position")
+    for item in _typed(config.get("insertions", []), list, "insertions"):
+        z = _point(_typed(item, dict, "an insertion")["position"], "position")
         if item["kind"] == "bulk":
             bulk.append((z, _real(item["weight"], "weight")))
         elif item["kind"] == "boundary":
@@ -73,7 +71,7 @@ def _insertions_from(config):
 
 def _grid_shape(config):
     """(depth, rings_per_band, aspect) of the graded grid a config asks for."""
-    grid_cfg = config.get("grid", {})
+    grid_cfg = _typed(config.get("grid", {}), dict, "grid")
     key = "n_r" if "n_r" in grid_cfg else "depth"
     depth = _integer(grid_cfg.get(key, 7), key, 1)
     rings = _integer(grid_cfg.get("rings_per_band", 2), "rings_per_band", 1)
@@ -102,6 +100,18 @@ def _integer(n, name, least):
     if n < least:
         raise ConfigurationError(f"{name} must be at least {least}, got {int(n)}")
     return int(n)
+
+
+def _integers(xs, name):
+    """xs as a list of ints, if it is a list of integers; their range is the caller's to check."""
+    return [_integer(x, name, -math.inf) for x in _typed(xs, list, name)]
+
+
+def _typed(x, kind, name):
+    """x, if it is a JSON value of the given kind (list, dict or bool)."""
+    if not isinstance(x, kind):
+        raise ConfigurationError(f"{name} must be a {kind.__name__}, got {x!r}")
+    return x
 
 
 def _real(x, name):
@@ -141,7 +151,7 @@ def _modes_from(config):
 
 
 def _mobius_from(config):
-    mb = config.get("mobius", {"a": [0.3, 0.0], "alpha": 0.0})
+    mb = _typed(config.get("mobius", {"a": [0.3, 0.0], "alpha": 0.0}), dict, "mobius")
     alpha = _real(mb.get("alpha", 0.0), "mobius.alpha")
     return MobiusMap(a=_point(mb["a"], "mobius.a"), alpha=alpha)
 
@@ -270,15 +280,13 @@ def run_gmc_boundary(config, seed, outdir):
     gamma = _params_from(config).gamma
     n_replicas = _count(config, "n_replicas", 1000)
     n_modes, n_arcs = _modes_from(config)
-    synthesis = boundary_synthesis_matrix(arc_centers(n_arcs), n_modes)
-    var_n = truncated_boundary_variance(n_modes)
+    trace = TraceSampler(n_modes, n_arcs)
 
     def block_totals(coef):
-        x = coef.reshape(len(coef), -1) @ synthesis
-        return boundary_masses(x, var_n, gamma, n_arcs).sum(axis=1)
+        return boundary_masses(trace.fields(coef), trace.variance, gamma, n_arcs).sum(axis=1)
 
     streams = [RngStream(seed, r) for r in range(n_replicas)]
-    totals = replica_map(block_totals, streams, (2, n_modes))
+    totals = replica_map(block_totals, streams, trace.noise_shape)
     summary, files = _totals_result(
         "gmc-boundary", "mean total mass of the boundary chaos measure", gamma, totals, outdir
     )
@@ -290,14 +298,16 @@ def _ladder_from(config):
     """Checked (kind, levels, counts) of a critical-ladder config."""
     kind = config.get("kind", "bulk")
     if kind == "bulk":
-        levels = config.get("levels", [4, 5, 6, 7, 8, 9])
-        n_replicas = config.get("n_replicas", [20000, 20000, 10000, 5000, 2500, 1500])
-        return (kind, *critical.check_bulk_ladder(levels, n_replicas))
-    if kind == "boundary":
-        levels = config.get("mode_levels", [64, 128, 256, 512, 1024, 2048])
-        n_replicas = config.get("n_replicas", 1000)
-        return (kind, *critical.check_boundary_ladder(levels, n_replicas))
-    raise ConfigurationError(f"unknown ladder kind {kind!r}")
+        key, levels, n = "levels", [4, 5, 6, 7, 8, 9], [20000, 20000, 10000, 5000, 2500, 1500]
+    elif kind == "boundary":
+        key, levels, n = "mode_levels", [64, 128, 256, 512, 1024, 2048], 1000
+    else:
+        raise ConfigurationError(f"unknown ladder kind {kind!r}")
+    levels = _integers(config.get(key, levels), key)
+    n = config.get("n_replicas", n)
+    counts = _integers(n if isinstance(n, list) else [n] * len(levels), "n_replicas")
+    check = critical.check_bulk_ladder if kind == "bulk" else critical.check_boundary_ladder
+    return (kind, *check(levels, counts))
 
 
 def run_critical_ladder(config, seed, outdir):
@@ -368,9 +378,12 @@ def run_volume_law(config, seed, outdir):
     liouville.require_admissible(ins)
     n_draws = _count(config, "n_draws", 10000)
     basis = _basis_from(config, seed, ins.params.gamma)
+    # at mu_b = 0 the summary reports the correlation of V with the half-disk mass
+    boundary_free = ins.params.mu_boundary == 0.0
     half = lambda pair: pair.bulk.integrate(lambda z: (np.real(z) > 0).astype(float)) / pair.bulk.total
+    functionals = {"half_disk": half} if boundary_free else None
     draws = liouville.sample_liouville_triple(
-        ins, n_draws, RngStream(seed, 2), basis=basis, functionals={"half_disk": half}
+        ins, n_draws, RngStream(seed, 2), basis=basis, functionals=functionals
     )
     csv = io.write_csv(
         os.path.join(outdir, "volume-law.csv"),
@@ -387,7 +400,7 @@ def run_volume_law(config, seed, outdir):
         "acceptance_rate": draws["acceptance_rate"],
         **_sampler_report(basis.sampler),
     }
-    if ins.params.mu_boundary == 0.0:
+    if boundary_free:
         import scipy.stats
         shape, rate = liouville.volume_law_params(ins)
         ks = scipy.stats.kstest(draws["V"], "gamma", args=(shape, 0.0, 1.0 / rate))
@@ -461,7 +474,7 @@ def run_weyl_anomaly(config, seed, outdir):
     n_r, n_theta, c = _weyl_from(config)
     base = ConformalFactor.constant(0.0, n_r, n_theta)
     const = ConformalFactor.constant(c, n_r, n_theta)
-    const_resid = weyl_anomaly(const, base, params) - (1.0 + 6.0 * params.Q**2) * c / 12.0
+    const_resid = weyl_anomaly(const, base, params) - params.central_charge * c / 12.0
 
     def phi1(z):
         return 0.3 * (1.0 - np.abs(z) ** 2) + 0.2 * np.real(z) * np.imag(z)
@@ -515,9 +528,9 @@ def _maps_config(config):
         a=_real(config["a"], "a"),
         mu=_real(config.get("mu", 1.0), "mu"),
         mu_boundary=_real(config.get("mu_boundary", 1.0), "mu_boundary"),
-        n_max=config.get("n_max"),
-        p_max=config.get("p_max"),
-        interior_marked=bool(config.get("interior_marked", True)),
+        n_max=None if config.get("n_max") is None else _count(config, "n_max", None, least=0),
+        p_max=None if config.get("p_max") is None else _count(config, "p_max", None, least=1),
+        interior_marked=_typed(config.get("interior_marked", True), bool, "interior_marked"),
     )
 
 
@@ -629,7 +642,7 @@ EXPERIMENTS = {
 # ---------------------------------------------------------------------------
 
 CONFIG_ERRORS = (ConfigurationError, DomainError, GridError, UnsupportedSeparationError, KeyError)
-LADDER_KEYS = ("kind", "levels", "mode_levels")
+LADDER_TRIGGERS = ("kind", "levels", "mode_levels", "critical-ladder")
 BASIS_COMMANDS = ("volume-law", "partition", "kpz-covariance")  # they build a ChaosBasis
 
 
@@ -655,7 +668,7 @@ VALIDATION = (
     ("insertions", ("insertions",), _bound_findings),
     ("averaging circles", ("points",), lambda c: check_averaging_circles(*_points_from(c))),
     ("grid", ("grid",), _grid_from),
-    ("ladder", LADDER_KEYS, _ladder_from),
+    ("ladder", LADDER_TRIGGERS, _ladder_from),
     ("counts", ("n_replicas",), lambda c: _count(c, "n_replicas", None)),
     ("counts", ("n_draws",), lambda c: _count(c, "n_draws", None)),
     ("counts", ("n_samples",), _samples_from),
@@ -674,8 +687,8 @@ def validate(config, command=None):
     findings = []
     if command is not None and command not in EXPERIMENTS:
         findings.append({"code": "unknown-command", "message": f"unknown experiment {command!r}"})
-    ladder = any(key in config for key in LADDER_KEYS)  # its counts are read by _ladder_from
     present = {*config, command}
+    ladder = not present.isdisjoint(LADDER_TRIGGERS)  # its counts are read by _ladder_from
     for code, triggers, read in VALIDATION:
         if present.isdisjoint(triggers) or (ladder and code == "counts"):
             continue

@@ -21,14 +21,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, GridError
-from .gff import (
-    arc_centers,
-    boundary_synthesis,
-    circulant_fields,
-    circulant_root,
-    covariance_entries,
-    truncated_boundary_variance,
-)
+from .gff import TraceSampler, circulant_fields, circulant_root, covariance_entries
 from .gmc import bulk_masses, window_sector_grid
 
 __all__ = [
@@ -220,13 +213,10 @@ def boundary_ladder_totals(mode_levels, n_replicas, rng):
     coeffs = gen.standard_normal((max(counts), 2, max(mode_levels)))
     pushed, plain = [], []
     for n, count in zip(mode_levels, counts):
-        n_arcs = 2 * n
-        cosb, sinb = boundary_synthesis(arc_centers(n_arcs), n)
-        x = coeffs[:count, 0, :n] @ cosb.T + coeffs[:count, 1, :n] @ sinb.T
-        var = truncated_boundary_variance(n)
-        # unlike gmc.boundary_masses at gamma = 2, no e^{-gamma^2/8} factor
-        masses = np.exp(x - 0.5 * var) * (2.0 * np.pi / n_arcs)
-        pushed.append((masses * np.sqrt(0.5 * var)).sum(axis=1))
+        trace = TraceSampler(n, 2 * n)
+        # unlike gmc.boundary_masses at gamma = 2, no e^{-gamma^2/8} factor; 2N arcs of pi / N
+        masses = np.exp(trace.fields(coeffs[:count, :, :n]) - 0.5 * trace.variance) * (np.pi / n)
+        pushed.append((masses * np.sqrt(0.5 * trace.variance)).sum(axis=1))
         plain.append(masses.sum(axis=1))
     return pushed, plain
 

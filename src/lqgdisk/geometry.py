@@ -412,7 +412,7 @@ def weyl_anomaly(phi, base, params):
     """
     if (phi.n_r, phi.n_theta) != (base.n_r, base.n_theta):
         raise GridError("phi and base live on different grids")
-    coeff = (1.0 + 6.0 * params.Q**2) / (96.0 * np.pi)
+    coeff = params.central_charge / (96.0 * np.pi)
     energy = dirichlet_energy(phi)
     curv_term = 2.0 * integrate_bulk(phi, -laplacian(base) * phi.values)
     dn = _boundary_normal_derivative(base)

@@ -5,8 +5,8 @@ kinds of draws are provided:
 
 * its boundary restriction as a truncated Fourier series without a
   constant mode (so the boundary mean vanishes exactly for every draw),
-  synthesized at given angles for a block of coefficient draws at once
-  (boundary_synthesis_matrix);
+  synthesized at arc centers for a block of coefficient draws at once
+  (TraceSampler);
 * an exact-covariance Gaussian vector of circle-average values on a point
   set, built from the closed-form regularized covariance and a symmetric
   factorization (FieldSampler), or, on a graded grid invariant under
@@ -55,41 +55,34 @@ class RngStream:
 # boundary trace
 # ---------------------------------------------------------------------------
 
-def truncated_boundary_variance(n_modes):
-    """Pointwise variance sum_{n<=N} 2/n of the N-mode boundary trace.
-
-    The trace is X(theta) = sum_{n=1}^{N} sqrt(2/n) (a_n cos n theta +
-    b_n sin n theta) with standard normal coefficients; its covariance
-    converges to 2 ln 1/|e^{i t} - e^{i s}| as N grows.
-    """
-    return float(2.0 * np.sum(1.0 / np.arange(1, n_modes + 1)))
-
-
 def arc_centers(n_arcs):
     """Centers 2 pi (k + 1/2) / n_arcs, k = 0..n_arcs-1, of n_arcs equal arcs of the circle."""
     return 2.0 * np.pi * (np.arange(n_arcs) + 0.5) / n_arcs
 
 
-def boundary_synthesis(theta, n_modes):
-    """Synthesis matrices (cos, sin), entries sqrt(2/n) cos(n theta) and sqrt(2/n) sin(n theta).
+class TraceSampler:
+    """Draws of the N-mode boundary trace at the centers of n_arcs equal arcs.
 
-    Rows follow theta, columns the modes n = 1..n_modes; a coefficient
-    block c of shape (..., 2, n_modes) has trace values
-    c[..., 0, :] @ cos.T + c[..., 1, :] @ sin.T.
+    The trace is X(theta) = sum_{n=1}^{N} sqrt(2/n) (a_n cos n theta +
+    b_n sin n theta), its noise the standard normal (a_n) and (b_n); its
+    covariance converges to 2 ln 1/|e^{i t} - e^{i s}| as N grows, its
+    pointwise variance is sum_{n<=N} 2/n, and, with no constant mode, its
+    boundary mean vanishes for every draw.
     """
-    mode = np.arange(1, n_modes + 1)
-    amp = np.sqrt(2.0 / mode)
-    arg = np.outer(theta, mode)
-    return np.cos(arg) * amp, np.sin(arg) * amp
 
+    def __init__(self, n_modes, n_arcs):
+        self.noise_shape = (2, n_modes)
+        self.theta = arc_centers(n_arcs)
+        mode = np.arange(1, n_modes + 1)
+        self.variance = float(2.0 * np.sum(1.0 / mode))
+        amp = np.sqrt(2.0 / mode)
+        arg = np.outer(self.theta, mode)
+        # rows follow (cos, sin) x mode, columns the arcs
+        self._synthesis = np.concatenate([np.cos(arg) * amp, np.sin(arg) * amp], axis=1).T
 
-def boundary_synthesis_matrix(theta, n_modes):
-    """boundary_synthesis as one matrix of shape (2 n_modes, len(theta)).
-
-    A coefficient block c of shape (n, 2, n_modes) has trace values
-    c.reshape(n, -1) @ boundary_synthesis_matrix(theta, n_modes).
-    """
-    return np.concatenate(boundary_synthesis(theta, n_modes), axis=1).T
+    def fields(self, noise):
+        """Trace values at theta, shape (n, n_arcs), from noise of shape (n, *noise_shape)."""
+        return noise.reshape(len(noise), -1) @ self._synthesis
 
 
 # ---------------------------------------------------------------------------

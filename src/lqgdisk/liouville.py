@@ -39,13 +39,7 @@ from .geometry import (
     green,
     poincare_density,
 )
-from .gff import (
-    RotationSampler,
-    arc_centers,
-    boundary_synthesis_matrix,
-    replica_map,
-    truncated_boundary_variance,
-)
+from .gff import RotationSampler, TraceSampler, replica_map
 from .gmc import AtomicMeasure, boundary_masses, bulk_masses, graded_disk_grid, jackknife_var
 
 __all__ = [
@@ -229,8 +223,8 @@ class ChaosBasis:
     configurations can share one set of field replicas (paired-replica
     comparisons of partition functions use exactly this).  Replica r
     draws its bulk field from rng.child(2r) through a RotationSampler and
-    its boundary coefficients from rng.child(2r + 1), in blocks of
-    gff.replica_map.
+    its boundary trace from rng.child(2r + 1) through a TraceSampler, in
+    blocks of gff.replica_map.
     """
 
     def __init__(
@@ -249,26 +243,21 @@ class ChaosBasis:
         self.n_replicas = int(n_replicas)
         self.grid = graded_disk_grid(depth, rings_per_band, aspect)
         self.sampler = RotationSampler(self.grid)
-        self.n_modes = int(n_modes)
-        self.n_arcs = int(n_arcs)
-        self.arc_theta = arc_centers(n_arcs)
-        self.arc_points = np.exp(1j * self.arc_theta)
+        self.trace = TraceSampler(n_modes, n_arcs)
+        self.arc_points = np.exp(1j * self.trace.theta)
 
         g = self.gamma
         weights = self.grid.density_weights(0.5 * g**2)
-        var_n = truncated_boundary_variance(self.n_modes)
-        synthesis = boundary_synthesis_matrix(self.arc_theta, self.n_modes)
 
         def bulk_block(noise):
             return bulk_masses(self.sampler.fields(noise), self.sampler.variances, weights, g)
 
         def boundary_block(coef):
-            x = coef.reshape(len(coef), -1) @ synthesis
-            return boundary_masses(x, var_n, g, self.n_arcs)
+            return boundary_masses(self.trace.fields(coef), self.trace.variance, g, n_arcs)
 
         streams = [rng.child(k) for k in range(2 * self.n_replicas)]
         self.bulk_masses = replica_map(bulk_block, streams[0::2], self.sampler.noise_shape)
-        self.bdry_masses = replica_map(boundary_block, streams[1::2], (2, self.n_modes))
+        self.bdry_masses = replica_map(boundary_block, streams[1::2], self.trace.noise_shape)
         self._factors = {}
 
     @staticmethod
@@ -283,7 +272,7 @@ class ChaosBasis:
             raise ConfigurationError("insertion set gamma does not match the basis")
         g = self.gamma
         fb = bulk_drift_factors(ins, self.grid, g)
-        fd = boundary_drift_factors(ins, self.arc_theta, g)
+        fd = boundary_drift_factors(ins, self.trace.theta, g)
         return fb, fd
 
     def _drift(self, ins):

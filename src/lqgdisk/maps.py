@@ -307,6 +307,8 @@ class BoltzmannSampler:
     def _check_tails(self, edge_n):
         import scipy.special
         cfg = self.cfg
+        if not np.all(np.isfinite(self.log_p_marginal)):
+            raise ConfigurationError(f"some p <= p_max = {cfg.p_max} has no weight at n <= n_max = {cfg.n_max}")
         # n-direction: geometric envelope with the exact per-step decay
         log_edge_n = float(scipy.special.logsumexp(edge_n))
         decay_n = cfg.mu_bar - BULK_CRITICAL_WEIGHT  # asymptotic per-step log decay
@@ -329,13 +331,10 @@ class BoltzmannSampler:
                 f"{TAIL_BOUND:g}; increase n_max/p_max"
             )
 
-    def p_probabilities(self):
-        return np.exp(self.log_p_marginal - self.log_total)
-
     def sample(self, n_draws, rng):
         """n_draws exact draws of (n, p); deterministic under the stream."""
         gen = rng.generator()
-        probs = self.p_probabilities()
+        probs = np.exp(self.log_p_marginal - self.log_total)
         p_draws = gen.choice(self.cfg.p_max, size=n_draws, p=probs) + 1
         u = gen.uniform(size=n_draws)
         n_draws_out = np.empty(n_draws, dtype=np.int64)

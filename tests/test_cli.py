@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from lqgdisk import cli, gff, gmc, io, maps
+from lqgdisk import cli, gff, gmc, io, liouville, maps
 from lqgdisk.errors import GridError, UnsupportedSeparationError
 
 
@@ -126,6 +126,23 @@ class TestRunAndManifest:
         assert 1.0 / math.sqrt(2.0) < summary["acceptance_rate"] < 1.0
         assert "gamma_shape" not in summary and "ks_pvalue" not in summary
         assert 0.0 < summary["zero_mode_rel_err"] < 1e-8
+
+    @pytest.mark.parametrize("mu_b, reported", [(0.0, True), (0.5, False)])
+    def test_volume_law_evaluates_half_disk_only_when_reported(
+        self, tmp_path, capsys, monkeypatch, mu_b, reported
+    ):
+        calls = []
+        values = liouville.ChaosBasis.functional_values
+
+        def counted(basis, *args):
+            calls.append(args)
+            return values(basis, *args)
+
+        monkeypatch.setattr(liouville.ChaosBasis, "functional_values", counted)
+        assert run_cli(tmp_path, "volume-law", marked_config(mu_boundary=mu_b), seed=99) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert ("half_disk_corr" in summary) == reported
+        assert len(calls) == (1 if reported else 0)
 
     def test_maps_sample_formats(self, tmp_path, capsys):
         config = {"a": 0.3, "mu": 1.0, "mu_boundary": 1.0, "n_draws": 500, "seed": 3}
@@ -585,6 +602,24 @@ class TestValidate:
             ("field-sample", {"points": [[0.1, "0"]], "eps": 0.02}, "averaging circles"),
             ("kpz-covariance", marked_config(mobius={"a": [0.3, 0], "alpha": "1"}), "mobius"),
             ("maps-density", {"a": "0.03", "n_draws": 20000}, "maps-config"),
+            ("maps-sample", {"a": 0.3, "n_max": "x"}, "maps-config"),
+            ("maps-sample", {"a": 0.3, "n_max": 2.5}, "maps-config"),
+            ("maps-sample", {"a": 0.3, "n_max": -3}, "maps-config"),
+            ("maps-sample", {"a": 0.3, "p_max": 0}, "maps-config"),
+            ("maps-sample", {"a": 0.3, "n_max": 0}, "maps-config"),
+            ("maps-sample", {"a": 0.3, "interior_marked": "no"}, "maps-config"),
+            ("maps-density", {"a": 0.3, "n_draws": 20000, "interior_marked": 1}, "maps-config"),
+            ("critical-ladder", {"kind": "bulk", "levels": [4.7, 5.2], "n_replicas": 10}, "ladder"),
+            ("critical-ladder", {"kind": "bulk", "levels": ["a"], "n_replicas": 10}, "ladder"),
+            ("critical-ladder", {"kind": "boundary", "mode_levels": 8}, "ladder"),
+            ("critical-ladder", {"kind": "boundary", "mode_levels": [64], "n_replicas": True}, "ladder"),
+            ("critical-ladder", {"kind": "boundary", "mode_levels": [64], "n_replicas": [1.5]}, "ladder"),
+            ("critical-ladder", {"n_replicas": [100, 50]}, "ladder"),
+            ("gmc-bulk", {"gamma": 1.0, "grid": [3]}, "grid"),
+            ("volume-law", marked_config(grid=[3]), "grid"),
+            ("volume-law", marked_config(insertions=[5]), "insertions"),
+            ("volume-law", marked_config(insertions=5), "insertions"),
+            ("kpz-covariance", marked_config(insertions=KPZ_INSERTIONS, mobius=5), "mobius"),
         ],
         ids=[
             "list-count", "mobius-outside-disk", "no-samples", "no-arcs", "no-modes",
@@ -596,6 +631,11 @@ class TestValidate:
             "short-position", "string-weight", "string-depth", "fractional-depth",
             "overflowing-depth", "huge-integer-depth", "fractional-rings", "string-n-theta",
             "list-aspect", "string-point", "string-mobius-alpha", "string-maps-a",
+            "maps-string-n-max", "maps-fractional-n-max", "maps-negative-n-max", "maps-no-p",
+            "maps-weightless-rows", "maps-string-marking", "density-integer-marking",
+            "fractional-levels", "string-level", "scalar-mode-levels", "boolean-count",
+            "fractional-count-list", "counts-for-default-levels", "list-grid", "list-grid-basis",
+            "number-insertion", "number-insertions", "number-mobius",
         ],
     )
     def test_validate_reports_the_error_the_run_stops_at(self, tmp_path, capsys, command, config, code):

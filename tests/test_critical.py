@@ -13,14 +13,9 @@ from lqgdisk.critical import (
     median_ratios,
 )
 from lqgdisk.errors import ConfigurationError, FactorizationError, GridError
-from lqgdisk.gff import (
-    RngStream,
-    arc_centers,
-    boundary_synthesis,
-    neumann_covariance,
-    truncated_boundary_variance,
-)
+from lqgdisk.gff import RngStream, arc_centers, neumann_covariance
 from lqgdisk.gmc import window_sector_grid
+from tests_support import dense_trace
 
 
 class TestCriticalMeasures:
@@ -35,10 +30,9 @@ class TestCriticalMeasures:
     def test_boundary_variance_matched_norming(self):
         pushed, plain = boundary_ladder_totals([128], 20, RngStream(61, 1))
         coef = RngStream(61, 1).generator().standard_normal((20, 2, 128))
-        var = truncated_boundary_variance(128)
-        cosb, sinb = boundary_synthesis(arc_centers(256), 128)
-        for c, tp, tn in zip(coef, pushed[0], plain[0]):
-            masses = np.exp(cosb @ c[0] + sinb @ c[1] - var / 2.0) * (2.0 * math.pi / 256)
+        var = 2.0 * math.fsum(1.0 / n for n in range(1, 129))
+        for x, tp, tn in zip(dense_trace(coef, arc_centers(256)), pushed[0], plain[0]):
+            masses = np.exp(x - var / 2.0) * (2.0 * math.pi / 256)
             assert tn == pytest.approx(masses.sum(), rel=1e-12)
             assert tp == pytest.approx(math.sqrt(var / 2.0) * masses.sum(), rel=1e-12)
 

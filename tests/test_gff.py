@@ -14,28 +14,25 @@ from lqgdisk.gff import (
     FieldSampler,
     RngStream,
     RotationSampler,
+    TraceSampler,
     arc_centers,
-    boundary_synthesis_matrix,
     covariance_entries,
     neumann_covariance,
     replica_map,
-    truncated_boundary_variance,
 )
 from lqgdisk.gmc import graded_disk_grid
-from tests_support import boundary_coefficients, truncated_boundary_covariance
+from tests_support import boundary_coefficients, dense_trace, truncated_boundary_covariance
 
 
-def batched_trace_values(theta, n_modes, n_replicas, rng):
-    """Trace evaluations of many replicas at the given angles."""
-    coef = boundary_coefficients(n_modes, n_replicas, rng)
-    return coef.reshape(n_replicas, -1) @ boundary_synthesis_matrix(theta, n_modes)
+def batched_trace_values(n_modes, n_arcs, n_replicas, rng):
+    """Trace values of many replicas at the centers of n_arcs equal arcs."""
+    return TraceSampler(n_modes, n_arcs).fields(boundary_coefficients(n_modes, n_replicas, rng))
 
 
 class TestBoundaryTrace:
     def test_zero_boundary_mean_every_draw(self):
         # no constant mode: the uniform-grid mean vanishes to roundoff
-        theta = 2 * np.pi * np.arange(4096) / 4096
-        vals = batched_trace_values(theta, 128, 5, RngStream(3, 0))
+        vals = batched_trace_values(128, 4096, 5, RngStream(3, 0))
         assert np.max(np.abs(np.mean(vals, axis=1))) < 1e-12
 
     def test_covariance_at_pi(self):
@@ -45,7 +42,8 @@ class TestBoundaryTrace:
         series = 2.0 * np.sum((-1.0) ** np.arange(1, n_modes + 1) / np.arange(1, n_modes + 1))
         assert analytic == pytest.approx(series, abs=1e-12)
         assert analytic == pytest.approx(-2 * math.log(2), abs=2e-3)
-        vals = batched_trace_values(np.array([0.0, np.pi]), n_modes, 100000, RngStream(5, 1))
+        # the two arc centers pi/2 and 3 pi/2 lie pi apart
+        vals = batched_trace_values(n_modes, 2, 100000, RngStream(5, 1))
         emp = np.mean(vals[:, 0] * vals[:, 1])
         se = np.std(vals[:, 0] * vals[:, 1], ddof=1) / math.sqrt(len(vals))
         assert abs(emp - analytic) < 3 * se
@@ -59,9 +57,23 @@ class TestBoundaryTrace:
         # ladder level N synthesizes the first N modes of one shared coefficient block
         _, plain = boundary_ladder_totals([64, 256], 40, RngStream(9, 0))
         coef = boundary_coefficients(256, 40, RngStream(9, 0))[:, :, :64]
-        x = coef.reshape(40, -1) @ boundary_synthesis_matrix(arc_centers(128), 64)
-        want = np.exp(x - truncated_boundary_variance(64) / 2.0).sum(axis=1) * (2.0 * np.pi / 128)
+        var = 2.0 * math.fsum(1.0 / n for n in range(1, 65))
+        want = np.exp(dense_trace(coef, arc_centers(128)) - var / 2.0).sum(axis=1) * (2.0 * np.pi / 128)
         assert np.allclose(plain[0], want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n_modes, n_arcs", [(1024, 256), (64, 256), (5, 7), (1, 1)])
+    def test_trace_sampler_matches_dense_reference(self, n_modes, n_arcs):
+        # modes above n_arcs / 2 alias on the arc centers; the sampler must keep them
+        trace = TraceSampler(n_modes, n_arcs)
+        assert trace.noise_shape == (2, n_modes)
+        assert np.array_equal(trace.theta, 2.0 * np.pi * (np.arange(n_arcs) + 0.5) / n_arcs)
+        want_var = 2.0 * math.fsum(1.0 / n for n in range(1, n_modes + 1))
+        assert trace.variance == pytest.approx(want_var, rel=1e-14)
+        coef = boundary_coefficients(n_modes, 300, RngStream(16, 0))
+        want = dense_trace(coef, trace.theta)
+        got = trace.fields(coef)
+        assert got.shape == (300, n_arcs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestFieldSampler:
@@ -190,14 +202,6 @@ class TestRotationSampler:
         assert np.array_equal(replica_map(lambda b: b, streams, (3, 4)), want)
         monkeypatch.setattr(gff, "REPLICA_BLOCK", 4)
         assert np.array_equal(replica_map(lambda b: b, streams, (3, 4)), want)
-
-    def test_block_boundary_synthesis_matches_per_replica_products(self):
-        theta, n_modes = arc_centers(256), 1024
-        coef = boundary_coefficients(n_modes, 300, RngStream(16, 0))
-        block = coef.reshape(300, -1) @ boundary_synthesis_matrix(theta, n_modes)
-        cosb, sinb = gff.boundary_synthesis(theta, n_modes)
-        single = np.stack([cosb @ c[0] + sinb @ c[1] for c in coef])
-        assert np.max(np.abs(block - single)) <= 1e-12 * np.max(np.abs(single))
 
 
 class TestVarianceAsymptotics:

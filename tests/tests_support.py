@@ -2,13 +2,24 @@
 
 import numpy as np
 
-from lqgdisk.gff import arc_centers, boundary_synthesis_matrix, truncated_boundary_variance
+from lqgdisk.gff import TraceSampler
 from lqgdisk.gmc import boundary_masses, bulk_masses
 
 
 def boundary_coefficients(n_modes, n_replicas, rng):
     """Coefficient block (n_replicas, 2, n_modes) of the boundary trace, from a single stream."""
     return rng.generator().standard_normal((n_replicas, 2, n_modes))
+
+
+def dense_trace(coef, theta):
+    """Reference trace values sum_n sqrt(2/n) (a_n cos n theta + b_n sin n theta), replica by replica.
+
+    coef has shape (n_replicas, 2, N); the result has shape (n_replicas, len(theta)).
+    """
+    mode = np.arange(1, coef.shape[-1] + 1)
+    cos, sin = np.cos(np.outer(theta, mode)), np.sin(np.outer(theta, mode))
+    amp = np.sqrt(2.0 / mode)
+    return np.stack([cos @ (amp * a) + sin @ (amp * b) for a, b in coef])
 
 
 def truncated_boundary_covariance(delta_theta, n_modes):
@@ -21,10 +32,9 @@ def truncated_boundary_covariance(delta_theta, n_modes):
 
 def batched_boundary_totals(gamma, n_modes, n_arcs, n_replicas, rng):
     """Total masses of the boundary chaos measure across replicas."""
-    coef = boundary_coefficients(n_modes, n_replicas, rng)
-    x = coef.reshape(n_replicas, -1) @ boundary_synthesis_matrix(arc_centers(n_arcs), n_modes)
-    var = truncated_boundary_variance(n_modes)
-    return boundary_masses(x, var, gamma, n_arcs).sum(axis=1)
+    trace = TraceSampler(n_modes, n_arcs)
+    x = trace.fields(boundary_coefficients(n_modes, n_replicas, rng))
+    return boundary_masses(x, trace.variance, gamma, n_arcs).sum(axis=1)
 
 
 def batched_bulk_masses(gamma, grid, sampler, n_replicas, rng):
