@@ -49,7 +49,7 @@ SEED_ENV = "LQG_SEED"
 
 def _params_from(config):
     return LiouvilleParams(
-        gamma=_real(config["gamma"], "gamma"),
+        gamma=_real(_key(config, "gamma"), "gamma"),
         mu=_real(config.get("mu", 1.0), "mu"),
         mu_boundary=_real(config.get("mu_boundary", 0.0), "mu_boundary"),
     )
@@ -58,14 +58,16 @@ def _params_from(config):
 def _insertions_from(config):
     params = _params_from(config)
     bulk, boundary = [], []
-    for item in _typed(config.get("insertions", []), list, "insertions"):
-        z = _point(_typed(item, dict, "an insertion")["position"], "position")
-        if item["kind"] == "bulk":
-            bulk.append((z, _real(item["weight"], "weight")))
-        elif item["kind"] == "boundary":
-            boundary.append((z, _real(item["weight"], "weight")))
+    for i, item in enumerate(_typed(config.get("insertions", []), list, "insertions")):
+        name = f"insertion {i}"
+        z = _point(_key(_typed(item, dict, "an insertion"), "position", name), "position")
+        kind = _key(item, "kind", name)
+        if kind == "bulk":
+            bulk.append((z, _real(_key(item, "weight", name), "weight")))
+        elif kind == "boundary":
+            boundary.append((z, _real(_key(item, "weight", name), "weight")))
         else:
-            raise ConfigurationError(f"unknown insertion kind {item['kind']!r}")
+            raise ConfigurationError(f"unknown insertion kind {kind!r}")
     return liouville.InsertionSet(params=params, bulk=tuple(bulk), boundary=tuple(boundary))
 
 
@@ -107,6 +109,13 @@ def _integers(xs, name):
     return [_integer(x, name, -math.inf) for x in _typed(xs, list, name)]
 
 
+def _key(obj, key, name="the config"):
+    """obj[key], if the config object `name` has that key."""
+    if key not in obj:
+        raise ConfigurationError(f"{name} has no key {key!r}")
+    return obj[key]
+
+
 def _typed(x, kind, name):
     """x, if it is a JSON value of the given kind (list, dict or bool)."""
     if not isinstance(x, kind):
@@ -140,7 +149,7 @@ def _samples_from(config):
 def _points_from(config):
     """(points, eps) of a field-sample run: the config's points, else the graded grid's cells."""
     if "points" in config:
-        return np.array([_point(p, "points") for p in config["points"]]), _real(config["eps"], "eps")
+        return np.array([_point(p, "points") for p in config["points"]]), _real(_key(config, "eps"), "eps")
     grid = _grid_from(config)
     return grid.centers, grid.eps
 
@@ -153,7 +162,7 @@ def _modes_from(config):
 def _mobius_from(config):
     mb = _typed(config.get("mobius", {"a": [0.3, 0.0], "alpha": 0.0}), dict, "mobius")
     alpha = _real(mb.get("alpha", 0.0), "mobius.alpha")
-    return MobiusMap(a=_point(mb["a"], "mobius.a"), alpha=alpha)
+    return MobiusMap(a=_point(_key(mb, "a", "mobius"), "mobius.a"), alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +534,7 @@ def run_maps_count(config, seed, outdir):
 
 def _maps_config(config):
     return maps.BoltzmannConfig(
-        a=_real(config["a"], "a"),
+        a=_real(_key(config, "a"), "a"),
         mu=_real(config.get("mu", 1.0), "mu"),
         mu_boundary=_real(config.get("mu_boundary", 1.0), "mu_boundary"),
         n_max=None if config.get("n_max") is None else _count(config, "n_max", None, least=0),
@@ -644,6 +653,7 @@ EXPERIMENTS = {
 CONFIG_ERRORS = (ConfigurationError, DomainError, GridError, UnsupportedSeparationError, KeyError)
 LADDER_TRIGGERS = ("kind", "levels", "mode_levels", "critical-ladder")
 BASIS_COMMANDS = ("volume-law", "partition", "kpz-covariance")  # they build a ChaosBasis
+MAPS_COMMANDS = ("maps-sample", "maps-density")  # they build a BoltzmannSampler
 
 
 def _bound_findings(config):
@@ -674,7 +684,7 @@ VALIDATION = (
     ("counts", ("n_samples",), _samples_from),
     ("modes", ("n_modes", "n_arcs"), _modes_from),
     ("mobius", ("mobius",), _mobius_from),
-    ("maps-config", ("a",), lambda c: maps.BoltzmannSampler(_maps_config(c))),
+    ("maps-config", ("a", *MAPS_COMMANDS), lambda c: maps.BoltzmannSampler(_maps_config(c))),
     ("bins", ("bins",), _bins_from),
     ("pairs", ("pairs", "maps-count"), _pairs_from),
     ("conformal grid", ("n_r", "n_theta", "shift"), _weyl_from),

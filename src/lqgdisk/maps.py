@@ -130,15 +130,16 @@ def log_count_exact_certified(n, p):
     return math.fsum(np.log(primes[nz].astype(float)) * exps[nz].astype(float))
 
 
-def _log_count(n, p, lg_2n_p, lg_n_p_2, lg_n_2p_1):
+def _log_count(n, p, lg_2n_p, lg_n_p_2, lg_n_2p_1, out=None):
     """ln T(n, p) from the log-gamma values at 2n+p, n-p+2 and n+2p+1.
 
     The one copy of the closed form; the terms are added one at a time, in
-    this order, so every caller gets the same bits.
+    this order, so every caller gets the same bits (in `out`, if given).
     """
     import scipy.special
     pf = float(p)
-    out = (n - pf) * math.log(3.0)
+    out = np.subtract(n, pf, out=out)
+    out *= math.log(3.0)
     out += scipy.special.gammaln(3 * pf + 1.0)
     out -= scipy.special.gammaln(pf + 1.0)
     out -= scipy.special.gammaln(2 * pf)
@@ -146,6 +147,23 @@ def _log_count(n, p, lg_2n_p, lg_n_p_2, lg_n_2p_1):
     out -= lg_n_p_2
     out -= lg_n_2p_1
     return out
+
+
+def _logsumexp(a):
+    """ln sum exp(a), overwriting the float array a, by scipy 1.17's steps in scipy's order.
+
+    After Blanchard, Higham and Higham (IMA J. Numer. Anal. 41, 2021): the maximal entries
+    leave the sum, which is divided by their count m; the result is log1p(s) + ln m + max.
+    """
+    a_max = a.max()
+    mask = a == a_max
+    m = float(np.count_nonzero(mask))
+    with np.errstate(invalid="ignore"):  # -inf - -inf when every entry is -inf
+        np.subtract(a, a_max, out=a)
+    np.exp(a, out=a)
+    a[mask] = 0.0
+    s = a.sum()
+    return np.log1p(s / m if s != 0 else s) + np.log(m) + a_max
 
 
 def log_count_exact(n, p):
@@ -255,10 +273,13 @@ class BoltzmannSampler:
     Builds one table of ln Gamma(k) for every integer argument a row needs
     (k < 2 n_max + 3 p_max + 2) and slices each n-row from it, bit for bit
     the row log_count_exact gives.  The log-marginal over p streams one row
-    at a time (the full table would not fit in memory at small mesh);
-    sampling draws p from the marginal and then n from the regenerated row
-    by inverse CDF.  Construction validates the truncation tails against
-    TAIL_BOUND and raises ConfigurationError if the caps are too small.
+    at a time (the full table would not fit in memory at small mesh), each
+    row summed in place by _logsumexp, scipy 1.17's algorithm in numpy, so
+    the digests stayed scipy 1.17's; scipy.special serves only gammaln and
+    chdtrc.  Sampling draws p from the marginal and then n from the
+    regenerated row by inverse CDF.  Construction validates the truncation
+    tails against TAIL_BOUND and raises ConfigurationError if the caps are
+    too small.
     """
 
     def __init__(self, cfg):
@@ -274,10 +295,10 @@ class BoltzmannSampler:
         edge_n = np.full(cfg.p_max, -np.inf)
         for p in range(1, cfg.p_max + 1):
             row = self.log_weight_row(p)
-            log_m[p - 1] = scipy.special.logsumexp(row)
             edge_n[p - 1] = row[-1]
+            log_m[p - 1] = _logsumexp(row)
         self.log_p_marginal = log_m
-        self.log_total = float(scipy.special.logsumexp(log_m))
+        self.log_total = float(_logsumexp(log_m.copy()))
         self._check_tails(edge_n)
 
     def log_weight_row(self, p):
@@ -291,13 +312,8 @@ class BoltzmannSampler:
         lo = min(p - 1, cfg.n_max + 1)
         m = cfg.n_max + 1 - lo
         row = np.full(cfg.n_max + 1, -np.inf)
-        row[lo:] = _log_count(
-            self._n[lo:],
-            p,
-            g[2 * lo + p :: 2][:m],
-            g[lo - p + 2 :][:m],
-            g[lo + 2 * p + 1 :][:m],
-        )
+        g1, g2, g3 = g[2 * lo + p :: 2][:m], g[lo - p + 2 :][:m], g[lo + 2 * p + 1 :][:m]
+        _log_count(self._n[lo:], p, g1, g2, g3, out=row[lo:])
         row -= cfg.mu_bar * self._n
         row -= cfg.mu_bar_boundary * 2.0 * p
         if cfg.interior_marked:
@@ -305,12 +321,11 @@ class BoltzmannSampler:
         return row
 
     def _check_tails(self, edge_n):
-        import scipy.special
         cfg = self.cfg
         if not np.all(np.isfinite(self.log_p_marginal)):
             raise ConfigurationError(f"some p <= p_max = {cfg.p_max} has no weight at n <= n_max = {cfg.n_max}")
         # n-direction: geometric envelope with the exact per-step decay
-        log_edge_n = float(scipy.special.logsumexp(edge_n))
+        log_edge_n = float(_logsumexp(edge_n))
         decay_n = cfg.mu_bar - BULK_CRITICAL_WEIGHT  # asymptotic per-step log decay
         if decay_n <= 0.0:
             raise ConfigurationError("mu_bar must exceed the critical weight ln 12")

@@ -646,6 +646,30 @@ class TestValidate:
         assert err == {"type": "config", "message": findings[0]["message"]}
 
     @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("seiberg-validate", {"gamma": 1.0, "insertions": [{"position": [0, 0], "weight": 1}]},
+             "insertion 0 has no key 'kind'"),
+            ("seiberg-validate", {"gamma": 1.0, "insertions": [bulk_point([0, 0], 1), {"kind": "bulk", "weight": 1}]},
+             "insertion 1 has no key 'position'"),
+            ("seiberg-validate", {"gamma": 1.0, "insertions": [{"kind": "bulk", "position": [0, 0]}]},
+             "insertion 0 has no key 'weight'"),
+            ("seiberg-validate", {"insertions": []}, "the config has no key 'gamma'"),
+            ("kpz-covariance", marked_config(insertions=KPZ_INSERTIONS, mobius={"alpha": 0.0}),
+             "mobius has no key 'a'"),
+            ("maps-density", {"n_draws": 20000}, "the config has no key 'a'"),
+            ("maps-sample", {"mu": 1.0}, "the config has no key 'a'"),
+        ],
+        ids=["insertion-kind", "insertion-position", "insertion-weight", "gamma", "mobius-a",
+             "density-a", "sample-a"],
+    )
+    def test_missing_key_is_named(self, tmp_path, capsys, command, config, message):
+        # the reader names the config object and the key, not a bare KeyError string
+        assert [f["message"] for f in cli.validate(config, command)] == [message]
+        assert run_cli(tmp_path, command, config, seed=3) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == {"type": "config", "message": message}
+
+    @pytest.mark.parametrize(
         "config, code", [({"gamma": 1.0, "grid": {"n_r": 9}}, 2), ({"gamma": 1.0, "grid": {"n_r": 4}}, 0)]
     )
     def test_validate_exit_status(self, tmp_path, capsys, config, code):

@@ -21,7 +21,12 @@ from lqgdisk.gff import (
     replica_map,
 )
 from lqgdisk.gmc import graded_disk_grid
-from tests_support import boundary_coefficients, dense_trace, truncated_boundary_covariance
+from tests_support import (
+    boundary_coefficient_chunks,
+    boundary_coefficients,
+    dense_trace,
+    truncated_boundary_covariance,
+)
 
 
 def batched_trace_values(n_modes, n_arcs, n_replicas, rng):
@@ -42,11 +47,20 @@ class TestBoundaryTrace:
         series = 2.0 * np.sum((-1.0) ** np.arange(1, n_modes + 1) / np.arange(1, n_modes + 1))
         assert analytic == pytest.approx(series, abs=1e-12)
         assert analytic == pytest.approx(-2 * math.log(2), abs=2e-3)
-        # the two arc centers pi/2 and 3 pi/2 lie pi apart
-        vals = batched_trace_values(n_modes, 2, 100000, RngStream(5, 1))
+        # the two arc centers pi/2 and 3 pi/2 lie pi apart; the 100,000 coefficient rows are
+        # drawn and synthesized in blocks, so only the arc values of all of them are kept
+        trace = TraceSampler(n_modes, 2)
+        chunks = boundary_coefficient_chunks(n_modes, 100000, RngStream(5, 1), 2000)
+        vals = np.concatenate([trace.fields(coef) for coef in chunks])
         emp = np.mean(vals[:, 0] * vals[:, 1])
         se = np.std(vals[:, 0] * vals[:, 1], ddof=1) / math.sqrt(len(vals))
         assert abs(emp - analytic) < 3 * se
+
+    def test_coefficient_chunks_are_one_draw(self):
+        whole = boundary_coefficients(16, 11, RngStream(5, 1))
+        chunks = list(boundary_coefficient_chunks(16, 11, RngStream(5, 1), 4))
+        assert [len(c) for c in chunks] == [4, 4, 3]
+        assert np.array_equal(np.concatenate(chunks), whole)
 
     def test_covariance_at_half_pi(self):
         # chord sqrt(2): limit is -ln 2

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
+from lqgdisk import cli, maps
 from lqgdisk.errors import ConfigurationError, DomainError
 from lqgdisk.gff import RngStream
 from lqgdisk.maps import (
@@ -150,6 +152,97 @@ class TestBoltzmann:
             BoltzmannConfig(a=0.2, mu=0.0, mu_boundary=1.0, n_max=n_max)
 
 
+def _plain_logsumexp(a):
+    """ln sum exp(a) by a max-shifted numpy sum: a reference within rounding, independent of scipy."""
+    top = np.max(a)
+    if top == -np.inf:
+        return -np.inf
+    return top + np.log(np.sum(np.exp(a - top)))
+
+
+# maps._logsumexp copies the steps of scipy 1.17's logsumexp, so that release is its bit-for-bit
+# oracle; other releases may sum in another order, and only the rounding-level reference applies.
+SCIPY_1_17 = tuple(int(v) for v in scipy.__version__.split(".")[:2]) >= (1, 17)
+REFERENCES = [
+    pytest.param(_plain_logsumexp, 1e-13, id="plain-sum"),
+    pytest.param(
+        scipy.special.logsumexp,
+        0.0,
+        id="scipy-1.17-bits",
+        marks=pytest.mark.skipif(not SCIPY_1_17, reason=f"scipy {scipy.__version__} is not the copied release"),
+    ),
+]
+
+
+class TestLogsumexp:
+    """maps._logsumexp: scipy 1.17's bits, and within rounding of a plain sum, ties and -inf included."""
+
+    @pytest.mark.parametrize(
+        "a, expected",
+        [
+            (np.full(7, -np.inf), -np.inf),
+            (np.array([2.5]), 2.5),
+            (np.array([-np.inf, 3.0, -np.inf, 3.0]), np.log(2.0) + 3.0),
+        ],
+        ids=["all-minus-inf", "one-element", "tied-among-minus-inf"],
+    )
+    def test_closed_forms(self, a, expected):
+        # the maximal entries leave the sum, so what remains is exact: ln m + max
+        assert maps._logsumexp(a.copy()) == expected
+
+    @pytest.mark.parametrize("reference, tol", REFERENCES)
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.full(7, -np.inf),
+            np.array([2.5]),
+            np.array([1.0, 3.0, 3.0, -2.0, 3.0]),
+            np.array([-np.inf, 0.5, -np.inf, -1e3, 0.25]),
+            np.linspace(-800.0, 0.0, 4001),
+        ],
+        ids=["all-minus-inf", "one-element", "tied-maximum", "mixed-minus-inf", "range-800"],
+    )
+    def test_fixed_arrays(self, a, reference, tol):
+        np.testing.assert_allclose(maps._logsumexp(a.copy()), reference(a), rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("reference, tol", REFERENCES)
+    def test_random_arrays(self, reference, tol):
+        gen = np.random.default_rng(16)
+        for _ in range(500):
+            a = gen.normal(scale=gen.choice([1.0, 30.0, 300.0]), size=int(gen.integers(1, 3000)))
+            a[gen.random(a.size) < gen.choice([0.0, 0.3])] = -np.inf
+            if gen.random() < 0.5 and np.any(np.isfinite(a)):
+                a[gen.integers(0, a.size, size=3)] = a[np.isfinite(a)].max()
+            np.testing.assert_allclose(maps._logsumexp(a.copy()), reference(a), rtol=tol, atol=tol)
+
+    def test_maps_density_runs_without_scipy_logsumexp(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.special.logsumexp was called")
+
+        monkeypatch.setattr(scipy.special, "logsumexp", refuse)
+        config = tmp_path / "maps-density.json"
+        config.write_text('{"a": 0.03, "mu": 1.0, "mu_boundary": 1.0, "n_draws": 20000}')
+        argv = ["maps-density", "--config", str(config), "--out", str(tmp_path), "--seed", "1"]
+        assert cli.main(argv) == 0
+
+
+def _assert_marginals(sampler, reference, tol):
+    """The sampler's marginals and total match `reference` summed over its rows (tol 0: bit for bit)."""
+    log_m = np.array([reference(sampler.log_weight_row(p)) for p in range(1, sampler.cfg.p_max + 1)])
+    np.testing.assert_allclose(sampler.log_p_marginal, log_m, rtol=tol, atol=tol)
+    np.testing.assert_allclose(sampler.log_total, reference(log_m), rtol=tol, atol=tol)
+
+
+@pytest.mark.parametrize("reference, tol", REFERENCES)
+@pytest.mark.parametrize(
+    "kw",
+    [dict(a=0.03), dict(a=0.1), dict(a=0.25), dict(a=0.1, mu_boundary=0.0), dict(a=0.1, interior_marked=False)],
+    ids=["a-0.03", "a-0.1", "a-0.25", "no-boundary-weight", "unmarked"],
+)
+def test_marginals(kw, reference, tol):
+    _assert_marginals(BoltzmannSampler(BoltzmannConfig(**kw)), reference, tol)
+
+
 def _reference_row(sampler, p):
     """The row from direct gammaln calls, with the terms of log_weight_row."""
     cfg = sampler.cfg
@@ -159,6 +252,16 @@ def _reference_row(sampler, p):
         with np.errstate(divide="ignore"):
             row = row + np.log(n)
     return row
+
+
+EDGE_CONFIGS = pytest.mark.parametrize(
+    "cfg",
+    [
+        BoltzmannConfig(a=0.5, n_max=3, p_max=9),
+        BoltzmannConfig(a=0.5, n_max=3, p_max=9, interior_marked=False),
+    ],
+    ids=["p-cap-beyond-n", "p-cap-beyond-n-unmarked"],
+)
 
 
 class TestTablePath:
@@ -175,20 +278,19 @@ class TestTablePath:
         for p in range(1, s.cfg.p_max + 1):
             assert np.array_equal(s.log_weight_row(p), _reference_row(s, p))
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            BoltzmannConfig(a=0.5, n_max=3, p_max=9),
-            BoltzmannConfig(a=0.5, n_max=3, p_max=9, interior_marked=False),
-        ],
-        ids=["p-cap-beyond-n", "p-cap-beyond-n-unmarked"],
-    )
+    @EDGE_CONFIGS
     def test_rows_at_edge_configs(self, untruncated, cfg):
         s = BoltzmannSampler(cfg)
         for p in range(1, cfg.p_max + 1):
             assert np.array_equal(s.log_weight_row(p), _reference_row(s, p))
         if cfg.p_max > cfg.n_max + 1:
             assert np.all(s.log_weight_row(cfg.p_max) == -np.inf)
+
+    @pytest.mark.parametrize("reference, tol", REFERENCES)
+    @EDGE_CONFIGS
+    def test_marginals_at_edge_configs(self, untruncated, cfg, reference, tol):
+        # rows past p = n_max + 1 are all -inf, so the marginal ends in -inf entries
+        _assert_marginals(BoltzmannSampler(cfg), reference, tol)
 
     def test_acceptance_config_rows(self):
         s = BoltzmannSampler(BoltzmannConfig(a=0.01, mu=1.0, mu_boundary=1.0))

@@ -11,6 +11,13 @@ def boundary_coefficients(n_modes, n_replicas, rng):
     return rng.generator().standard_normal((n_replicas, 2, n_modes))
 
 
+def boundary_coefficient_chunks(n_modes, n_replicas, rng, chunk):
+    """boundary_coefficients(n_modes, n_replicas, rng) as row blocks of at most `chunk` replicas."""
+    gen = rng.generator()
+    for start in range(0, n_replicas, chunk):
+        yield gen.standard_normal((min(chunk, n_replicas - start), 2, n_modes))
+
+
 def dense_trace(coef, theta):
     """Reference trace values sum_n sqrt(2/n) (a_n cos n theta + b_n sin n theta), replica by replica.
 
