@@ -101,13 +101,13 @@ def timed(argv, root, env):
     return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0, out
 
 
-def cli_run(root, env, work, command, config, seed):
-    """Timing and CSV digests of one `lqgdisk <command>` run."""
+def cli_run(root, env, work, command, config, seed, launcher=("-m", "lqgdisk.cli")):
+    """Timing and CSV digests of one `lqgdisk <command>` run, started as `python <launcher> <args>`."""
     cfg_path = os.path.join(work, "config.json")
     with open(cfg_path, "w") as fh:
         json.dump(config, fh)
     outdir = os.path.join(work, "out")
-    argv = [sys.executable, "-m", "lqgdisk.cli", command, "--config", cfg_path, "--out", outdir]
+    argv = [sys.executable, *launcher, command, "--config", cfg_path, "--out", outdir]
     if seed is not None:
         argv += ["--seed", str(seed)]
     wall, cpu, rss, _ = timed(argv, root, env)
@@ -119,7 +119,7 @@ def cli_run(root, env, work, command, config, seed):
     return {"wall_s": wall, "cpu_s": cpu, "peak_rss_mb": rss}, digests
 
 
-def one_round(root, env, work):
+def one_round(side, root, env, work):
     """Every measurement of one side, once: ({metric: value}, {run: CSV digests})."""
     values, digests = {}, {}
     for name, a in DENSITY.items():
@@ -143,8 +143,44 @@ def summarize(series):
     return {"median": med, "q1": q1, "q3": q3, "runs": series}
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def abba_rounds(sides, measure, tmp, threads):
+    """ROUNDS rounds of measure(side, root, env, work) on each side, in ABBA order.
+
+    measure returns ({metric: value}, {run: {csv name: sha256}}).  Returns
+    (runs, digests): per side, the list of value dicts and, per run and
+    CSV, the set of digests seen.
+    """
+    runs = {side: [] for side in sides}
+    digests = {side: {} for side in sides}
+    for r in range(ROUNDS):
+        for side in (("base", "head") if r % 2 == 0 else ("head", "base")):
+            work = tempfile.mkdtemp(dir=tmp)
+            values, found = measure(side, sides[side], child_env(sides[side], threads), work)
+            runs[side].append(values)
+            for run, files in found.items():
+                for name, sha in files.items():
+                    digests[side].setdefault(run, {}).setdefault(name, set()).add(sha)
+            print(f"round {r} {side}: " + ", ".join(f"{k}={v:.2f}" for k, v in values.items()), flush=True)
+    return runs, digests
+
+
+def environment(threads):
+    """The numerical environment that the timings and the digests depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "threads": {var: str(threads) for var in THREAD_VARS},
+        "nproc": len(os.sched_getaffinity(0)),
+        "machine": platform.machine(),
+    }
+
+
+def compare(script, doc, measure, argv=None):
+    """Parse --base/--out/--scratch, run abba_rounds of measure on the base and the working tree, write the record."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare the working tree with")
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--scratch", default=None, help="directory for the base checkout and run outputs")
@@ -158,33 +194,15 @@ def main(argv=None):
         os.makedirs(base_root)
         subprocess.run(f"git archive {base_sha} | tar -x -C {base_root}", shell=True, check=True)
         sides = {"base": base_root, "head": repo}
-        runs = {side: [] for side in sides}
-        digests = {side: {} for side in sides}
-        for r in range(ROUNDS):
-            for side in (("base", "head") if r % 2 == 0 else ("head", "base")):
-                work = tempfile.mkdtemp(dir=tmp)
-                values, found = one_round(sides[side], child_env(sides[side], threads), work)
-                runs[side].append(values)
-                for run, files in found.items():
-                    for name, sha in files.items():
-                        digests[side].setdefault(run, {}).setdefault(name, set()).add(sha)
-                print(f"round {r} {side}: " + ", ".join(f"{k}={v:.2f}" for k, v in values.items()), flush=True)
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        runs, digests = abba_rounds(sides, measure, tmp, threads)
     record = {
-        "command": "python3 bench/boltzmann.py " + " ".join(sys.argv[1:] if argv is None else argv),
+        # the scratch directory holds only the base checkout and outputs, so the command leaves it out
+        "command": f"python3 {script} --base {args.base} --out {args.out}",
         "revisions": {
             "base": {"commit": base_sha, "src_tree": git("rev-parse", f"{base_sha}:src")},
             "head": {"parent_commit": git("rev-parse", "HEAD"), "src_tree": working_tree_of("src")},
         },
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "blas": f"{blas.get('name')} {blas.get('version')}",
-            "threads": {var: str(threads) for var in THREAD_VARS},
-            "nproc": len(os.sched_getaffinity(0)),
-            "machine": platform.machine(),
-        },
+        "environment": environment(threads),
         "rounds": ROUNDS,
         "metrics": {
             side: {k: summarize([v[k] for v in runs[side]]) for k in runs[side][0]} for side in sides
@@ -194,10 +212,16 @@ def main(argv=None):
             for side in sides
         },
     }
-    record["csv_identical"] = record["csv_sha256"]["base"] == record["csv_sha256"]["head"]
+    # runs made on one side only (the working tree's extras) have nothing to match
+    base, head = record["csv_sha256"]["base"], record["csv_sha256"]["head"]
+    record["csv_identical"] = all(head.get(run) == files for run, files in base.items())
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
+
+
+def main(argv=None):
+    compare("bench/boltzmann.py", __doc__, one_round, argv)
 
 
 if __name__ == "__main__":

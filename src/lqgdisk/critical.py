@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, GridError
-from .gff import TraceSampler, circulant_fields, circulant_root, covariance_entries
+from .gff import BUILD_CHUNK, TraceSampler, circulant_fields, circulant_root, covariance_entries
 from .gmc import bulk_masses, window_sector_grid
 
 __all__ = [
@@ -40,11 +40,11 @@ __all__ = [
 # ladder diagnostics
 # ---------------------------------------------------------------------------
 
-# the level-10 sector has 32,768 points; the level-11 embedding blocks alone
-# would take over 0.5 GB
+# a level-8-10 ladder peaks near 200 MB; at level 11 the spectrum and its
+# root alone would take 2 x 539 MB
 MAX_LADDER_LEVEL = 10
-# replicas drawn per block; the block size changes no draw
-REPLICA_BLOCK = 500
+# noise values drawn per replica block (2 MB); the block size changes no draw
+NOISE_BLOCK = 2**18
 
 
 class SectorSampler:
@@ -69,14 +69,16 @@ class SectorSampler:
         n_r = self.grid.rings_per_band
         self.n_angles = self.grid.size // n_r
         self.noise_shape = (n_r, 2 * self.n_angles)
-        radii = np.abs(self.grid.centers[:: self.n_angles])
+        radii, eps = np.abs(self.grid.centers[:: self.n_angles]), self.grid.eps[0]
         shifts = np.exp(1j * self.grid.dtheta[0] * np.arange(self.n_angles + 1))
-        blocks = covariance_entries(
-            radii[:, None], radii[None, :] * shifts[:, None, None], self.grid.eps[0]
-        )
-        self.variances = np.repeat(np.diag(blocks[0]), self.n_angles)
-        embedded = np.concatenate([blocks, blocks[-2:0:-1]])
-        self.spectrum = np.fft.rfft(embedded, axis=0).real
+        self.variances = np.repeat(covariance_entries(radii, radii, eps), self.n_angles)
+        # BUILD_CHUNK entries of the embedding at a time, a few radial rows each
+        self.spectrum = np.empty((self.n_angles + 1, n_r, n_r))
+        step = max(1, BUILD_CHUNK // (2 * self.n_angles * n_r))
+        for i in range(0, n_r, step):
+            blocks = covariance_entries(radii[i : i + step, None], radii * shifts[:, None, None], eps)
+            embedded = np.concatenate([blocks, blocks[-2:0:-1]])
+            self.spectrum[:, i : i + step] = np.fft.rfft(embedded, axis=0).real
         self._root, self.min_eigenvalue = circulant_root(self.spectrum)
 
     def fields(self, noise):
@@ -169,23 +171,22 @@ def bulk_ladder_totals(levels, n_replicas, rng, report=None):
     weights = [s.grid.density_weights(2.0) for s in samplers]
     plain = [np.empty(n) for n in counts]
     gen = rng.generator()
-    for start in range(0, max(counts), REPLICA_BLOCK):
-        stop = min(start + REPLICA_BLOCK, max(counts))
-        r = start
-        while r < stop:
-            finest = max(i for i, n in enumerate(counts) if n > r)
-            end = min(stop, counts[finest])
-            noise = gen.standard_normal((end - r, *samplers[finest].noise_shape))
-            for i in range(finest, -1, -1):
-                n = min(end, counts[i]) - r
-                if n > 0:
-                    x = samplers[i].fields(noise[:n])
-                    masses = bulk_masses(x, samplers[i].variances, weights[i], 2.0)
-                    plain[i][r : r + n] = masses.sum(axis=1)
-                if i > 0:
-                    for _ in range(levels[i] - levels[i - 1]):
-                        noise = coarsen_noise(noise)
-            r = end
+    r = 0
+    while r < max(counts):
+        finest = max(i for i, n in enumerate(counts) if n > r)
+        shape = samplers[finest].noise_shape
+        end = min(counts[finest], r + max(1, NOISE_BLOCK // math.prod(shape)))
+        noise = gen.standard_normal((end - r, *shape))
+        for i in range(finest, -1, -1):
+            n = min(end, counts[i]) - r
+            if n > 0:
+                x = samplers[i].fields(noise[:n])
+                masses = bulk_masses(x, samplers[i].variances, weights[i], 2.0)
+                plain[i][r : r + n] = masses.sum(axis=1)
+            if i > 0:
+                for _ in range(levels[i] - levels[i - 1]):
+                    noise = coarsen_noise(noise)
+        r = end
     pushed = [t * math.sqrt(math.log(1.0 / s.grid.eps[0])) for t, s in zip(plain, samplers)]
     if report is not None:
         report["min_eigenvalues"] = [s.min_eigenvalue for s in samplers]

@@ -18,20 +18,25 @@ def fmt(x):
     return "%.17g" % float(x)
 
 
+def _cell_format(kind):
+    """The format of a cell of the given type: ints as ints, strings as they are, floats by fmt."""
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    return "%s" if issubclass(kind, str) else "%.17g"
+
+
 def write_csv(path, header, rows):
     """Write rows of mixed ints/floats/strings with round-trip formatting."""
+    line_formats = {}
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = []
-            for c in row:
-                if isinstance(c, (int, np.integer)):
-                    cells.append(str(int(c)))
-                elif isinstance(c, str):
-                    cells.append(c)
-                else:
-                    cells.append(fmt(c))
-            fh.write(",".join(cells) + "\n")
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            line = line_formats.get(kinds)
+            if line is None:
+                line = line_formats[kinds] = ",".join(map(_cell_format, kinds)) + "\n"
+            fh.write(line % row)
     return path
 
 

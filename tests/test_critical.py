@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from lqgdisk.critical import (
 from lqgdisk.errors import ConfigurationError, FactorizationError, GridError
 from lqgdisk.gff import RngStream, arc_centers, neumann_covariance
 from lqgdisk.gmc import window_sector_grid
-from tests_support import dense_trace
+from tests_support import dense_trace, one_shot_sector
 
 
 class TestCriticalMeasures:
@@ -91,6 +92,15 @@ class TestSectorSampler:
         se = np.sqrt((np.outer(np.diag(dense), np.diag(dense)) + dense**2) / n_draws)
         assert np.max(np.abs(emp - dense) / se) < 5.0
 
+    @pytest.mark.parametrize("depth", [4, 5, 6, 7, 8, 9])
+    def test_chunked_build_is_the_one_shot_build(self, depth):
+        sampler = SectorSampler(depth)
+        spectrum, root, variances, min_eigenvalue = one_shot_sector(depth)
+        assert np.array_equal(sampler.spectrum, spectrum)
+        assert np.array_equal(sampler._root, root)
+        assert np.array_equal(sampler.variances, variances)
+        assert sampler.min_eigenvalue == min_eigenvalue
+
     def test_coarsening_rows_are_orthonormal(self):
         fine = (8, 16)
         basis = np.eye(np.prod(fine)).reshape(-1, *fine)
@@ -108,7 +118,7 @@ class TestSectorSampler:
         # last bits of the batched matrix products may move
         levels, reps = [4, 5, 6, 7], [1300, 1000, 700, 450]
         want = bulk_ladder_totals(levels, reps, RngStream(66, 0))
-        monkeypatch.setattr(critical, "REPLICA_BLOCK", 97)
+        monkeypatch.setattr(critical, "NOISE_BLOCK", 97)
         got = bulk_ladder_totals(levels, reps, RngStream(66, 0))
         for a, b in zip(want, got):
             assert all(np.allclose(x, y, rtol=1e-12, atol=0.0) for x, y in zip(a, b))
@@ -164,3 +174,24 @@ class TestLadderConfig:
         assert [len(t) for t in plain] == [20, 10]
         for t in pushed + plain:
             assert np.all(np.isfinite(t)) and np.all(t > 0)
+
+
+def traced_peak(fn):
+    """Peak bytes traced by tracemalloc (numpy buffers included) while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    def test_ladder_blocks_are_bounded(self):
+        # a 200-replica level-9 block of noise alone would be 26 MB, with several copies behind it
+        peak = traced_peak(lambda: bulk_ladder_totals([8, 9], [400, 200], RngStream(69, 0)))
+        assert peak < 48 * 2**20
+
+    def test_sector_build_is_chunked(self):
+        # the level-9 spectrum and root are 8.5 MB each; the whole embedding would add 60 MB more
+        assert traced_peak(lambda: SectorSampler(9)) < 40 * 2**20

@@ -24,6 +24,7 @@ from lqgdisk.gmc import graded_disk_grid
 from tests_support import (
     boundary_coefficient_chunks,
     boundary_coefficients,
+    cell_by_cell_csv,
     dense_trace,
     truncated_boundary_covariance,
 )
@@ -242,6 +243,19 @@ class TestVarianceAsymptotics:
 
 
 class TestPersistence:
+    def test_csv_rows_match_the_cell_by_cell_writer(self, tmp_path):
+        rows = [
+            (True, False, np.True_, np.int64(-7), np.uint8(255), 2**70, "x y"),
+            (math.nan, math.inf, -math.inf, -0.0, 0.1, np.float32(0.1), np.float64(1e-300)),
+            (np.int32(3), "", -1, 5e-324, np.float64(-math.inf), np.nan, np.float64(-0.0)),
+        ]
+        rows += list(zip(np.arange(-3, 3), np.linspace(-1, 1, 6), np.array(["a", "b"] * 3)))
+        header = ["c%d" % i for i in range(7)]
+        got = io.write_csv(str(tmp_path / "got.csv"), header, iter(rows))
+        want = cell_by_cell_csv(str(tmp_path / "want.csv"), header, iter(rows))
+        with open(got) as fg, open(want) as fw:
+            assert fg.read() == fw.read()
+
     def test_field_roundtrip(self, tmp_path):
         pts = np.array([0.1, 0.4j, -0.2 - 0.3j])
         values = FieldSampler(pts, 0.02).draw(RngStream(13, 5))

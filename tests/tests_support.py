@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from lqgdisk.gff import TraceSampler
-from lqgdisk.gmc import boundary_masses, bulk_masses
+from lqgdisk import io
+from lqgdisk.gff import TraceSampler, check_eigenvalues, covariance_entries
+from lqgdisk.gmc import boundary_masses, bulk_masses, window_sector_grid
 
 
 def boundary_coefficients(n_modes, n_replicas, rng):
@@ -55,3 +56,39 @@ def batched_bulk_masses(gamma, grid, sampler, n_replicas, rng):
 def batched_bulk_totals(gamma, grid, sampler, n_replicas, rng):
     """Total masses of the bulk chaos measure across replicas."""
     return batched_bulk_masses(gamma, grid, sampler, n_replicas, rng).sum(axis=0)
+
+
+def one_shot_sector(depth):
+    """(spectrum, root, variances, min_eigenvalue) of SectorSampler(depth), each built in one piece.
+
+    The whole block-Toeplitz embedding, its real FFT, one eigh of every
+    eigenblock and one stacked root product: the reference that the
+    sampler's chunked build must match bit for bit.
+    """
+    grid = window_sector_grid(depth)
+    n_t = grid.size // grid.rings_per_band
+    radii = np.abs(grid.centers[::n_t])
+    shifts = np.exp(1j * grid.dtheta[0] * np.arange(n_t + 1))
+    blocks = covariance_entries(radii[:, None], radii[None, :] * shifts[:, None, None], grid.eps[0])
+    spectrum = np.fft.rfft(np.concatenate([blocks, blocks[-2:0:-1]]), axis=0).real
+    w, v = np.linalg.eigh(spectrum)
+    check_eigenvalues(w)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.conj(v).transpose(0, 2, 1)
+    return spectrum, root, np.repeat(np.diag(blocks[0]), n_t), float(w.min())
+
+
+def cell_by_cell_csv(path, header, rows):
+    """The CSV that io.write_csv writes, formatted one cell at a time."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = []
+            for c in row:
+                if isinstance(c, (int, np.integer)):
+                    cells.append(str(int(c)))
+                elif isinstance(c, str):
+                    cells.append(c)
+                else:
+                    cells.append(io.fmt(c))
+            fh.write(",".join(cells) + "\n")
+    return path
