@@ -1,6 +1,6 @@
-"""Before/after timings of the Boltzmann ensemble: the command that wrote BENCH_16.json.
+"""Before/after timings of the Boltzmann ensemble: the command that wrote BENCH_16.json and BENCH_18.json.
 
-    python3 bench/boltzmann.py --base <git rev> --out BENCH_16.json [--scratch DIR]
+    python3 bench/boltzmann.py --base <git rev> --out BENCH_<n>.json [--scratch DIR]
 
 Compares the source at `--base` (unpacked with `git archive` into a temporary
 directory under DIR) with the working tree of this repository.  Ten rounds

@@ -584,6 +584,7 @@ def run_maps_sample(config, seed, outdir):
         "stderr": float(np.std(n_arr, ddof=1) / math.sqrt(n_draws)),
         "n_replicas": n_draws,
         "caps": [cfg.n_max, cfg.p_max],
+        "log_tail_mass": sampler.log_tail_mass,
     }
     return summary, files
 

@@ -22,6 +22,7 @@ the Boltzmann law converges to the density
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,51 @@ __all__ = [
 BULK_CRITICAL_WEIGHT = math.log(12.0)
 BOUNDARY_CRITICAL_WEIGHT_PER_EDGE = 0.5 * math.log(4.5)
 TAIL_BOUND = 1e-9  # largest estimated truncation tail mass a sampler accepts
+ROW_THREADS = 4  # most weight rows built at once; each holds a few row-sized buffers
+
+
+def _pool_size():
+    """Threads for the row builds: the CPUs this process may use, at most ROW_THREADS."""
+    return min(len(os.sched_getaffinity(0)), ROW_THREADS)
+
+
+def _thread_map(fn, items):
+    """[fn(x) for x in items] on a pool of _pool_size() threads, in order; a pool of one is the serial loop.
+
+    numpy's ufuncs release the GIL on row-sized arrays, so rows build side by
+    side; a worker's exception is raised here, in the caller.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # its logging import would add to start-up
+
+    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
+        return list(pool.map(fn, items))
+
+
+def _lgamma_table(size):
+    """ln Gamma(k) for the integers k = 0..size-1, from the C library's lgamma; +inf at the pole k = 0."""
+    out = np.empty(size)
+    out[:1] = np.inf
+    out[1:] = np.fromiter(map(math.lgamma, range(1, size)), float, size - 1)
+    return out
+
+
+def _chi2_sf(dof, x):
+    """P(X > x) for X chi-square with integer dof >= 1, the regularized upper Gamma Q(dof/2, x/2).
+
+    With y = x/2, even dof give e^-y sum_{j < dof/2} y^j / j!, and odd dof
+    erfc(sqrt y) + e^-y sum_{j < (dof-1)/2} y^(j+1/2) / Gamma(j+3/2).  Each
+    term is exponentiated from its logarithm and the terms are added by
+    math.fsum, so no partial sum under- or overflows.
+    """
+    y = 0.5 * x
+    if y <= 0.0:
+        return 1.0
+    half = 0.5 * (dof % 2)
+    log_y = math.log(y)
+    terms = [math.exp((j + half) * log_y - y - math.lgamma(j + half + 1.0)) for j in range(dof // 2)]
+    if half:
+        terms.append(math.erfc(math.sqrt(y)))
+    return math.fsum(terms)
 
 
 def count_exact(n, p):
@@ -136,13 +182,12 @@ def _log_count(n, p, lg_2n_p, lg_n_p_2, lg_n_2p_1, out=None):
     The one copy of the closed form; the terms are added one at a time, in
     this order, so every caller gets the same bits (in `out`, if given).
     """
-    import scipy.special
     pf = float(p)
     out = np.subtract(n, pf, out=out)
     out *= math.log(3.0)
-    out += scipy.special.gammaln(3 * pf + 1.0)
-    out -= scipy.special.gammaln(pf + 1.0)
-    out -= scipy.special.gammaln(2 * pf)
+    out += math.lgamma(3 * pf + 1.0)
+    out -= math.lgamma(pf + 1.0)
+    out -= math.lgamma(2 * pf)
     out += lg_2n_p
     out -= lg_n_p_2
     out -= lg_n_2p_1
@@ -167,16 +212,19 @@ def _logsumexp(a):
 
 
 def log_count_exact(n, p):
-    """ln of the exact count via direct gammaln calls.
+    """ln of the exact count at the integers n, indexing a log-gamma table at each argument.
 
-    The reference for BoltzmannSampler.log_weight_row, which reads the same
-    log-gamma values from a table and gives the same bits.
+    The reference for BoltzmannSampler.log_weight_row, which slices its rows
+    from the same table and gives the same bits.
     """
-    import scipy.special
     n = np.asarray(n, dtype=float)
     pf = float(p)
-    gammaln = scipy.special.gammaln
-    out = _log_count(n, p, gammaln(2 * n + pf), gammaln(n - pf + 2.0), gammaln(n + 2 * pf + 1.0))
+    table = _lgamma_table(2 * int(n.max(initial=0.0)) + 2 * p + 2)
+
+    def lgamma(k):
+        return table[np.maximum(k, 0.0).astype(np.intp)]  # k <= 0 reads the pole at 0
+
+    out = _log_count(n, p, lgamma(2 * n + pf), lgamma(n - pf + 2.0), lgamma(n + 2 * pf + 1.0))
     return np.where(n - pf + 1 < 0, -np.inf, out)
 
 
@@ -272,31 +320,33 @@ class BoltzmannSampler:
 
     Builds one table of ln Gamma(k) for every integer argument a row needs
     (k < 2 n_max + 3 p_max + 2) and slices each n-row from it, bit for bit
-    the row log_count_exact gives.  The log-marginal over p streams one row
-    at a time (the full table would not fit in memory at small mesh), each
-    row summed in place by _logsumexp, scipy 1.17's algorithm in numpy, so
-    the digests stayed scipy 1.17's; scipy.special serves only gammaln and
-    chdtrc.  Sampling draws p from the marginal and then n from the
-    regenerated row by inverse CDF.  Construction validates the truncation
-    tails against TAIL_BOUND and raises ConfigurationError if the caps are
-    too small.
+    the row log_count_exact gives.  The log-marginal over p streams the
+    rows through a small thread pool (the full table would not fit in
+    memory at small mesh); each row is summed in place by _logsumexp,
+    scipy 1.17's algorithm in numpy, and writes only its own entry, so the
+    marginal has the same bits at any pool size.  Sampling draws p from the
+    marginal and then n from the regenerated row by inverse CDF.
+    Construction validates the truncation tails against TAIL_BOUND, keeps
+    the estimate as log_tail_mass, and raises ConfigurationError if the
+    caps are too small.
     """
 
     def __init__(self, cfg):
-        import scipy.special
         self.cfg = cfg
         self._n = np.arange(cfg.n_max + 1, dtype=float)
+        self._mu_bar_n = cfg.mu_bar * self._n
         with np.errstate(divide="ignore"):
             self._log_n = np.log(self._n)
-        self._lgamma = scipy.special.gammaln(
-            np.arange(2 * cfg.n_max + 3 * cfg.p_max + 2, dtype=float)
-        )
+        self._lgamma = _lgamma_table(2 * cfg.n_max + 3 * cfg.p_max + 2)
         log_m = np.full(cfg.p_max, -np.inf)
         edge_n = np.full(cfg.p_max, -np.inf)
-        for p in range(1, cfg.p_max + 1):
+
+        def sum_row(p):
             row = self.log_weight_row(p)
             edge_n[p - 1] = row[-1]
             log_m[p - 1] = _logsumexp(row)
+
+        _thread_map(sum_row, range(1, cfg.p_max + 1))
         self.log_p_marginal = log_m
         self.log_total = float(_logsumexp(log_m.copy()))
         self._check_tails(edge_n)
@@ -314,7 +364,7 @@ class BoltzmannSampler:
         row = np.full(cfg.n_max + 1, -np.inf)
         g1, g2, g3 = g[2 * lo + p :: 2][:m], g[lo - p + 2 :][:m], g[lo + 2 * p + 1 :][:m]
         _log_count(self._n[lo:], p, g1, g2, g3, out=row[lo:])
-        row -= cfg.mu_bar * self._n
+        row -= self._mu_bar_n
         row -= cfg.mu_bar_boundary * 2.0 * p
         if cfg.interior_marked:
             row += self._log_n
@@ -339,10 +389,10 @@ class BoltzmannSampler:
         if step >= -1e-3:
             step = -1e-3
         log_tail_p = log_edge_p - math.log(-math.expm1(step))
-        worst = max(log_tail_n, log_tail_p) - self.log_total
-        if worst > math.log(TAIL_BOUND):
+        self.log_tail_mass = max(log_tail_n, log_tail_p) - self.log_total
+        if self.log_tail_mass > math.log(TAIL_BOUND):
             raise ConfigurationError(
-                f"estimated truncation tail mass e^{worst:.1f} exceeds the bound "
+                f"estimated truncation tail mass e^{self.log_tail_mass:.1f} exceeds the bound "
                 f"{TAIL_BOUND:g}; increase n_max/p_max"
             )
 
@@ -353,14 +403,24 @@ class BoltzmannSampler:
         p_draws = gen.choice(self.cfg.p_max, size=n_draws, p=probs) + 1
         u = gen.uniform(size=n_draws)
         n_draws_out = np.empty(n_draws, dtype=np.int64)
-        for p in np.unique(p_draws):
-            sel = p_draws == p
-            row = self.log_weight_row(int(p))
+        groups = _group_by_p(p_draws, self.cfg.p_max)
+
+        def draw_n(p):
+            row = self.log_weight_row(p)
             w = np.exp(row - row.max())
             cdf = np.cumsum(w)
             cdf /= cdf[-1]
+            sel = groups[p - 1]
             n_draws_out[sel] = np.searchsorted(cdf, u[sel], side="left")
+
+        _thread_map(draw_n, [p for p, sel in enumerate(groups, 1) if sel.size])
         return n_draws_out, p_draws.astype(np.int64)
+
+
+def _group_by_p(p_draws, p_max):
+    """Indices of the draws at p (ascending) for p = 1..p_max, from one stable sort."""
+    counts = np.bincount(p_draws, minlength=p_max + 1)[1:]
+    return np.split(np.argsort(p_draws, kind="stable"), np.cumsum(counts)[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +439,7 @@ class DensityReport:
     underpowered: np.ndarray
     n_in_range: int
     n_draws: int
+    log_tail_mass: float
 
     def summary(self):
         return {
@@ -389,6 +450,7 @@ class DensityReport:
             "n_draws": self.n_draws,
             "n_bins": int(self.observed.size),
             "n_underpowered": int(self.underpowered.sum()),
+            "log_tail_mass": self.log_tail_mass,
         }
 
 
@@ -442,7 +504,6 @@ def joint_density_check(cfg, n_draws, rng, bins=(20, 20), window=None, min_expec
     (degrees of freedom adjust accordingly); fewer than two bins left
     leave no degree of freedom and raise ConfigurationError.
     """
-    import scipy.special
     if window is None:
         window = (max(0.05, 600.0 * cfg.a**2), max(0.2, 24.0 * cfg.a))
     sampler = BoltzmannSampler(cfg)
@@ -478,7 +539,7 @@ def joint_density_check(cfg, n_draws, rng, bins=(20, 20), window=None, min_expec
         raise ConfigurationError("under two bins reach the expected-count floor; increase n_draws")
     chi2 = float(np.sum((observed[use] - expected[use]) ** 2 / expected[use]))
     dof = int(use.sum()) - 1
-    p_value = float(scipy.special.chdtrc(dof, chi2))  # the ufunc scipy.stats.chi2.sf evaluates
+    p_value = _chi2_sf(dof, chi2)  # scipy.stats.chi2.sf in closed form
     return DensityReport(
         chi2=chi2,
         dof=dof,
@@ -490,6 +551,7 @@ def joint_density_check(cfg, n_draws, rng, bins=(20, 20), window=None, min_expec
         underpowered=~use,
         n_in_range=int(in_range.sum()),
         n_draws=n_draws,
+        log_tail_mass=sampler.log_tail_mass,
     )
 
 
@@ -503,17 +565,18 @@ def histogram_check(cfg, n_draws, rng):
     """
     sampler = BoltzmannSampler(cfg)
     n_arr, p_arr = sampler.sample(n_draws, rng)
-    zmax = 0.0
-    n_cells = 0
+    groups = _group_by_p(p_arr, cfg.p_max)
     thresh = 100.0 / n_draws
-    for p in range(1, cfg.p_max + 1):
+
+    def row_z(p):
         row = np.exp(sampler.log_weight_row(p) - sampler.log_total)
         hot = np.nonzero(row >= thresh)[0]
         if len(hot) == 0:
-            continue
-        counts = np.bincount(n_arr[p_arr == p], minlength=cfg.n_max + 1)
+            return 0.0, 0
+        counts = np.bincount(n_arr[groups[p - 1]], minlength=cfg.n_max + 1)
         prob = row[hot]
         z = np.abs(counts[hot] - n_draws * prob) / np.sqrt(n_draws * prob * (1.0 - prob))
-        zmax = max(zmax, z.max())
-        n_cells += len(hot)
-    return zmax, n_cells
+        return z.max(), len(hot)
+
+    cells = _thread_map(row_z, range(1, cfg.p_max + 1))
+    return max(0.0, *(z for z, _ in cells)), sum(n for _, n in cells)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -296,6 +297,89 @@ class TestTablePath:
         s = BoltzmannSampler(BoltzmannConfig(a=0.01, mu=1.0, mu_boundary=1.0))
         for p in (1, 2, 3, 500, s.cfg.p_max):
             assert np.array_equal(s.log_weight_row(p), _reference_row(s, p))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [BoltzmannConfig(a=0.03), BoltzmannConfig(a=0.5, n_max=3, p_max=9)],
+    ids=["a-0.03", "p-cap-beyond-n"],
+)
+def test_pool_size_changes_no_bit(cfg, monkeypatch):
+    """The threaded row builds give the marginal, the total and every draw bit for bit at any pool size."""
+    # row construction and draws only: the p-cap-beyond-n caps fail the truncation-tail check
+    monkeypatch.setattr(BoltzmannSampler, "_check_tails", lambda self, edge_n: None)
+    runs = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads interleave often, so a lost or misplaced write would show
+    try:
+        for threads in (1, 3):
+            monkeypatch.setattr(maps, "_pool_size", lambda: threads)
+            s = BoltzmannSampler(cfg)
+            runs.append((s.log_p_marginal, s.log_total, *s.sample(5000, RngStream(4, 2))))
+    finally:
+        sys.setswitchinterval(switch)
+    for one, three in zip(*runs):
+        assert np.array_equal(one, three)
+
+
+def test_pool_size_changes_no_z_score(monkeypatch):
+    cfg = BoltzmannConfig(a=0.25, mu=1.0, mu_boundary=1.0, interior_marked=False)
+    results = []
+    for threads in (1, 3):
+        monkeypatch.setattr(maps, "_pool_size", lambda: threads)
+        results.append(histogram_check(cfg, 20000, RngStream(2, 8)))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_worker_exception_reaches_caller(threads, monkeypatch):
+    monkeypatch.setattr(maps, "_pool_size", lambda: threads)
+
+    def row(p):
+        if p == 5:
+            raise DomainError(f"row {p}")
+        return p
+
+    with pytest.raises(DomainError, match="row 5"):
+        maps._thread_map(row, range(1, 9))
+    assert maps._thread_map(row, range(1, 5)) == [1, 2, 3, 4]
+
+
+def test_group_by_p_matches_masks():
+    p_draws = np.random.default_rng(18).integers(1, 8, size=500)
+    groups = maps._group_by_p(p_draws, 9)
+    assert len(groups) == 9
+    for p, sel in enumerate(groups, 1):
+        assert np.array_equal(sel, np.flatnonzero(p_draws == p))
+
+
+def test_lgamma_table_matches_scipy_gammaln():
+    k = np.arange(300_001, dtype=float)
+    table = maps._lgamma_table(k.size)
+    assert table[0] == np.inf
+    # the C library's lgamma and scipy's gammaln differ by a few units in the last place
+    np.testing.assert_allclose(table[1:], scipy.special.gammaln(k[1:]), rtol=1e-15, atol=0.0)
+
+
+def test_chi2_sf_matches_scipy_chdtrc():
+    # tails included: toward x = 2,000 the tail falls to subnormal numbers, and where
+    # scipy's leading factor e^-y y^a / Gamma(a) underflows it returns 0 outright
+    xs = np.geomspace(1e-3, 2000.0, 45)
+    for dof in range(1, 401):
+        got = np.array([maps._chi2_sf(dof, x) for x in xs])
+        want = scipy.special.chdtrc(dof, xs)
+        flushed = want == 0.0
+        assert np.all(got[flushed] < np.finfo(float).tiny)
+        np.testing.assert_allclose(got[~flushed], want[~flushed], rtol=1e-12, atol=0.0)
+    assert maps._chi2_sf(3, 0.0) == 1.0
+
+
+def test_log_tail_mass_is_reported():
+    cfg = BoltzmannConfig(a=0.03)
+    s = BoltzmannSampler(cfg)
+    assert -np.inf < s.log_tail_mass <= math.log(maps.TAIL_BOUND)
+    report = joint_density_check(cfg, 20000, RngStream(1, 0))
+    assert report.summary()["log_tail_mass"] == s.log_tail_mass
 
 
 class TestJointDensity:

@@ -45,6 +45,9 @@ NUMPY_ONLY_RUNS = {
     # the zero-mode quadrature route (mu_boundary > 0)
     "volume-law": {**MARKED, "n_draws": 500},
     "partition": MARKED,
+    # log-gamma and the chi-square tail from the math module
+    "maps-sample": {"a": 0.25, "n_draws": 500},
+    "maps-density": {"a": 0.03, "n_draws": 20000},
 }
 
 
