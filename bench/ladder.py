@@ -1,14 +1,15 @@
-"""Before/after timings and memory of the critical bulk ladder: the command that wrote BENCH_17.json.
+"""Before/after timings and memory of the critical bulk ladder: the command that wrote BENCH_17.json and BENCH_19.json.
 
-    python3 bench/ladder.py --base <git rev> --out BENCH_17.json [--scratch DIR]
+    python3 bench/ladder.py --base <git rev> --out BENCH_<n>.json [--scratch DIR]
 
 Compares the source at `--base` with the working tree of this repository in
 the ten alternating (ABBA) rounds of bench/boltzmann.py; every measurement runs
 in a fresh Python process with 2 BLAS threads.  For each side the record holds
 the median and quartiles over the rounds of:
 
-- the two `critical-ladder` calls of the perfbench `field-ladder` workload at
-  seed 11 (wall and CPU seconds summed, the larger peak RSS) and the level
+- as `field_ladder`, the perfbench `field-ladder` call (the default ladder)
+  and its smoke call (levels 6-8) at seed 11, wall and CPU seconds summed and
+  the larger peak RSS: not the workload's own `wall_s`; and the level
   8-10 ladder {"kind": "bulk", "levels": [8, 9, 10], "n_replicas": [1000,
   600, 500]}: wall seconds, CPU seconds, peak RSS, and the sha256 of each CSV;
 - per level 4-10, the `SectorSampler` build: seconds, and the peak traced by
@@ -17,6 +18,11 @@ the median and quartiles over the rounds of:
   blocks: the block size, and the mean seconds per block of the noise draw,
   the FFTs (rfft and irfft), the eigenblock products and the masses, each
   step as `gff.circulant_fields` and `critical.bulk_ladder_totals` take it;
+- the noise of the default ladder at seed 11, in one process: the seconds of
+  drawing and coarsening every replica segment in one serial loop (the work
+  that the ladder's worker thread does beside the fields), and, where
+  `bulk_ladder_totals` reports them, the seconds its main thread waited on
+  that worker (`noise_wait_s`) and its segment count;
 - for the working tree only, the default ladder with `critical.NOISE_BLOCK`
   set to 2**16 .. 2**20 values in the child process: wall, CPU, peak RSS and
   the CSV digests.
@@ -36,6 +42,7 @@ LAYERS = r"""
 import json, math, time, tracemalloc
 import numpy as np
 from lqgdisk import critical
+from lqgdisk.gff import RngStream
 from lqgdisk.gmc import bulk_masses
 out = {}
 for k in range(4, 11):
@@ -72,6 +79,21 @@ for start in range(0, 1500, block):
     n_blocks += 1
 out["level9.block_replicas"] = block
 out.update({f"level9.{key}_s_per_block": v / n_blocks for key, v in steps.items()})
+levels, counts = [4, 5, 6, 7, 8, 9], [20000, 20000, 10000, 5000, 2500, 1500]
+shapes = [critical.SectorSampler(k).noise_shape for k in levels]
+gen, r, t = RngStream(11, 0).generator(), 0, time.perf_counter()
+while r < max(counts):
+    finest = max(i for i, n in enumerate(counts) if n > r)
+    end = min(counts[finest], r + max(1, critical.NOISE_BLOCK // math.prod(shapes[finest])))
+    noise = gen.standard_normal((end - r, *shapes[finest]))
+    for i in range(finest, 0, -1):
+        for _ in range(levels[i] - levels[i - 1]):
+            noise = critical.coarsen_noise(noise)
+    r = end
+out["ladder.draw_and_coarsen_s"] = time.perf_counter() - t
+report = {}
+critical.bulk_ladder_totals(levels, counts, RngStream(11, 0), report)
+out.update({f"ladder.{key}": report[key] for key in ("noise_wait_s", "segments") if key in report})
 print(json.dumps(out))
 """
 

@@ -17,6 +17,8 @@ diagnostic of choice since only moments of order q < 1 exist.
 from __future__ import annotations
 
 import math
+import time
+from contextlib import closing
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .gmc import bulk_masses, window_sector_grid
 __all__ = [
     "MAX_LADDER_LEVEL",
     "SectorSampler",
+    "sector_spectrum",
     "coarsen_noise",
     "check_bulk_ladder",
     "check_boundary_ladder",
@@ -40,7 +43,7 @@ __all__ = [
 # ladder diagnostics
 # ---------------------------------------------------------------------------
 
-# a level-8-10 ladder peaks near 200 MB; at level 11 the spectrum and its
+# a level-8-10 ladder peaks near 190 MB; at level 11 the spectrum and its
 # root alone would take 2 x 539 MB
 MAX_LADDER_LEVEL = 10
 # noise values drawn per replica block (2 MB); the block size changes no draw
@@ -55,7 +58,7 @@ class SectorSampler:
     blocks c(d) over the radii.  It embeds in a block circulant on
     M = 2 n_t angles (c(d) for d <= n_t, c(M - d) beyond), which the real
     DFT over the angles splits into the M/2 + 1 symmetric blocks
-    spectrum[q] = Re sum_d c(d) e^{-2 pi i q d / M}.  Each block is
+    spectrum[q] = Re sum_d c(d) e^{-2 pi i q d / M} (sector_spectrum).  Each block is
     factored by its symmetric square root root[q] (gff.circulant_root);
     from real white noise xi of shape (n_r, M), irfft(root_q rfft(xi))
     (gff.circulant_fields) has the circulant covariance, and its first n_t
@@ -69,22 +72,29 @@ class SectorSampler:
         n_r = self.grid.rings_per_band
         self.n_angles = self.grid.size // n_r
         self.noise_shape = (n_r, 2 * self.n_angles)
-        radii, eps = np.abs(self.grid.centers[:: self.n_angles]), self.grid.eps[0]
-        shifts = np.exp(1j * self.grid.dtheta[0] * np.arange(self.n_angles + 1))
-        self.variances = np.repeat(covariance_entries(radii, radii, eps), self.n_angles)
-        # BUILD_CHUNK entries of the embedding at a time, a few radial rows each
-        self.spectrum = np.empty((self.n_angles + 1, n_r, n_r))
-        step = max(1, BUILD_CHUNK // (2 * self.n_angles * n_r))
-        for i in range(0, n_r, step):
-            blocks = covariance_entries(radii[i : i + step, None], radii * shifts[:, None, None], eps)
-            embedded = np.concatenate([blocks, blocks[-2:0:-1]])
-            self.spectrum[:, i : i + step] = np.fft.rfft(embedded, axis=0).real
-        self._root, self.min_eigenvalue = circulant_root(self.spectrum)
+        radii = np.abs(self.grid.centers[:: self.n_angles])
+        self.variances = np.repeat(covariance_entries(radii, radii, self.grid.eps[0]), self.n_angles)
+        self._root, self.min_eigenvalue = circulant_root(sector_spectrum(self.grid))
 
     def fields(self, noise):
         """Field values in grid order, shape (n, grid.size), from noise of shape (n, *noise_shape)."""
         x = circulant_fields(self._root, noise)
         return x[:, :, : self.n_angles].reshape(len(noise), -1)
+
+
+def sector_spectrum(grid):
+    """SectorSampler's eigenblocks spectrum[q], q = 0..n_t, built BUILD_CHUNK embedding entries at a time."""
+    n_r = grid.rings_per_band
+    n_t = grid.size // n_r
+    radii, eps = np.abs(grid.centers[::n_t]), grid.eps[0]
+    shifts = np.exp(1j * grid.dtheta[0] * np.arange(n_t + 1))
+    spectrum = np.empty((n_t + 1, n_r, n_r))
+    step = max(1, BUILD_CHUNK // (2 * n_t * n_r))
+    for i in range(0, n_r, step):
+        blocks = covariance_entries(radii[i : i + step, None], radii * shifts[:, None, None], eps)
+        embedded = np.concatenate([blocks, blocks[-2:0:-1]])
+        spectrum[:, i : i + step] = np.fft.rfft(embedded, axis=0).real
+    return spectrum
 
 
 def coarsen_noise(noise):
@@ -164,33 +174,65 @@ def bulk_ladder_totals(levels, n_replicas, rng, report=None):
     while consecutive levels of one replica are strongly correlated.
     Returns (pushed, plain): two lists of per-level total arrays, with and
     without the sqrt(ln 1/eps) push.  A dict passed as report receives
-    "min_eigenvalues", the smallest eigenvalue of each level's embedding.
+    "min_eigenvalues", the smallest eigenvalue of each level's embedding,
+    "segments", the number of replica blocks, and "noise_wait_s", the
+    seconds waited for their noise, which a worker thread draws and
+    coarsens one block ahead, with the bits of a serial loop.
     """
     levels, counts = check_bulk_ladder(levels, n_replicas)
     samplers = [SectorSampler(k) for k in levels]
     weights = [s.grid.density_weights(2.0) for s in samplers]
     plain = [np.empty(n) for n in counts]
-    gen = rng.generator()
-    r = 0
+    segments, r = [], 0
     while r < max(counts):
         finest = max(i for i, n in enumerate(counts) if n > r)
-        shape = samplers[finest].noise_shape
-        end = min(counts[finest], r + max(1, NOISE_BLOCK // math.prod(shape)))
-        noise = gen.standard_normal((end - r, *shape))
-        for i in range(finest, -1, -1):
-            n = min(end, counts[i]) - r
-            if n > 0:
-                x = samplers[i].fields(noise[:n])
-                masses = bulk_masses(x, samplers[i].variances, weights[i], 2.0)
-                plain[i][r : r + n] = masses.sum(axis=1)
-            if i > 0:
-                for _ in range(levels[i] - levels[i - 1]):
-                    noise = coarsen_noise(noise)
+        end = min(counts[finest], r + max(1, NOISE_BLOCK // math.prod(samplers[finest].noise_shape)))
+        segments.append((r, end, finest))
         r = end
+    report = {} if report is None else report
+    report.update(segments=len(segments), noise_wait_s=0.0)
+    with closing(_noise_chains(rng.generator(), segments, samplers, levels, report)) as chains:
+        for (r, end, _), chain in chains:
+            for i, noise in enumerate(chain):
+                n = min(end, counts[i]) - r
+                if n > 0:
+                    x = samplers[i].fields(noise[:n])
+                    masses = bulk_masses(x, samplers[i].variances, weights[i], 2.0)
+                    plain[i][r : r + n] = masses.sum(axis=1)
     pushed = [t * math.sqrt(math.log(1.0 / s.grid.eps[0])) for t, s in zip(plain, samplers)]
-    if report is not None:
-        report["min_eigenvalues"] = [s.min_eigenvalue for s in samplers]
+    report["min_eigenvalues"] = [s.min_eigenvalue for s in samplers]
     return pushed, plain
+
+
+def _noise_chains(gen, segments, samplers, levels, report):
+    """(segment, chain) per segment (r, end, finest), chain[i] its replicas' noise at level i <= finest.
+
+    A worker thread draws the segments from gen in order, into two buffers in turn, and coarsens
+    them one segment ahead: the caller is done with a segment when it takes the next.  A worker's
+    exception is raised in the caller; report["noise_wait_s"] sums the caller's waits.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # its logging import would add to start-up
+
+    shapes = [(end - r, *samplers[f].noise_shape) for r, end, f in segments]
+    buffers = [np.empty(max(map(math.prod, shapes))) for _ in range(2)]
+
+    def draw(s):
+        chain = [gen.standard_normal(out=buffers[s % 2][: math.prod(shapes[s])].reshape(shapes[s]))]
+        for i in range(segments[s][2], 0, -1):
+            chain.append(chain[-1])
+            for _ in range(levels[i] - levels[i - 1]):
+                chain[-1] = coarsen_noise(chain[-1])
+        return chain[::-1]
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = worker.submit(draw, 0)
+        for s, segment in enumerate(segments):
+            t = time.perf_counter()
+            chain = ahead.result()
+            report["noise_wait_s"] += time.perf_counter() - t
+            if s + 1 < len(segments):
+                ahead = worker.submit(draw, s + 1)
+            yield segment, chain
 
 
 def boundary_ladder_totals(mode_levels, n_replicas, rng):

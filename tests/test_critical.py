@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,11 +13,12 @@ from lqgdisk.critical import (
     check_bulk_ladder,
     coarsen_noise,
     median_ratios,
+    sector_spectrum,
 )
 from lqgdisk.errors import ConfigurationError, FactorizationError, GridError
 from lqgdisk.gff import RngStream, arc_centers, neumann_covariance
 from lqgdisk.gmc import window_sector_grid
-from tests_support import dense_trace, one_shot_sector
+from tests_support import dense_trace, one_shot_sector, serial_bulk_ladder
 
 
 class TestCriticalMeasures:
@@ -69,7 +71,7 @@ class TestSectorSampler:
         sampler = SectorSampler(depth)
         n_r, n_emb = sampler.noise_shape
         n_t = sampler.n_angles
-        circulant = np.fft.irfft(sampler.spectrum, n=n_emb, axis=0)
+        circulant = np.fft.irfft(sector_spectrum(sampler.grid), n=n_emb, axis=0)
         j = np.arange(n_t)
         offsets = (j[:, None] - j[None, :]) % n_emb
         # entry ((i, j), (i', j')) of the sector covariance is circulant[(j - j') mod M][i, i']
@@ -96,7 +98,7 @@ class TestSectorSampler:
     def test_chunked_build_is_the_one_shot_build(self, depth):
         sampler = SectorSampler(depth)
         spectrum, root, variances, min_eigenvalue = one_shot_sector(depth)
-        assert np.array_equal(sampler.spectrum, spectrum)
+        assert np.array_equal(sector_spectrum(sampler.grid), spectrum)
         assert np.array_equal(sampler._root, root)
         assert np.array_equal(sampler.variances, variances)
         assert sampler.min_eigenvalue == min_eigenvalue
@@ -122,6 +124,46 @@ class TestSectorSampler:
         got = bulk_ladder_totals(levels, reps, RngStream(66, 0))
         for a, b in zip(want, got):
             assert all(np.allclose(x, y, rtol=1e-12, atol=0.0) for x, y in zip(a, b))
+
+    @pytest.mark.parametrize("noise_block", [None, 97], ids=["default-block", "ragged-blocks"])
+    def test_worker_draws_are_the_serial_draws(self, monkeypatch, noise_block):
+        if noise_block is not None:
+            monkeypatch.setattr(critical, "NOISE_BLOCK", noise_block)
+        levels, reps = [4, 5, 6, 7], [1300, 1000, 700, 450]
+        report = {}
+        got = bulk_ladder_totals(levels, reps, RngStream(66, 1), report)
+        want = serial_bulk_ladder(levels, reps, RngStream(66, 1))
+        for a, b in zip(got, want):
+            assert len(a) == len(b) == 4
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert report["segments"] > (10 if noise_block else 1)
+        assert report["noise_wait_s"] >= 0.0
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        coarsen, calls = critical.coarsen_noise, []
+
+        def failing(noise):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("third coarsening")
+            return coarsen(noise)
+
+        monkeypatch.setattr(critical, "coarsen_noise", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="third coarsening"):
+            bulk_ladder_totals([4, 5, 6, 7], [1300, 1000, 700, 450], RngStream(66, 2))
+        assert threading.active_count() == threads
+
+    def test_caller_exception_stops_the_worker(self, monkeypatch):
+        def failing(*args):
+            raise RuntimeError("masses")
+
+        monkeypatch.setattr(critical, "bulk_masses", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="masses") as caught:
+            bulk_ladder_totals([4, 5, 6, 7], [1300, 1000, 700, 450], RngStream(66, 2))
+        # the traceback keeps the ladder's frame alive: the worker must be gone all the same
+        assert caught.traceback and threading.active_count() == threads
 
     def test_negative_eigenblock_raises(self, monkeypatch):
         entries = critical.covariance_entries

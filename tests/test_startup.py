@@ -75,6 +75,12 @@ def test_numpy_experiments_load_no_scipy(tmp_path):
     assert probe["after_runs"] == []
 
 
+def test_cli_import_loads_no_thread_pool():
+    # the thread users (maps._thread_map, critical._noise_chains) import them inside the call
+    loaded = json.loads(run_python("import json, sys, lqgdisk.cli; print(json.dumps(sorted(sys.modules)))"))
+    assert "concurrent.futures" not in loaded and "logging" not in loaded
+
+
 def test_replica_totals_bounded_across_blas_thread_counts(tmp_path):
     # depth 7 (2,274 points): at these shapes the eigenblock products of
     # gff.circulant_fields round differently on one and two OpenBLAS threads

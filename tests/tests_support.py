@@ -1,8 +1,10 @@
 """Shared vectorized helpers for the statistical tests."""
 
+import math
+
 import numpy as np
 
-from lqgdisk import io
+from lqgdisk import critical, io
 from lqgdisk.gff import TraceSampler, check_eigenvalues, covariance_entries
 from lqgdisk.gmc import boundary_masses, bulk_masses, window_sector_grid
 
@@ -75,6 +77,37 @@ def one_shot_sector(depth):
     check_eigenvalues(w)
     root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.conj(v).transpose(0, 2, 1)
     return spectrum, root, np.repeat(np.diag(blocks[0]), n_t), float(w.min())
+
+
+def serial_bulk_ladder(levels, n_replicas, rng):
+    """critical.bulk_ladder_totals as one serial loop: each segment's noise drawn, then used and coarsened.
+
+    The reference that the ladder's worker-thread draws must match bit for
+    bit; segments follow critical.NOISE_BLOCK as it is at the call.
+    """
+    levels, counts = critical.check_bulk_ladder(levels, n_replicas)
+    samplers = [critical.SectorSampler(k) for k in levels]
+    weights = [s.grid.density_weights(2.0) for s in samplers]
+    plain = [np.empty(n) for n in counts]
+    gen = rng.generator()
+    r = 0
+    while r < max(counts):
+        finest = max(i for i, n in enumerate(counts) if n > r)
+        shape = samplers[finest].noise_shape
+        end = min(counts[finest], r + max(1, critical.NOISE_BLOCK // math.prod(shape)))
+        noise = gen.standard_normal((end - r, *shape))
+        for i in range(finest, -1, -1):
+            n = min(end, counts[i]) - r
+            if n > 0:
+                x = samplers[i].fields(noise[:n])
+                masses = bulk_masses(x, samplers[i].variances, weights[i], 2.0)
+                plain[i][r : r + n] = masses.sum(axis=1)
+            if i > 0:
+                for _ in range(levels[i] - levels[i - 1]):
+                    noise = critical.coarsen_noise(noise)
+        r = end
+    pushed = [t * math.sqrt(math.log(1.0 / s.grid.eps[0])) for t, s in zip(plain, samplers)]
+    return pushed, plain
 
 
 def cell_by_cell_csv(path, header, rows):
