@@ -1,8 +1,9 @@
 """Batch experiment driver.
 
-Each subcommand runs one experiment from a JSON config, writes CSV/JSON
-artifacts plus a manifest with per-file checksums, and is byte-reproducible
-from (config, seed).  --workers is accepted and recorded for compatibility
+Each subcommand runs one experiment from a JSON config.  The experiment
+returns its summary and its tables, and main alone writes them as CSV/JSON
+files plus a manifest with per-file checksums, byte-reproducible from
+(config, seed).  --workers is accepted and recorded for compatibility
 and has no effect.  Exit codes: 0 ok, 2 invalid config, 3 admissibility
 rejection, 4 numeric failure; validate exits 2 when it reports a finding.
 """
@@ -147,9 +148,12 @@ def _samples_from(config):
 
 
 def _points_from(config):
-    """(points, eps) of a field-sample run: the config's points, else the graded grid's cells."""
+    """(points, eps) of a field-sample run: the config's points (at least 2), else the grid's cells."""
     if "points" in config:
-        return np.array([_point(p, "points") for p in config["points"]]), _real(_key(config, "eps"), "eps")
+        points = [_point(p, "points") for p in _typed(config["points"], list, "points")]
+        if len(points) < 2:
+            raise ConfigurationError(f"points must hold at least 2 points, got {len(points)}")
+        return np.array(points), _real(_key(config, "eps"), "eps")
     grid = _grid_from(config)
     return grid.centers, grid.eps
 
@@ -169,7 +173,7 @@ def _mobius_from(config):
 # experiments
 # ---------------------------------------------------------------------------
 
-def run_green_selftest(config, seed, outdir):
+def run_green_selftest(config, seed):
     n = _samples_from(config)
     gen = RngStream(seed, 0).generator()
     r = np.sqrt(gen.uniform(size=n)) * 0.999
@@ -205,11 +209,6 @@ def run_green_selftest(config, seed, outdir):
     res["mobius_inner_identity"] = float(np.max(ratio_res))
     res["green_transform_identity"] = float(np.max(greenpsi_res))
 
-    csv = io.write_csv(
-        os.path.join(outdir, "green-selftest.csv"),
-        ["check", "max_abs_residual"],
-        sorted(res.items()),
-    )
     summary = {
         "quantity": "closed-form identities of the disk Green function and Mobius maps",
         "estimate": max(res.values()),
@@ -217,14 +216,13 @@ def run_green_selftest(config, seed, outdir):
         "n_replicas": n,
         "residuals": res,
     }
-    return summary, [csv]
+    return summary, {"green-selftest.csv": (["check", "max_abs_residual"], sorted(res.items()))}
 
 
-def run_field_sample(config, seed, outdir):
+def run_field_sample(config, seed):
     pts, eps = _points_from(config)
     sampler = FieldSampler(pts, eps)
     values = sampler.draw(RngStream(seed, 0))
-    files = io.save_field(pts, sampler.eps, values, os.path.join(outdir, "field-sample"), seed, 0)
     summary = {
         "quantity": "one exact-covariance draw of regularized field values",
         "estimate": float(np.mean(values)),
@@ -232,17 +230,19 @@ def run_field_sample(config, seed, outdir):
         "n_replicas": 1,
         "n_points": int(len(pts)),
     }
-    return summary, files
+    # the snapshot: re,im,value per point, and a JSON sidecar with its stream and radii
+    radii = sampler.eps
+    sidecar = {"seed": seed, "stream_id": 0, "n_points": len(pts)}
+    sidecar["eps"] = float(radii[0]) if np.ptp(radii) == 0.0 else [float(e) for e in radii]
+    return summary, {
+        "field-sample.csv": (["re", "im", "value"], zip(pts.real, pts.imag, values)),
+        "field-sample.json": sidecar,
+    }
 
 
-def _totals_result(name, quantity, gamma, totals, outdir):
-    """CSV of per-replica total masses and the summary of their mean."""
+def _totals_result(name, quantity, gamma, totals):
+    """The summary of the mean of per-replica total masses, and their table."""
     n = len(totals)
-    csv = io.write_csv(
-        os.path.join(outdir, f"{name}.csv"),
-        ["replica", "total"],
-        ((r, t) for r, t in enumerate(totals)),
-    )
     mean = math.fsum(totals) / n
     var = math.fsum((t - mean) ** 2 for t in totals) / (n - 1)
     summary = {
@@ -252,7 +252,7 @@ def _totals_result(name, quantity, gamma, totals, outdir):
         "n_replicas": n,
         "gamma": gamma,
     }
-    return summary, [csv]
+    return summary, {f"{name}.csv": (["replica", "total"], enumerate(totals))}
 
 
 def _sampler_report(sampler):
@@ -264,7 +264,7 @@ def _sampler_report(sampler):
     }
 
 
-def run_gmc_bulk(config, seed, outdir):
+def run_gmc_bulk(config, seed):
     gamma = _params_from(config).gamma
     n_replicas = _count(config, "n_replicas", 1000)
     grid = _grid_from(config)
@@ -276,16 +276,14 @@ def run_gmc_bulk(config, seed, outdir):
 
     streams = [RngStream(seed, r) for r in range(n_replicas)]
     totals = replica_map(block_totals, streams, sampler.noise_shape)
-    summary, files = _totals_result(
-        "gmc-bulk", "mean total mass of the bulk chaos measure", gamma, totals, outdir
-    )
+    summary, tables = _totals_result("gmc-bulk", "mean total mass of the bulk chaos measure", gamma, totals)
     summary.update(_sampler_report(sampler))
     if gamma**2 < 2.0:
         summary["analytic_mean"] = math.pi / (1.0 - gamma**2 / 2.0)
-    return summary, files
+    return summary, tables
 
 
-def run_gmc_boundary(config, seed, outdir):
+def run_gmc_boundary(config, seed):
     gamma = _params_from(config).gamma
     n_replicas = _count(config, "n_replicas", 1000)
     n_modes, n_arcs = _modes_from(config)
@@ -296,11 +294,10 @@ def run_gmc_boundary(config, seed, outdir):
 
     streams = [RngStream(seed, r) for r in range(n_replicas)]
     totals = replica_map(block_totals, streams, trace.noise_shape)
-    summary, files = _totals_result(
-        "gmc-boundary", "mean total mass of the boundary chaos measure", gamma, totals, outdir
-    )
+    quantity = "mean total mass of the boundary chaos measure"
+    summary, tables = _totals_result("gmc-boundary", quantity, gamma, totals)
     summary["analytic_mean"] = 2.0 * math.pi * math.exp(-(gamma**2) / 8.0)
-    return summary, files
+    return summary, tables
 
 
 def _ladder_from(config):
@@ -319,22 +316,18 @@ def _ladder_from(config):
     return (kind, *check(levels, counts))
 
 
-def run_critical_ladder(config, seed, outdir):
+def run_critical_ladder(config, seed):
     kind, levels, n_replicas = _ladder_from(config)
     rng = RngStream(seed, 0)
     report = {}
     if kind == "bulk":
         pushed, plain = critical.bulk_ladder_totals(levels, n_replicas, rng, report)
+        del report["noise_wait_s"]  # wall-clock seconds: not fixed by the config and seed
     else:
         pushed, plain = critical.boundary_ladder_totals(levels, n_replicas, rng)
     rows = []
     for lvl, tp, tn in zip(levels, pushed, plain):
         rows.append((lvl, len(tp), float(np.median(tp)), float(np.median(tn))))
-    csv = io.write_csv(
-        os.path.join(outdir, "critical-ladder.csv"),
-        ["level", "n_replicas", "median_pushed", "median_plain"],
-        rows,
-    )
     ratios = critical.median_ratios(pushed)
     summary = {
         "quantity": "total-mass medians of the critical measure along a cutoff ladder",
@@ -347,10 +340,10 @@ def run_critical_ladder(config, seed, outdir):
         "plain_medians": [r[3] for r in rows],
         **report,
     }
-    return summary, [csv]
+    return summary, {"critical-ladder.csv": (["level", "n_replicas", "median_pushed", "median_plain"], rows)}
 
 
-def run_seiberg_validate(config, seed, outdir):
+def run_seiberg_validate(config, seed):
     ins = _insertions_from(config)
     verdict = liouville.seiberg_check(ins)
     summary = {
@@ -364,7 +357,7 @@ def run_seiberg_validate(config, seed, outdir):
         "bound3_ok": verdict.bound3_ok,
         "admissible": verdict.admissible,
     }
-    return summary, []
+    return summary, {}
 
 
 def _basis_from(config, seed, gamma):
@@ -382,7 +375,7 @@ def _basis_from(config, seed, gamma):
     )
 
 
-def run_volume_law(config, seed, outdir):
+def run_volume_law(config, seed):
     ins = _insertions_from(config)
     liouville.require_admissible(ins)
     n_draws = _count(config, "n_draws", 10000)
@@ -393,11 +386,6 @@ def run_volume_law(config, seed, outdir):
     functionals = {"half_disk": half} if boundary_free else None
     draws = liouville.sample_liouville_triple(
         ins, n_draws, RngStream(seed, 2), basis=basis, functionals=functionals
-    )
-    csv = io.write_csv(
-        os.path.join(outdir, "volume-law.csv"),
-        ["replica", "V", "L", "weight"],
-        zip(draws["replica"], draws["V"], draws["L"], draws["weight"]),
     )
     summary = {
         "quantity": "law of the total volume under the marked-point measure",
@@ -423,20 +411,16 @@ def run_volume_law(config, seed, outdir):
         )
     if draws["zero_mode_rel_err"] is not None:
         summary["zero_mode_rel_err"] = draws["zero_mode_rel_err"]
-    return summary, [csv]
+    rows = zip(draws["replica"], draws["V"], draws["L"], draws["weight"])
+    return summary, {"volume-law.csv": (["replica", "V", "L", "weight"], rows)}
 
 
-def run_partition(config, seed, outdir):
+def run_partition(config, seed):
     ins = _insertions_from(config)
     liouville.require_admissible(ins)
     basis = _basis_from(config, seed, ins.params.gamma)
     value, stderr, rel_err = liouville.partition_estimate(ins, basis=basis)
     bulk_tot, bdry_tot = basis.drifted_totals(ins)
-    csv = io.write_csv(
-        os.path.join(outdir, "partition.csv"),
-        ["replica", "I", "J"],
-        ((r, i, j) for r, (i, j) in enumerate(zip(bulk_tot, bdry_tot))),
-    )
     summary = {
         "quantity": "reduced partition function of the insertion set",
         "estimate": value,
@@ -448,10 +432,10 @@ def run_partition(config, seed, outdir):
     }
     if rel_err is not None:
         summary["zero_mode_rel_err"] = rel_err
-    return summary, [csv]
+    return summary, {"partition.csv": (["replica", "I", "J"], zip(range(len(bulk_tot)), bulk_tot, bdry_tot))}
 
 
-def run_kpz_covariance(config, seed, outdir):
+def run_kpz_covariance(config, seed):
     ins = _insertions_from(config)
     liouville.require_admissible(ins)
     liouville.check_ratio_test(ins.params)
@@ -467,7 +451,7 @@ def run_kpz_covariance(config, seed, outdir):
         "z_score": dev / stderr if stderr > 0 else float("inf"),
         **_sampler_report(basis.sampler),
     }
-    return summary, []
+    return summary, {}
 
 
 def _weyl_from(config):
@@ -478,7 +462,7 @@ def _weyl_from(config):
     return n_r, n_theta, _real(config.get("shift", 0.8), "shift")
 
 
-def run_weyl_anomaly(config, seed, outdir):
+def run_weyl_anomaly(config, seed):
     params = _params_from(config)
     n_r, n_theta, c = _weyl_from(config)
     base = ConformalFactor.constant(0.0, n_r, n_theta)
@@ -505,7 +489,7 @@ def run_weyl_anomaly(config, seed, outdir):
         "cocycle_residual": float(cocycle_resid),
         "grid": [n_r, n_theta],
     }
-    return summary, []
+    return summary, {}
 
 
 def _pairs_from(config):
@@ -520,16 +504,15 @@ def _pairs_from(config):
     return tuple((_integer(n, "n", 0), _integer(p, "p", 1)) for n, p in pairs)
 
 
-def run_maps_count(config, seed, outdir):
+def run_maps_count(config, seed):
     rows = [(n, p, str(maps.count_exact(n, p))) for n, p in _pairs_from(config)]
-    csv = io.write_csv(os.path.join(outdir, "maps-count.csv"), ["n", "p", "count"], rows)
     summary = {
         "quantity": "exact boundary-quadrangulation counts",
         "estimate": float(len(rows)),
         "stderr": 0.0,
         "n_replicas": 0,
     }
-    return summary, [csv]
+    return summary, {"maps-count.csv": (["n", "p", "count"], rows)}
 
 
 def _maps_config(config):
@@ -543,41 +526,22 @@ def _maps_config(config):
     )
 
 
-def run_maps_sample(config, seed, outdir):
+def run_maps_sample(config, seed):
     cfg = _maps_config(config)
     n_draws = _count(config, "n_draws", 100000)
     sampler = maps.BoltzmannSampler(cfg)
     n_arr, p_arr = sampler.sample(n_draws, RngStream(seed, 0))
-    files = [
-        io.write_csv(
-            os.path.join(outdir, "maps-draws.csv"),
-            ["draw_index", "n", "p"],
-            ((i, n, p) for i, (n, p) in enumerate(zip(n_arr, p_arr))),
-        )
-    ]
-    table_rows = (cfg.n_max + 1) * cfg.p_max
-    if table_rows <= 2_000_000:
-        def table_iter():
+    tables = {"maps-draws.csv": (["draw_index", "n", "p"], zip(range(len(n_arr)), n_arr, p_arr))}
+    if (cfg.n_max + 1) * cfg.p_max <= 2_000_000:
+        def table_iter():  # a row at a time, as the table is written
             for p in range(1, cfg.p_max + 1):
                 row = sampler.log_weight_row(p)
                 for n in np.flatnonzero(np.isfinite(row)):
                     yield (n, p, row[n])
 
-        files.append(
-            io.write_csv(
-                os.path.join(outdir, "maps-weight-table.csv"),
-                ["n", "p", "log_weight"],
-                table_iter(),
-            )
-        )
+        tables["maps-weight-table.csv"] = (["n", "p", "log_weight"], table_iter())
     else:
-        files.append(
-            io.write_csv(
-                os.path.join(outdir, "maps-p-marginal.csv"),
-                ["p", "log_marginal"],
-                ((p + 1, lw) for p, lw in enumerate(sampler.log_p_marginal)),
-            )
-        )
+        tables["maps-p-marginal.csv"] = (["p", "log_marginal"], enumerate(sampler.log_p_marginal, 1))
     summary = {
         "quantity": "Boltzmann draws of (n, p) from the truncated weight table",
         "estimate": float(np.mean(n_arr)),
@@ -586,7 +550,7 @@ def run_maps_sample(config, seed, outdir):
         "caps": [cfg.n_max, cfg.p_max],
         "log_tail_mass": sampler.log_tail_mass,
     }
-    return summary, files
+    return summary, tables
 
 
 def _bins_from(config):
@@ -597,7 +561,7 @@ def _bins_from(config):
     return tuple(_integer(b, "bins", 1) for b in bins)
 
 
-def run_maps_density(config, seed, outdir):
+def run_maps_density(config, seed):
     cfg = _maps_config(config)
     n_draws = _count(config, "n_draws", 100000)
     bins = _bins_from(config)
@@ -615,11 +579,6 @@ def run_maps_density(config, seed, outdir):
                     report.expected[i, j],
                 )
             )
-    csv = io.write_csv(
-        os.path.join(outdir, "maps-density-bins.csv"),
-        ["v_lo", "v_hi", "l_lo", "l_hi", "observed", "expected"],
-        rows,
-    )
     summary = {
         "quantity": "joint volume/perimeter law against the limit density",
         "estimate": report.chi2,
@@ -627,7 +586,8 @@ def run_maps_density(config, seed, outdir):
         "n_replicas": n_draws,
         **report.summary(),
     }
-    return summary, [csv]
+    header = ["v_lo", "v_hi", "l_lo", "l_hi", "observed", "expected"]
+    return summary, {"maps-density-bins.csv": (header, rows)}
 
 
 EXPERIMENTS = {
@@ -651,7 +611,7 @@ EXPERIMENTS = {
 # validation
 # ---------------------------------------------------------------------------
 
-CONFIG_ERRORS = (ConfigurationError, DomainError, GridError, UnsupportedSeparationError, KeyError)
+CONFIG_ERRORS = (ConfigurationError, DomainError, GridError, UnsupportedSeparationError)
 LADDER_TRIGGERS = ("kind", "levels", "mode_levels", "critical-ladder")
 BASIS_COMMANDS = ("volume-law", "partition", "kpz-covariance")  # they build a ChaosBasis
 MAPS_COMMANDS = ("maps-sample", "maps-density")  # they build a BoltzmannSampler
@@ -762,9 +722,12 @@ def main(argv=None):
         outdir = os.path.join(args.out, args.command)
         os.makedirs(outdir, exist_ok=True)
         t0 = time.time()
-        summary, files = EXPERIMENTS[args.command](config, seed, outdir)
-        summary_path = io.write_json(os.path.join(outdir, f"{args.command}-summary.json"), summary)
-        files = files + [summary_path]
+        summary, tables = EXPERIMENTS[args.command](config, seed)
+        # the one writer of a run's files: each table (a .json one is an object), then the summary
+        files = []
+        for name, table in {**tables, f"{args.command}-summary.json": summary}.items():
+            path = os.path.join(outdir, name)
+            files.append(io.write_json(path, table) if name.endswith(".json") else io.write_csv(path, *table))
         manifest = {
             "command": args.command,
             "config": config,

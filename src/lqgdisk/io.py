@@ -1,4 +1,4 @@
-"""Deterministic file formats: round-trip CSV, canonical JSON, field snapshots.
+"""Deterministic file formats: round-trip CSV and canonical JSON, with their checksums.
 
 Every float is written with 17 significant digits so that identical runs
 produce byte-identical files; JSON is emitted with sorted keys and fixed
@@ -69,25 +69,3 @@ def config_hash(config):
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
-
-# ---------------------------------------------------------------------------
-# snapshots
-# ---------------------------------------------------------------------------
-
-def save_field(points, eps, values, base_path, seed, stream_id):
-    """Field snapshot: CSV of re,im,value plus a JSON sidecar; returns both paths."""
-    sidecar = {
-        "seed": int(seed),
-        "stream_id": int(stream_id),
-        "eps": float(eps[0]) if np.ptp(eps) == 0.0 else [float(e) for e in eps],
-        "n_points": int(len(points)),
-    }
-    csv_path = base_path + ".csv"
-    write_csv(
-        csv_path,
-        ["re", "im", "value"],
-        ((p.real, p.imag, v) for p, v in zip(points, values)),
-    )
-    json_path = base_path + ".json"
-    write_json(json_path, sidecar)
-    return [csv_path, json_path]

@@ -350,6 +350,14 @@ class TestCounts:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err == {"type": "config", "message": message}
 
+    def test_single_point_is_exit_2(self, tmp_path, capsys):
+        # one field value leaves no standard error, as a count of 1 does
+        config = {"points": [[0.1, 0.1]], "eps": 0.01}
+        message = "points must hold at least 2 points, got 1"
+        assert cli.validate(config, "field-sample") == [{"code": "averaging circles", "message": message}]
+        assert run_cli(tmp_path, "field-sample", config, seed=3) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == {"type": "config", "message": message}
+
     def test_ladder_counts_follow_the_ladder_rule(self):
         config = {"kind": "boundary", "mode_levels": [64, 128], "n_replicas": 1}
         assert cli.validate(config) == []
@@ -394,6 +402,17 @@ SMOKE_CONFIGS = {
     "maps-sample": {"a": 0.3, "mu": 1.0, "mu_boundary": 1.0, "n_draws": 500},
     "maps-density": {"a": 0.03, "mu": 1.0, "mu_boundary": 1.0, "n_draws": 20000},
 }
+
+
+def test_every_output_is_byte_identical_on_rerun(tmp_path, capsys):
+    # only the manifest records wall seconds; every other file is fixed by (config, seed)
+    for command, config in SMOKE_CONFIGS.items():
+        outputs = []
+        for outname in ("r1", "r2"):
+            assert run_cli(tmp_path, command, config, seed=2, outname=outname) == 0, command
+            folder = tmp_path / outname / command
+            outputs.append({f.name: f.read_bytes() for f in folder.iterdir() if f.name != "manifest.json"})
+        assert outputs[0] == outputs[1], command
 
 
 def test_every_summary_is_strict_json(tmp_path, capsys):
@@ -450,7 +469,7 @@ class TestValidate:
             ([[0.1, 0.0], [0.1 + 0.02 * (1.0 - 1e-13), 0.0]], 0.01, None),
             ([[0.1, 0.0], [0.1 + 0.02 * (1.0 - 1e-11), 0.0]], 0.01, "separation rule"),
             ([[0.1, 0.0], [0.1, 0.0]], 0.01, "averaging circles"),
-            ([[0.985, 0.0]], 0.02, "averaging circles"),
+            ([[0.985, 0.0], [-0.5, 0.0]], 0.02, "averaging circles"),
         ],
         ids=["inside-tolerance", "overlap", "coincident", "leaves-disk"],
     )
@@ -600,6 +619,7 @@ class TestValidate:
             ("gmc-bulk", bulk_grid_config(n_theta="64"), "grid"),
             ("gmc-bulk", bulk_grid_config(aspect=[2.0]), "grid"),
             ("field-sample", {"points": [[0.1, "0"]], "eps": 0.02}, "averaging circles"),
+            ("field-sample", {"points": 5, "eps": 0.01}, "averaging circles"),
             ("kpz-covariance", marked_config(mobius={"a": [0.3, 0], "alpha": "1"}), "mobius"),
             ("maps-density", {"a": "0.03", "n_draws": 20000}, "maps-config"),
             ("maps-sample", {"a": 0.3, "n_max": "x"}, "maps-config"),
@@ -630,7 +650,7 @@ class TestValidate:
             "count-fractional-n-max", "count-no-p", "string-gamma", "null-mu-boundary",
             "short-position", "string-weight", "string-depth", "fractional-depth",
             "overflowing-depth", "huge-integer-depth", "fractional-rings", "string-n-theta",
-            "list-aspect", "string-point", "string-mobius-alpha", "string-maps-a",
+            "list-aspect", "string-point", "number-points", "string-mobius-alpha", "string-maps-a",
             "maps-string-n-max", "maps-fractional-n-max", "maps-negative-n-max", "maps-no-p",
             "maps-weightless-rows", "maps-string-marking", "density-integer-marking",
             "fractional-levels", "string-level", "scalar-mode-levels", "boolean-count",

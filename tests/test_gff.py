@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lqgdisk import gff, io
+from lqgdisk import cli, gff, io
 from lqgdisk.errors import FactorizationError, GridError, UnsupportedSeparationError
 from lqgdisk.critical import boundary_ladder_totals
 from lqgdisk.geometry import green, poincare_density
@@ -256,18 +256,19 @@ class TestPersistence:
         with open(got) as fg, open(want) as fw:
             assert fg.read() == fw.read()
 
-    def test_field_roundtrip(self, tmp_path):
+    def test_field_roundtrip(self, tmp_path, capsys):
+        # the field-sample snapshot: a CSV of re,im,value and a JSON sidecar
         pts = np.array([0.1, 0.4j, -0.2 - 0.3j])
-        values = FieldSampler(pts, 0.02).draw(RngStream(13, 5))
-        base = str(tmp_path / "snap")
-        files = io.save_field(pts, np.full(3, 0.02), values, base, seed=13, stream_id=5)
-        assert files == [base + ".csv", base + ".json"]
-        with open(files[0]) as fh:
+        values = FieldSampler(pts, 0.02).draw(RngStream(13, 0))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"points": [[p.real, p.imag] for p in pts], "eps": 0.02}))
+        assert cli.main(["field-sample", "--config", str(cfg), "--seed", "13", "--out", str(tmp_path)]) == 0
+        base = tmp_path / "field-sample" / "field-sample"
+        with open(f"{base}.csv") as fh:
             assert fh.readline().strip() == "re,im,value"
             rows = [[float(c) for c in line.split(",")] for line in fh]
         # 17 significant digits read back to the same floats
         assert np.array_equal([complex(r[0], r[1]) for r in rows], pts)
         assert np.array_equal([r[2] for r in rows], values)
-        with open(files[1]) as fh:
-            sidecar = json.load(fh)
-        assert sidecar == {"eps": 0.02, "n_points": 3, "seed": 13, "stream_id": 5}
+        sidecar = json.loads(base.with_suffix(".json").read_text())
+        assert sidecar == {"eps": 0.02, "n_points": 3, "seed": 13, "stream_id": 0}
