@@ -3,10 +3,13 @@
     python3 bench/digests.py --base <git rev> [--scratch DIR]
 
 Unpacks `--base` with `git archive` into a temporary directory under DIR and
-runs one fixed config of each of the 13 experiments (CONFIGS) at seeds 1 and
-11, on that checkout and on the working tree of this repository.  Every run
-is a fresh `python -m lqgdisk.cli` process with 2 BLAS threads (never more
-than the CPUs available), through the `timed` and `child_env` helpers of
+runs one fixed config of each of the 13 experiments (CONFIGS), the perfbench
+shapes of `gmc-bulk` (depth 7) and `volume-law` (400 replicas), and
+`gmc-boundary` on 4 arcs (small trace products, whose BLAS kernel can
+depend on the replica block), at seeds 1 and 11, on that checkout and on
+the working tree of this repository.  Every run is a fresh
+`python -m lqgdisk.cli` process with 2 BLAS threads (never more than the
+CPUs available), through the `timed` and `child_env` helpers of
 bench/boltzmann.py.  It prints the sha256 of every output file except
 `manifest.json` (which records wall seconds), base and working tree side by
 side, and exits 1 if any file differs or exists on one side only.
@@ -41,14 +44,18 @@ KPZ_INSERTIONS = [
     {"kind": "bulk", "position": [0.4, 0.0], "weight": 1.5},
     {"kind": "bulk", "position": [-0.3, 0.2], "weight": 1.5},
 ]
+# a run's name is its experiment, then an optional label
 CONFIGS = {
     "green-selftest": {"n_samples": 2000},
     "field-sample": {"grid": {"n_r": 4}},
     "gmc-bulk": {"gamma": 1.0, "grid": {"n_r": 5}, "n_replicas": 500},
+    "gmc-bulk depth-7": {"gamma": 1.0, "grid": {"n_r": 7, "rings_per_band": 2}, "n_replicas": 500},
     "gmc-boundary": {"gamma": 1.0, "n_modes": 256, "n_arcs": 128, "n_replicas": 500},
+    "gmc-boundary few-arcs": {"gamma": 1.0, "n_modes": 1024, "n_arcs": 4, "n_replicas": 500},
     "critical-ladder": {"kind": "bulk", "levels": [4, 5, 6], "n_replicas": [2000, 1000, 500]},
     "seiberg-validate": MARKED,
     "volume-law": MARKED,
+    "volume-law depth-7": {**MARKED, "grid": {"n_r": 7, "rings_per_band": 2}, "n_modes": 1024, "n_arcs": 256, "n_replicas": 400},
     "partition": {**MARKED, "mu_boundary": 0.5},
     "kpz-covariance": {**MARKED, "insertions": KPZ_INSERTIONS},
     "weyl-anomaly": {"gamma": 1.0, "n_r": 64},
@@ -64,20 +71,21 @@ def sha256(path):
 
 
 def digests(root, work, threads):
-    """{"seed <s> <command>/<file>": sha256} of every output file but manifest.json, run from root."""
+    """{"seed <s> <run>/<file>": sha256} of every output file but manifest.json, run from root."""
     env, found = child_env(root, threads), {}
     for seed in SEEDS:
-        for command, config in CONFIGS.items():
-            cfg_path = os.path.join(work, f"{command}.json")
+        for run, config in CONFIGS.items():
+            command, tag = run.split()[0], run.replace(" ", "-")
+            cfg_path = os.path.join(work, f"{tag}.json")
             with open(cfg_path, "w") as fh:
                 json.dump(config, fh)
-            out = os.path.join(work, f"seed{seed}")
+            out = os.path.join(work, f"seed{seed}", tag)
             argv = [sys.executable, "-m", "lqgdisk.cli", command, "--config", cfg_path, "--seed", str(seed), "--out", out]
             timed(argv, root, env)
             folder = os.path.join(out, command)
             for name in sorted(os.listdir(folder)):
                 if name != "manifest.json":
-                    found[f"seed {seed} {command}/{name}"] = sha256(os.path.join(folder, name))
+                    found[f"seed {seed} {run}/{name}"] = sha256(os.path.join(folder, name))
     return found
 
 

@@ -29,7 +29,7 @@ MAX_FIELD_POINTS = 8192
 ROTATION_ORDER = 16
 # replicas per block of a replica_map; the block size changes no noise
 REPLICA_BLOCK = 128
-# entries per chunk of a chunked sampler build (2 MB of float64); the chunk size changes no bit
+# float64 values per chunk of a chunked build (2 MB; a complex entry counts two); the chunk size changes no bit
 BUILD_CHUNK = 2**18
 
 
@@ -69,7 +69,8 @@ class TraceSampler:
     b_n sin n theta), its noise the standard normal (a_n) and (b_n); its
     covariance converges to 2 ln 1/|e^{i t} - e^{i s}| as N grows, its
     pointwise variance is sum_{n<=N} 2/n, and, with no constant mode, its
-    boundary mean vanishes for every draw.
+    boundary mean vanishes for every draw.  The synthesis matrix is built
+    in place, a few modes (BUILD_CHUNK values) at a time.
     """
 
     def __init__(self, n_modes, n_arcs):
@@ -78,9 +79,15 @@ class TraceSampler:
         mode = np.arange(1, n_modes + 1)
         self.variance = float(2.0 * np.sum(1.0 / mode))
         amp = np.sqrt(2.0 / mode)
-        arg = np.outer(self.theta, mode)
-        # rows follow (cos, sin) x mode, columns the arcs
-        self._synthesis = np.concatenate([np.cos(arg) * amp, np.sin(arg) * amp], axis=1).T
+        # rows follow (cos, sin) x mode, columns the arcs: the transpose of a C-ordered array
+        synthesis = np.empty((n_arcs, 2 * n_modes))
+        step = max(1, BUILD_CHUNK // n_arcs)
+        for j in range(0, n_modes, step):
+            chunk = slice(j, min(j + step, n_modes))
+            arg = np.outer(self.theta, mode[chunk])
+            np.multiply(np.cos(arg), amp[chunk], out=synthesis[:, chunk])
+            np.multiply(np.sin(arg), amp[chunk], out=synthesis[:, n_modes:][:, chunk])
+        self._synthesis = synthesis.T
 
     def fields(self, noise):
         """Trace values at theta, shape (n, n_arcs), from noise of shape (n, *noise_shape)."""
@@ -137,10 +144,12 @@ def check_averaging_circles(points, eps):
     """Raise unless circles of radii eps at the points admit the closed-form covariance.
 
     There may be at most MAX_FIELD_POINTS points (checked before any
-    pairwise matrix is built), each radius must be positive and each
+    pairwise distance is computed), each radius must be positive and each
     circle must stay inside the disk, and the points must be distinct
     (GridError); distinct circles must not overlap, up to a relative
-    tolerance of 1e-12 (UnsupportedSeparationError).
+    tolerance of 1e-12 (UnsupportedSeparationError), a coincident pair
+    being reported first.  The pairs are compared a few rows (BUILD_CHUNK
+    values) at a time: 4,096 points take 4 MB, not 384 MB.
     """
     pts = np.asarray(points, dtype=complex)
     check_point_count(len(pts))
@@ -149,11 +158,14 @@ def check_averaging_circles(points, eps):
         raise GridError("eps must be positive")
     if np.any(eps_arr >= 1.0 - np.abs(pts)):
         raise GridError("every averaging circle must stay inside the disk")
-    dist = np.abs(pts[:, None] - pts[None, :])
-    np.fill_diagonal(dist, np.inf)
-    if np.any(dist == 0.0):
-        raise GridError("points must be pairwise distinct")
-    if np.any(dist < (eps_arr[:, None] + eps_arr[None, :]) * (1.0 - 1e-12)):
+    overlap, rows = False, 1 + BUILD_CHUNK // (2 * len(pts) + 1)
+    for i in range(0, len(pts), rows):
+        dist = np.abs(pts[i : i + rows, None] - pts[None, :])
+        np.fill_diagonal(dist[:, i:], np.inf)
+        if np.any(dist == 0.0):
+            raise GridError("points must be pairwise distinct")
+        overlap = overlap or np.any(dist < (eps_arr[i : i + rows, None] + eps_arr[None, :]) * (1.0 - 1e-12))
+    if overlap:
         raise UnsupportedSeparationError(
             "pairwise distances must be at least the sum of the averaging radii"
         )
@@ -199,8 +211,12 @@ class RotationSampler:
     block circulant over the rotation index d, with the Hermitian
     eigenblocks sum_d c(d)^T e^{-2 pi i q d / ROTATION_ORDER},
     q = 0..ROTATION_ORDER/2, which circulant_root factors and
-    circulant_fields draws from.
+    circulant_fields draws from; c(d) and the FFT are built a few base
+    cells a (BUILD_CHUNK values) at a time.
     """
+
+    # replicas per replica_map block: half of REPLICA_BLOCK, as a block's FFT and products outweigh its noise
+    block = 64
 
     def __init__(self, grid):
         pts, eps = grid.centers, grid.eps
@@ -209,11 +225,13 @@ class RotationSampler:
         self._index = grid.slot
         self.noise_shape = (len(base), n)
         self.variances = covariance_entries(pts, pts, eps)
-        x = pts[base]
-        turns = np.exp(2j * np.pi * np.arange(n) / n)
-        turned = x[None, :] * turns[:, None, None]
-        blocks = covariance_entries(x[:, None], turned, eps[base][:, None])
-        spectrum = np.fft.rfft(blocks.transpose(0, 2, 1), axis=0)
+        x, e = pts[base], eps[base]
+        turned = x[None, :] * np.exp(2j * np.pi * np.arange(n) / n)[:, None]
+        spectrum = np.empty((n // 2 + 1, len(x), len(x)), complex)
+        step = max(1, BUILD_CHUNK // (2 * n * len(x)))
+        for a in range(0, len(x), step):
+            blocks = covariance_entries(x[a : a + step, None], turned[:, None], e[a : a + step, None])
+            spectrum[:, :, a : a + step] = np.fft.rfft(blocks.transpose(0, 2, 1), axis=0)
         self._root, self.min_eigenvalue = circulant_root(spectrum)
 
     def fields(self, noise):
@@ -228,10 +246,11 @@ def circulant_root(spectrum):
     spectrum holds the Hermitian (or real symmetric) eigenblocks q = 0..M/2
     of the embedding; each is factored by its Hermitian square root.  The
     eigenvalues must pass check_eigenvalues (FactorizationError otherwise).
-    The blocks are factored BUILD_CHUNK entries at a time.
+    The blocks are factored BUILD_CHUNK values at a time, so a chunk holds
+    half as many complex blocks as real ones.
     """
     root, w = None, np.empty(spectrum.shape[:2])
-    step = max(1, BUILD_CHUNK // spectrum[0].size)
+    step = max(1, BUILD_CHUNK * 8 // spectrum[0].nbytes)
     for q in range(0, len(spectrum), step):
         w[q : q + step], v = np.linalg.eigh(spectrum[q : q + step])
         scaled = v * np.sqrt(np.clip(w[q : q + step], 0.0, None))[:, None, :]
@@ -261,25 +280,30 @@ def circulant_fields(root, noise):
     return np.fft.irfft(spec.transpose(2, 1, 0), n=noise.shape[-1], axis=-1)
 
 
-def replica_map(fn, streams, shape):
+def replica_map(fn, streams, shape, block=None):
     """fn applied to standard normal noise of the given shape drawn per replica, in blocks.
 
-    Replica r draws its noise from streams[r] alone.  fn receives blocks
-    of REPLICA_BLOCK replicas, shape (REPLICA_BLOCK, *shape), and returns
-    one result per row; the last block is padded with zero rows, so every
-    block has one shape and replica r's result depends neither on the
-    number of replicas nor on its neighbours.  Returns the results of the
-    replicas, concatenated in order.
+    Replica r draws its noise from streams[r] alone, straight into one
+    reused buffer.  fn receives blocks of `block` replicas (REPLICA_BLOCK
+    by default), shape (block, *shape), and returns one result per row.
+    The last block is padded with zero rows, so every block has one shape
+    and replica r's result depends neither on the number of replicas nor
+    on its neighbours.  Returns the results in order, in one array laid
+    out in memory as fn's results are.
     """
-    out = []
+    b = block or REPLICA_BLOCK
+    noise, out = np.empty((b, *shape)), None
     # at least one block, so that no streams give an empty result of the right shape
-    for start in range(0, max(len(streams), 1), REPLICA_BLOCK):
-        block = streams[start : start + REPLICA_BLOCK]
-        noise = np.zeros((REPLICA_BLOCK, *shape))
-        for j, stream in enumerate(block):
-            noise[j] = stream.generator().standard_normal(shape)
-        out.append(fn(noise)[: len(block)])
-    return np.concatenate(out)
+    for start in range(0, max(len(streams), 1), b):
+        batch = streams[start : start + b]
+        for j, stream in enumerate(batch):
+            stream.generator().standard_normal(out=noise[j])
+        noise[len(batch) :] = 0.0
+        result = fn(noise)[: len(batch)]
+        if out is None:
+            out = np.empty_like(result, shape=(len(streams), *result.shape[1:]))
+        out[start : start + len(batch)] = result
+    return out
 
 
 def _symmetric_factor(cov):

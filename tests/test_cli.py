@@ -216,28 +216,39 @@ class TestGridConfig:
 
 # every graded grid shape the tests build up to depth 7; (5, 2, pi) is n_theta = 64 at depth 5
 TEST_GRID_SHAPES = [(d, 2, 2.0) for d in range(1, 8)] + [(5, 3, 0.5), (5, 1, 8.0), (5, 2, math.pi)]
+# at aspect 1e20 every ring has 16 cells; past depth 21-23 the rings lie so close
+# to r = 1 that rounding eats the 1e-9 shave of their averaging radii
+DEEP_GRID_SHAPES = [(d, r, 1e20) for r in (1, 2, 3) for d in range(18, 56)]
+
+
+def unchecked_grid(shape, monkeypatch):
+    """The graded grid of the shape with no circle check, or None if it cannot be built."""
+    with monkeypatch.context() as m:
+        m.setattr(gmc, "check_averaging_circles", lambda points, eps: None)
+        try:
+            return gmc.graded_disk_grid(*shape)
+        except GridError:
+            return None
+
+
+def circle_check_error(grid):
+    """The type of error the m x m check of every pair of the grid's averaging circles raises, or None."""
+    try:
+        gff.check_averaging_circles(grid.centers, grid.eps)
+    except (GridError, UnsupportedSeparationError) as err:
+        return type(err)
+    return None
 
 
 def dense_rule_accepts(shape, monkeypatch):
     """Whether the grid's cells pass the m x m check of every pair of averaging circles."""
-    with monkeypatch.context() as m:
-        m.setattr(gmc, "check_averaging_circles", lambda points, eps: None)
-        try:
-            grid = gmc.graded_disk_grid(*shape)
-        except GridError:
-            return False
-    try:
-        gff.check_averaging_circles(grid.centers, grid.eps)
-    except (GridError, UnsupportedSeparationError):
-        return False
-    return True
+    grid = unchecked_grid(shape, monkeypatch)
+    return grid is not None and circle_check_error(grid) is None
 
 
 class TestGridRule:
     def test_ring_check_decides_as_the_dense_check(self, tmp_path, capsys, monkeypatch):
-        # at aspect 1e20 every ring has 16 cells; past depth 21-23 the rings lie so close
-        # to r = 1 that rounding eats the 1e-9 shave of their averaging radii
-        deep = [(d, r, 1e20) for r in (1, 2, 3) for d in range(18, 56)]
+        deep = DEEP_GRID_SHAPES
         accepted = set()
         for shape in TEST_GRID_SHAPES + deep:
             config = {"gamma": 1.0, "grid": dict(zip(("n_r", "rings_per_band", "aspect"), shape))}
@@ -250,6 +261,21 @@ class TestGridRule:
                 accepted.add(shape)
         assert set(TEST_GRID_SHAPES) <= accepted
         assert [max(d for d, r, _ in accepted & set(deep) if r == k) for k in (1, 2, 3)] == [23, 22, 21]
+
+    def test_chunked_check_decides_as_one_piece(self, monkeypatch):
+        # the m x m check compares a few rows of pairs at a time: here 4 rows of the largest
+        # grid (2,640 cells), its default, and the whole matrix at once, as it did before chunks
+        decided = set()
+        for shape in TEST_GRID_SHAPES + DEEP_GRID_SHAPES:
+            grid = unchecked_grid(shape, monkeypatch)
+            if grid is not None:
+                errors = set()
+                for chunk in (2**14, gff.BUILD_CHUNK, 2**40):
+                    monkeypatch.setattr(gff, "BUILD_CHUNK", chunk)
+                    errors.add(circle_check_error(grid))
+                assert len(errors) == 1, shape
+                decided |= errors
+        assert None in decided and len(decided) > 1  # both accepted and rejected shapes
 
 
 def marked_config(**extra):

@@ -1,6 +1,5 @@
 import math
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from lqgdisk.critical import (
 from lqgdisk.errors import ConfigurationError, FactorizationError, GridError
 from lqgdisk.gff import RngStream, arc_centers, neumann_covariance
 from lqgdisk.gmc import window_sector_grid
-from tests_support import dense_trace, one_shot_sector, serial_bulk_ladder
+from tests_support import dense_trace, one_shot_sector, serial_bulk_ladder, traced_peak
 
 
 class TestCriticalMeasures:
@@ -216,16 +215,6 @@ class TestLadderConfig:
         assert [len(t) for t in plain] == [20, 10]
         for t in pushed + plain:
             assert np.all(np.isfinite(t)) and np.all(t > 0)
-
-
-def traced_peak(fn):
-    """Peak bytes traced by tracemalloc (numpy buffers included) while fn runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestWorkingSet:

@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,12 +19,14 @@ from lqgdisk.gff import (
     neumann_covariance,
     replica_map,
 )
-from lqgdisk.gmc import graded_disk_grid
+from lqgdisk.gmc import bulk_masses, graded_disk_grid
+from lqgdisk.liouville import ChaosBasis
 from tests_support import (
     boundary_coefficient_chunks,
     boundary_coefficients,
     cell_by_cell_csv,
     dense_trace,
+    traced_peak,
     truncated_boundary_covariance,
 )
 
@@ -36,6 +37,11 @@ def batched_trace_values(n_modes, n_arcs, n_replicas, rng):
 
 
 class TestBoundaryTrace:
+    def test_build_memory(self):
+        # the 2,048-mode synthesis on 4,096 arcs is 128 MB; built in one piece it took 320 MB
+        peak = traced_peak(lambda: TraceSampler(2048, 4096))
+        assert peak < 1.1 * (2 * 2048 * 4096 * 8)
+
     def test_zero_boundary_mean_every_draw(self):
         # no constant mode: the uniform-grid mean vanishes to roundoff
         vals = batched_trace_values(128, 4096, 5, RngStream(3, 0))
@@ -194,14 +200,13 @@ class TestRotationSampler:
         assert np.max(np.abs(emp - want) / se) < 5.0
 
     def test_build_memory(self):
-        # the grid's ring-by-ring circle check builds no m x m matrix (m = 2,336 at depth 7)
-        tracemalloc.start()
-        try:
-            RotationSampler(graded_disk_grid(7))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 40 * 2**20
+        # the grid's ring-by-ring circle check builds no m x m matrix (m = 2,336 at depth 7), and
+        # the blocks, their FFT and the roots are built in chunks (12.6 MB measured, 17.4 MB before)
+        assert traced_peak(lambda: RotationSampler(graded_disk_grid(7))) < 16 * 2**20
+
+    def test_grid_memory(self):
+        # the ring-pair circle checks compare a few rows at a time (4.4 MB measured, 61 MB in one piece)
+        assert traced_peak(lambda: graded_disk_grid(8)) < 8 * 2**20
 
     def test_negative_eigenblock_raises(self, monkeypatch):
         entries = gff.covariance_entries
@@ -215,8 +220,86 @@ class TestRotationSampler:
         streams = [RngStream(15, r) for r in range(11)]
         want = np.stack([s.generator().standard_normal((3, 4)) for s in streams])
         assert np.array_equal(replica_map(lambda b: b, streams, (3, 4)), want)
+        assert np.array_equal(replica_map(lambda b: b, streams, (3, 4), 5), want)
         monkeypatch.setattr(gff, "REPLICA_BLOCK", 4)
         assert np.array_equal(replica_map(lambda b: b, streams, (3, 4)), want)
+
+    def test_results_keep_the_layout_of_fn(self):
+        # as np.concatenate of the blocks did: ChaosBasis.bulk_masses is F-ordered, and the
+        # products of drifted_totals read its layout
+        streams = [RngStream(15, r) for r in range(11)]
+        got = replica_map(lambda b: np.asfortranarray(b.reshape(len(b), -1)), streams, (3, 4))
+        assert got.flags.f_contiguous and got.shape == (11, 12)
+
+    def test_blocks_of_few_modes_on_many_arcs_stay_bounded(self):
+        # 10 traces of one mode on 8,192 arcs: one block of 128 rows of arc values (8 MB) and
+        # the temporaries of its masses, however few noise values a replica draws
+        config = {"gamma": 1.0, "n_modes": 1, "n_arcs": 8192, "n_replicas": 10}
+        peak = traced_peak(lambda: cli.run_gmc_boundary(config, 1))
+        assert peak < 4 * 128 * 8192 * 8
+
+    @pytest.mark.parametrize("depth", [5, 7])
+    def test_totals_ignore_replica_block(self, depth):
+        # 230 replicas leave a padded last block at every size; 128 is REPLICA_BLOCK
+        grid = graded_disk_grid(depth)
+        sampler = RotationSampler(grid)
+        weights = grid.density_weights(0.5)
+        streams = [RngStream(16, r) for r in range(230)]
+
+        def block_totals(noise):
+            return bulk_masses(sampler.fields(noise), sampler.variances, weights, 1.0).sum(axis=1)
+
+        want = replica_map(block_totals, streams, sampler.noise_shape, 128)
+        for block in REPLICA_BLOCKS:
+            assert np.array_equal(replica_map(block_totals, streams, sampler.noise_shape, block), want), block
+
+    def test_basis_masses_ignore_replica_block(self, monkeypatch):
+        # the masses keep their layout too: drifted_totals' products read it.  The trace blocks
+        # (1,024 modes on 256 arcs) are products of at least 4 x 10^6 multiply-adds; smaller
+        # products, such as blocks of 8-12 traces of 256 modes on 128 arcs, moved bits
+        g = math.sqrt(8.0 / 3.0)
+
+        def basis(block):
+            monkeypatch.setattr(RotationSampler, "block", block)
+            monkeypatch.setattr(gff, "REPLICA_BLOCK", block)
+            return ChaosBasis(g, 230, RngStream(17, 1), depth=5)
+
+        want = basis(128)
+        fb, fd = np.random.default_rng(0).random(want.grid.size), np.random.default_rng(1).random(256)
+        for block in REPLICA_BLOCKS:
+            got = basis(block)
+            for a, b in ((got.bulk_masses, want.bulk_masses), (got.bdry_masses, want.bdry_masses)):
+                assert np.array_equal(a, b) and a.strides == b.strides, block
+            assert np.array_equal(got.bulk_masses @ fb, want.bulk_masses @ fb)
+            assert np.array_equal(got.bdry_masses @ fd, want.bdry_masses @ fd)
+
+
+# replicas per block that the block tests try (64 is RotationSampler.block, 128 REPLICA_BLOCK)
+REPLICA_BLOCKS = (8, 16, 56, 64, 128, 224)
+
+
+class TestCircleCheck:
+    def test_memory_at_4096_points(self):
+        # validate on a field-sample config reads its points and checks every pair of circles;
+        # in one piece the 4,096 x 4,096 check took 384 MB
+        side = np.linspace(-0.6, 0.6, 64)
+        config = {"points": [[x, y] for x in side for y in side], "eps": 0.009}
+        findings = []
+        peak = traced_peak(lambda: findings.extend(cli.validate(config, "field-sample")))
+        assert findings == [] and peak < 16 * 2**20
+
+    @pytest.mark.parametrize("chunk", [8, gff.BUILD_CHUNK])
+    def test_coincident_points_are_reported_before_overlap(self, monkeypatch, chunk):
+        # at chunk 8 each row of pairs is compared alone: the overlap (rows 0 and 1) is seen
+        # before the coincident pair (rows 48 and 49)
+        monkeypatch.setattr(gff, "BUILD_CHUNK", chunk)
+        pts = 0.8 * np.exp(2j * np.pi * np.arange(50) / 50)
+        pts[1] = pts[0] + 0.01
+        with pytest.raises(UnsupportedSeparationError):
+            gff.check_averaging_circles(pts, 0.006)
+        pts[49] = pts[48]
+        with pytest.raises(GridError):
+            gff.check_averaging_circles(pts, 0.006)
 
 
 class TestVarianceAsymptotics:

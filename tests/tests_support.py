@@ -1,6 +1,7 @@
 """Shared vectorized helpers for the statistical tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -125,3 +126,13 @@ def cell_by_cell_csv(path, header, rows):
                     cells.append(io.fmt(c))
             fh.write(",".join(cells) + "\n")
     return path
+
+
+def traced_peak(fn):
+    """Peak bytes traced by tracemalloc (numpy buffers included) while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
