@@ -708,7 +708,9 @@ def main(argv=None):
         if args.config:
             with open(args.config) as fh:
                 config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        if not isinstance(config, dict):
+            raise ConfigurationError(f"the config must be a JSON object, got {type(config).__name__}")
+    except (OSError, json.JSONDecodeError, ConfigurationError) as exc:
         print(json.dumps({"error": {"type": "config", "message": str(exc)}}))
         return 2
 

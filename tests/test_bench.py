@@ -1,0 +1,70 @@
+"""The before/after driver bench/run.py, without starting a benchmark process."""
+
+import importlib.util
+import json
+import pathlib
+import subprocess
+
+DRIVER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "run.py"
+SCHEMA = ("command", "revisions", "environment", "rounds", "metrics", "csv_sha256", "csv_identical", "digests", "tier1")
+
+
+def load_driver():
+    spec = importlib.util.spec_from_file_location("bench_run", DRIVER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_rounds_run_abba():
+    run = load_driver()
+    order = [side for r in range(4) for side in run.round_order(r)]
+    assert order == ["base", "head", "head", "base", "base", "head", "head", "base"]
+
+
+def test_snapshot_holds_the_working_tree_as_git_add_sees_it(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "head"
+    (repo / "src").mkdir(parents=True)
+    for name, text in {".gitignore": "ignored.txt\n", "src/kept.py": "x = 1\n", "deleted.txt": "gone\n"}.items():
+        (repo / name).write_text(text)
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    subprocess.run([*git, "add", "-A"], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "seed"], check=True)
+    (repo / "deleted.txt").unlink()
+    (repo / "ignored.txt").write_text("ignored\n")
+    (repo / "src" / "untracked.py").write_text("y = 2\n")
+    (repo / "src" / "kept.py").write_text("x = 3\n")
+
+    src_tree = load_driver().snapshot(str(repo), str(dest))
+
+    files = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert files == [".gitignore", "src/kept.py", "src/untracked.py"]
+    assert (dest / "src" / "kept.py").read_text() == "x = 3\n"
+    committed = subprocess.run([*git, "rev-parse", "HEAD:src"], capture_output=True, text=True).stdout.strip()
+    assert len(src_tree) == 40 and src_tree != committed
+
+
+def test_record_of_two_fake_rounds_has_every_schema_key(tmp_path):
+    run = load_driver()
+    calls = []
+
+    def fake_measure(root, env, work):
+        calls.append(root)
+        values = {"perfbench.boltzmann.wall_s": float(len(calls)), "perfbench.boltzmann.failed": 0}
+        return values, {"call": {"a.csv": "0" * 64}}
+
+    roots = {"base": "/b", "head": "/h"}
+    runs, digests = run.abba_rounds(roots, fake_measure, str(tmp_path), threads=1, rounds=2)
+    assert calls == ["/b", "/h", "/h", "/b"]
+    found = {side: {"seed 1 maps-count/maps-count.csv": "1" * 64} for side in run.SIDES}
+    tiers = {side: {"wall_s": 1.0, "passed": 3} for side in run.SIDES}
+    revisions = {"base": {"commit": "c", "src_tree": "t"}, "head": {"parent_commit": "c", "src_tree": "t"}}
+    path = tmp_path / "BENCH.json"
+    path.write_text(json.dumps(run.make_record("cmd", revisions, 1, runs, digests, found, tiers)))
+
+    record = json.loads(path.read_text())
+    assert set(SCHEMA) <= set(record)
+    assert record["rounds"] == 2 and record["csv_identical"]
+    assert record["metrics"]["head"]["perfbench.boltzmann.wall_s"]["runs"] == [2.0, 3.0]
+    assert set(record["metrics"]["base"]["perfbench.boltzmann.wall_s"]) == {"median", "q1", "q3", "runs"}

@@ -204,6 +204,13 @@ class TestExitCodes:
     def test_missing_key_is_exit_2(self, tmp_path, capsys):
         assert run_cli(tmp_path, "gmc-bulk", {"seed": 1}) == 2
 
+    @pytest.mark.parametrize("command", ["validate", "gmc-bulk", "maps-count"])
+    @pytest.mark.parametrize("config, kind", [([1, 2], "list"), ("x", "str")])
+    def test_config_that_is_not_an_object_is_exit_2(self, tmp_path, capsys, command, config, kind):
+        assert run_cli(tmp_path, command, config, seed=1) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "config", "message": f"the config must be a JSON object, got {kind}"}
+
 
 class TestGridConfig:
     def test_n_theta_reaches_every_experiment_grid(self):
