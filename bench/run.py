@@ -11,7 +11,7 @@ seeds 1 and 11 on both sides.  `record` runs those digests and tier-1 once per
 side, then ROUNDS rounds, alternating which side goes first (ABBA), of
 `perfbench/run.py --seed 101 --seconds 0 --trace 0` (one checked iteration of
 every workload), the CALLS and the PROBES; it writes per side the median and
-quartiles of every value and every digest.  Both exit 1 if a digest differs,
+quartiles of every value, every digest and the line count of src/.  Both exit 1 if a digest differs,
 and `record` also if a perfbench call fails its checks.
 
 A probe is a function below that imports lqgdisk from the side's src/ and
@@ -22,6 +22,7 @@ import argparse
 import hashlib
 import json
 import os
+import pathlib
 import platform
 import re
 import subprocess
@@ -170,6 +171,21 @@ def snapshot(repo, dest):
         return git(repo, "write-tree", "--prefix=src/", env=env)
 
 
+def src_lines(root):
+    """Lines of the Python files under root/src, as `wc -l` counts them: the tracked src/ line count."""
+    return sum(path.read_bytes().count(b"\n") for path in pathlib.Path(root, "src").rglob("*.py"))
+
+
+def side_revisions(repo, base_sha, head_src, roots):
+    """Per side, the commit, the git tree of its src/ and the line count of its copy's src/."""
+    return {
+        "base": {"commit": base_sha, "src_tree": git(repo, "rev-parse", f"{base_sha}:src"),
+                 "src_lines": src_lines(roots["base"])},
+        "head": {"parent_commit": git(repo, "rev-parse", "HEAD"), "src_tree": head_src,
+                 "src_lines": src_lines(roots["head"])},
+    }
+
+
 def child_env(root, threads):
     return dict(os.environ, PYTHONPATH=os.path.join(root, "src"), **{var: str(threads) for var in THREAD_VARS})
 
@@ -301,7 +317,7 @@ def main(argv=None):
         roots = {side: os.path.join(tmp, side) for side in SIDES}  # siblings, with names of one length
         os.makedirs(roots["base"])
         subprocess.run(f"git -C {repo} archive {base_sha} | tar -x -C {roots['base']}", shell=True, check=True)
-        head_src = snapshot(repo, roots["head"])
+        revisions = side_revisions(repo, base_sha, snapshot(repo, roots["head"]), roots)
         found = {side: output_digests(root, child_env(root, threads), tempfile.mkdtemp(dir=tmp))
                  for side, root in roots.items()}
         if args.command == "record":
@@ -316,10 +332,6 @@ def main(argv=None):
             print(key, base.get(key, "-"), head.get(key, "-"), "DIFFERS" if key in differ else "same")
         print(f"{len(keys)} files, {len(differ)} differ")
         return 1 if differ else 0
-    revisions = {
-        "base": {"commit": base_sha, "src_tree": git(repo, "rev-parse", f"{base_sha}:src")},
-        "head": {"parent_commit": git(repo, "rev-parse", "HEAD"), "src_tree": head_src},
-    }
     # the scratch directory holds only the two copies and their outputs, so the command leaves it out
     command = f"python3 bench/run.py record --base {args.base} --out {args.out}"
     record = make_record(command, revisions, threads, runs, digests, found, tiers)

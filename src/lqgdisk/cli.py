@@ -275,7 +275,7 @@ def run_gmc_bulk(config, seed):
         return bulk_masses(sampler.fields(noise), sampler.variances, weights, gamma).sum(axis=1)
 
     streams = [RngStream(seed, r) for r in range(n_replicas)]
-    totals = replica_map(block_totals, streams, sampler.noise_shape, sampler.block)
+    totals = replica_map(block_totals, streams, sampler.noise_shape)
     summary, tables = _totals_result("gmc-bulk", "mean total mass of the bulk chaos measure", gamma, totals)
     summary.update(_sampler_report(sampler))
     if gamma**2 < 2.0:

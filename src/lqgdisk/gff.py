@@ -27,8 +27,9 @@ from .errors import FactorizationError, GridError, UnsupportedSeparationError
 MAX_FIELD_POINTS = 8192
 # RotationSampler's symmetry: rotation by 2 pi / ROTATION_ORDER
 ROTATION_ORDER = 16
-# replicas per block of a replica_map; the block size changes no noise
-REPLICA_BLOCK = 128
+# replicas per block of a replica_map, bulk and trace alike (64 bulk replicas at depth 7 draw 1.2 MB of
+# noise, and a block's FFT and products take several times that); the block size changes no noise
+REPLICA_BLOCK = 64
 # float64 values per chunk of a chunked build (2 MB; a complex entry counts two); the chunk size changes no bit
 BUILD_CHUNK = 2**18
 
@@ -203,29 +204,24 @@ class RotationSampler:
     """Exact draws of circle-average values on a rotation-invariant grid.
 
     The grid (gmc.graded_disk_grid) consists of the orbits of its base
-    cells x_a, those with slot % ROTATION_ORDER == 0, under rotation by
-    w = e^{2 pi i / ROTATION_ORDER}, with one averaging radius per orbit;
-    cell i is w^d x_a for slot[i] = a * ROTATION_ORDER + d.  The grid
-    has checked its own circles.  The covariance of the values at
-    w^d x_a and w^d' x_b is c(d' - d)[a, b], c(d)[a, b] = G(x_a, w^d x_b):
-    block circulant over the rotation index d, with the Hermitian
-    eigenblocks sum_d c(d)^T e^{-2 pi i q d / ROTATION_ORDER},
-    q = 0..ROTATION_ORDER/2, which circulant_root factors and
-    circulant_fields draws from; c(d) and the FFT are built a few base
-    cells a (BUILD_CHUNK values) at a time.
+    cells x_a under rotation by w = e^{2 pi i / ROTATION_ORDER}, in orbit
+    order: cell a * ROTATION_ORDER + d is w^d x_a, with one averaging
+    radius per orbit.  The grid has checked its own circles.  The
+    covariance of the values at w^d x_a and w^d' x_b is c(d' - d)[a, b],
+    c(d)[a, b] = G(x_a, w^d x_b): block circulant over the rotation index
+    d, with the Hermitian eigenblocks
+    sum_d c(d)^T e^{-2 pi i q d / ROTATION_ORDER}, q = 0..ROTATION_ORDER/2,
+    which circulant_root factors and circulant_fields draws from, so the
+    fields of a block are a plain reshape of its draws; c(d) and the FFT
+    are built a few base cells a (BUILD_CHUNK values) at a time.
     """
-
-    # replicas per replica_map block: half of REPLICA_BLOCK, as a block's FFT and products outweigh its noise
-    block = 64
 
     def __init__(self, grid):
         pts, eps = grid.centers, grid.eps
         n = ROTATION_ORDER
-        base = np.flatnonzero(grid.slot % n == 0)
-        self._index = grid.slot
-        self.noise_shape = (len(base), n)
+        self.noise_shape = (len(pts) // n, n)
         self.variances = covariance_entries(pts, pts, eps)
-        x, e = pts[base], eps[base]
+        x, e = pts[::n], eps[::n]
         turned = x[None, :] * np.exp(2j * np.pi * np.arange(n) / n)[:, None]
         spectrum = np.empty((n // 2 + 1, len(x), len(x)), complex)
         step = max(1, BUILD_CHUNK // (2 * n * len(x)))
@@ -236,8 +232,7 @@ class RotationSampler:
 
     def fields(self, noise):
         """Field values in point order, shape (n, size), from noise of shape (n, *noise_shape)."""
-        x = circulant_fields(self._root, noise)
-        return x.reshape(len(noise), -1)[:, self._index]
+        return circulant_fields(self._root, noise).reshape(len(noise), -1)
 
 
 def circulant_root(spectrum):
@@ -280,22 +275,21 @@ def circulant_fields(root, noise):
     return np.fft.irfft(spec.transpose(2, 1, 0), n=noise.shape[-1], axis=-1)
 
 
-def replica_map(fn, streams, shape, block=None):
+def replica_map(fn, streams, shape):
     """fn applied to standard normal noise of the given shape drawn per replica, in blocks.
 
     Replica r draws its noise from streams[r] alone, straight into one
-    reused buffer.  fn receives blocks of `block` replicas (REPLICA_BLOCK
-    by default), shape (block, *shape), and returns one result per row.
+    reused buffer.  fn receives blocks of REPLICA_BLOCK replicas, shape
+    (REPLICA_BLOCK, *shape), and returns one result per row.
     The last block is padded with zero rows, so every block has one shape
     and replica r's result depends neither on the number of replicas nor
     on its neighbours.  Returns the results in order, in one array laid
     out in memory as fn's results are.
     """
-    b = block or REPLICA_BLOCK
-    noise, out = np.empty((b, *shape)), None
+    noise, out = np.empty((REPLICA_BLOCK, *shape)), None
     # at least one block, so that no streams give an empty result of the right shape
-    for start in range(0, max(len(streams), 1), b):
-        batch = streams[start : start + b]
+    for start in range(0, max(len(streams), 1), REPLICA_BLOCK):
+        batch = streams[start : start + REPLICA_BLOCK]
         for j, stream in enumerate(batch):
             stream.generator().standard_normal(out=noise[j])
         noise[len(batch) :] = 0.0

@@ -74,7 +74,7 @@ class GradedDiskGrid:
     Bands halve in radial width toward r = 1 and the last band touches the
     boundary; every cell records its radial extent, angular width, center,
     averaging radius eps (half the local atom spacing, strictly less than
-    the distance to the boundary), and slot, its index in its sampler's field block.
+    the distance to the boundary).
     """
 
     centers: np.ndarray
@@ -82,7 +82,6 @@ class GradedDiskGrid:
     r_lo: np.ndarray
     r_hi: np.ndarray
     dtheta: np.ndarray
-    slot: np.ndarray
     rings_per_band: int
 
     @property
@@ -145,7 +144,6 @@ def window_sector_grid(depth):
         r_lo=np.repeat(radii - eps, n_t),
         r_hi=np.repeat(radii + eps, n_t),
         dtheta=np.full(centers.shape, dth),
-        slot=np.arange(centers.size),
         rings_per_band=n_r,
     )
 
@@ -159,9 +157,8 @@ def graded_disk_grid(n_bands, rings_per_band=2, aspect=2.0):
     about `aspect` times the ring width: the cell count of a band is
     rounded up to a multiple of gff.ROTATION_ORDER, so the grid is
     invariant under rotation by 2 pi / ROTATION_ORDER (the symmetry
-    gff.RotationSampler uses): cell t of a ring of k ROTATION_ORDER cells,
-    the turn by t div k of the ring's base cell t mod k, has slot
-    (o + t mod k) ROTATION_ORDER + t div k, o the ring's first orbit.
+    gff.RotationSampler uses).  Each ring is emitted in orbit order: its
+    cell a ROTATION_ORDER + d is its base cell a turned by 2 pi d / ROTATION_ORDER.
     Refining n_bands by one splits the last band and leaves all other
     cells unchanged.  An aspect that is not positive and finite, a band
     of zero width in floating point, or a grid of more than
@@ -187,13 +184,10 @@ def graded_disk_grid(n_bands, rings_per_band=2, aspect=2.0):
         per_turn = 2.0 * np.pi * r_mid / (aspect * w * ROTATION_ORDER)
         bands.append((lo, w, ROTATION_ORDER * max(int(np.ceil(per_turn)), 1)))
     check_point_count(rings_per_band * sum(n for _, _, n in bands))
-    centers, eps, r_lo, r_hi, dtheta, slot = [], [], [], [], [], []
+    centers, eps, r_lo, r_hi, dtheta = [], [], [], [], []
     shave = 1.0 - 1e-9
-    orbits = 0
     for lo, w, n_theta in bands:
-        theta = arc_centers(n_theta)
-        k = n_theta // ROTATION_ORDER
-        t = np.arange(n_theta)
+        theta = arc_centers(n_theta).reshape(ROTATION_ORDER, -1).T.ravel()
         for i in range(rings_per_band):
             a = lo + i * w
             c = a + 0.5 * w
@@ -205,8 +199,6 @@ def graded_disk_grid(n_bands, rings_per_band=2, aspect=2.0):
             r_lo.append(np.full(n_theta, a))
             r_hi.append(np.full(n_theta, a + w))
             dtheta.append(np.full(n_theta, 2.0 * np.pi / n_theta))
-            slot.append((orbits + t % k) * ROTATION_ORDER + t // k)
-            orbits += k
     for i in range(max(len(centers) - 1, 1)):
         check_averaging_circles(np.concatenate(centers[i : i + 2]), np.concatenate(eps[i : i + 2]))
     return GradedDiskGrid(
@@ -215,7 +207,6 @@ def graded_disk_grid(n_bands, rings_per_band=2, aspect=2.0):
         r_lo=np.concatenate(r_lo),
         r_hi=np.concatenate(r_hi),
         dtheta=np.concatenate(dtheta),
-        slot=np.concatenate(slot),
         rings_per_band=rings_per_band,
     )
 

@@ -224,8 +224,8 @@ class ChaosBasis:
     comparisons of partition functions use exactly this).  Replica r
     draws its bulk field from rng.child(2r) through a RotationSampler and
     its boundary trace from rng.child(2r + 1) through a TraceSampler, in
-    blocks of gff.replica_map; bulk_masses keeps the F order of the blocks'
-    masses, which the products of drifted_totals read.
+    blocks of gff.replica_map; both mass arrays are C-ordered, as the
+    blocks' masses are, and the products of drifted_totals read them so.
     """
 
     def __init__(
@@ -257,7 +257,7 @@ class ChaosBasis:
             return boundary_masses(self.trace.fields(coef), self.trace.variance, g, n_arcs)
 
         streams = [rng.child(k) for k in range(2 * self.n_replicas)]
-        self.bulk_masses = replica_map(bulk_block, streams[0::2], self.sampler.noise_shape, self.sampler.block)
+        self.bulk_masses = replica_map(bulk_block, streams[0::2], self.sampler.noise_shape)
         self.bdry_masses = replica_map(boundary_block, streams[1::2], self.trace.noise_shape)
         self._factors = {}
 

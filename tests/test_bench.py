@@ -22,15 +22,21 @@ def test_rounds_run_abba():
     assert order == ["base", "head", "head", "base", "base", "head", "head", "base"]
 
 
-def test_snapshot_holds_the_working_tree_as_git_add_sees_it(tmp_path):
-    repo, dest = tmp_path / "repo", tmp_path / "head"
-    (repo / "src").mkdir(parents=True)
-    for name, text in {".gitignore": "ignored.txt\n", "src/kept.py": "x = 1\n", "deleted.txt": "gone\n"}.items():
+def committed_repo(repo, files):
+    """A throwaway git repository at repo with files {path: text} in one commit; returns its git argv."""
+    for name, text in files.items():
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
         (repo / name).write_text(text)
     git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
     subprocess.run(["git", "init", "-q", str(repo)], check=True)
     subprocess.run([*git, "add", "-A"], check=True)
     subprocess.run([*git, "commit", "-q", "-m", "seed"], check=True)
+    return git
+
+
+def test_snapshot_holds_the_working_tree_as_git_add_sees_it(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "head"
+    git = committed_repo(repo, {".gitignore": "ignored.txt\n", "src/kept.py": "x = 1\n", "deleted.txt": "gone\n"})
     (repo / "deleted.txt").unlink()
     (repo / "ignored.txt").write_text("ignored\n")
     (repo / "src" / "untracked.py").write_text("y = 2\n")
@@ -43,6 +49,21 @@ def test_snapshot_holds_the_working_tree_as_git_add_sees_it(tmp_path):
     assert (dest / "src" / "kept.py").read_text() == "x = 3\n"
     committed = subprocess.run([*git, "rev-parse", "HEAD:src"], capture_output=True, text=True).stdout.strip()
     assert len(src_tree) == 40 and src_tree != committed
+
+
+def test_revisions_hold_each_sides_src_line_count(tmp_path):
+    run, repo = load_driver(), tmp_path / "repo"
+    committed_repo(repo, {"src/pkg/a.py": "x = 1\ny = 2\n", "src/pkg/notes.txt": "not code\n", "run.py": "z = 0\n"})
+    (repo / "src" / "pkg" / "b.py").write_text("z = 3\n")
+    roots = {side: str(tmp_path / side) for side in run.SIDES}
+    base_sha = run.git(str(repo), "rev-parse", "HEAD")
+    (tmp_path / "base").mkdir()
+    subprocess.run(f"git -C {repo} archive {base_sha} | tar -x -C {roots['base']}", shell=True, check=True)
+
+    revisions = run.side_revisions(str(repo), base_sha, run.snapshot(str(repo), roots["head"]), roots)
+
+    assert revisions["base"]["src_lines"] == 2 and revisions["head"]["src_lines"] == 3
+    assert revisions["base"]["commit"] == revisions["head"]["parent_commit"] == base_sha
 
 
 def test_record_of_two_fake_rounds_has_every_schema_key(tmp_path):

@@ -336,13 +336,22 @@ class TestGradedSampler:
         assert summary["rotation_order"] == gff.ROTATION_ORDER == 16
         assert summary["min_eigenvalue"] > 0.0
 
-    def test_replica_total_ignores_replica_count(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("gmc-bulk", {"gamma": 1.0, "grid": {"n_r": 4}}),
+            # small trace products, whose last bits depend on the BLAS kernel a product's size picks
+            ("gmc-boundary", {"gamma": 1.0, "n_modes": 1024, "n_arcs": 4}),
+        ],
+        ids=["gmc-bulk", "gmc-boundary-few-arcs"],
+    )
+    def test_replica_total_ignores_replica_count(self, tmp_path, capsys, command, config):
         # 600 replicas fill several blocks; replica r draws from RngStream(seed, r) alone
-        config = {"gamma": 1.0, "grid": {"n_r": 4}, "seed": 8}
-        assert run_cli(tmp_path, "gmc-bulk", {**config, "n_replicas": 3}, outname="few") == 0
-        assert run_cli(tmp_path, "gmc-bulk", {**config, "n_replicas": 600}, outname="many") == 0
-        few = (tmp_path / "few" / "gmc-bulk" / "gmc-bulk.csv").read_text().splitlines()
-        many = (tmp_path / "many" / "gmc-bulk" / "gmc-bulk.csv").read_text().splitlines()
+        config = {**config, "seed": 8}
+        assert run_cli(tmp_path, command, {**config, "n_replicas": 3}, outname="few") == 0
+        assert run_cli(tmp_path, command, {**config, "n_replicas": 600}, outname="many") == 0
+        few = (tmp_path / "few" / command / f"{command}.csv").read_text().splitlines()
+        many = (tmp_path / "many" / command / f"{command}.csv").read_text().splitlines()
         assert len(few) == 4 and len(many) == 601
         assert few == many[:4]
 

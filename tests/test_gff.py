@@ -220,27 +220,27 @@ class TestRotationSampler:
         streams = [RngStream(15, r) for r in range(11)]
         want = np.stack([s.generator().standard_normal((3, 4)) for s in streams])
         assert np.array_equal(replica_map(lambda b: b, streams, (3, 4)), want)
-        assert np.array_equal(replica_map(lambda b: b, streams, (3, 4), 5), want)
-        monkeypatch.setattr(gff, "REPLICA_BLOCK", 4)
-        assert np.array_equal(replica_map(lambda b: b, streams, (3, 4)), want)
+        for block in (4, 5):
+            monkeypatch.setattr(gff, "REPLICA_BLOCK", block)
+            assert np.array_equal(replica_map(lambda b: b, streams, (3, 4)), want), block
 
     def test_results_keep_the_layout_of_fn(self):
-        # as np.concatenate of the blocks did: ChaosBasis.bulk_masses is F-ordered, and the
-        # products of drifted_totals read its layout
+        # as np.concatenate of the blocks did: the products of drifted_totals read the layout
+        # of ChaosBasis's masses
         streams = [RngStream(15, r) for r in range(11)]
         got = replica_map(lambda b: np.asfortranarray(b.reshape(len(b), -1)), streams, (3, 4))
         assert got.flags.f_contiguous and got.shape == (11, 12)
 
     def test_blocks_of_few_modes_on_many_arcs_stay_bounded(self):
-        # 10 traces of one mode on 8,192 arcs: one block of 128 rows of arc values (8 MB) and
+        # 10 traces of one mode on 8,192 arcs: one block of 64 rows of arc values (4 MB) and
         # the temporaries of its masses, however few noise values a replica draws
         config = {"gamma": 1.0, "n_modes": 1, "n_arcs": 8192, "n_replicas": 10}
         peak = traced_peak(lambda: cli.run_gmc_boundary(config, 1))
         assert peak < 4 * 128 * 8192 * 8
 
     @pytest.mark.parametrize("depth", [5, 7])
-    def test_totals_ignore_replica_block(self, depth):
-        # 230 replicas leave a padded last block at every size; 128 is REPLICA_BLOCK
+    def test_totals_ignore_replica_block(self, depth, monkeypatch):
+        # 230 replicas leave a padded last block at every size; 64 is REPLICA_BLOCK
         grid = graded_disk_grid(depth)
         sampler = RotationSampler(grid)
         weights = grid.density_weights(0.5)
@@ -249,9 +249,10 @@ class TestRotationSampler:
         def block_totals(noise):
             return bulk_masses(sampler.fields(noise), sampler.variances, weights, 1.0).sum(axis=1)
 
-        want = replica_map(block_totals, streams, sampler.noise_shape, 128)
+        want = replica_map(block_totals, streams, sampler.noise_shape)
         for block in REPLICA_BLOCKS:
-            assert np.array_equal(replica_map(block_totals, streams, sampler.noise_shape, block), want), block
+            monkeypatch.setattr(gff, "REPLICA_BLOCK", block)
+            assert np.array_equal(replica_map(block_totals, streams, sampler.noise_shape), want), block
 
     def test_basis_masses_ignore_replica_block(self, monkeypatch):
         # the masses keep their layout too: drifted_totals' products read it.  The trace blocks
@@ -260,11 +261,10 @@ class TestRotationSampler:
         g = math.sqrt(8.0 / 3.0)
 
         def basis(block):
-            monkeypatch.setattr(RotationSampler, "block", block)
             monkeypatch.setattr(gff, "REPLICA_BLOCK", block)
             return ChaosBasis(g, 230, RngStream(17, 1), depth=5)
 
-        want = basis(128)
+        want = basis(64)
         fb, fd = np.random.default_rng(0).random(want.grid.size), np.random.default_rng(1).random(256)
         for block in REPLICA_BLOCKS:
             got = basis(block)
@@ -274,7 +274,7 @@ class TestRotationSampler:
             assert np.array_equal(got.bdry_masses @ fd, want.bdry_masses @ fd)
 
 
-# replicas per block that the block tests try (64 is RotationSampler.block, 128 REPLICA_BLOCK)
+# replicas per block that the block tests try (64 is REPLICA_BLOCK)
 REPLICA_BLOCKS = (8, 16, 56, 64, 128, 224)
 
 

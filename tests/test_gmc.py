@@ -72,8 +72,9 @@ class TestGradedGrid:
         for lo, hi in zip(starts, list(starts[1:]) + [grid.size]):
             ring, n = grid.centers[lo:hi], hi - lo
             assert n % ROTATION_ORDER == 0
-            # rotation by 2 pi / ROTATION_ORDER moves cell k of a ring to cell k + n / ROTATION_ORDER
-            assert np.max(np.abs(ring * turn - np.roll(ring, -n // ROTATION_ORDER))) < 1e-14
+            # orbit order: cell a * ROTATION_ORDER + d of a ring is its base cell a turned by d
+            orbits = ring.reshape(-1, ROTATION_ORDER)
+            assert np.max(np.abs(orbits[:, 1:] - orbits[:, :-1] * turn)) < 1e-14
             assert np.all(grid.eps[lo:hi] == grid.eps[lo])
         pts, eps = grid.centers, grid.eps
         pairs = scipy.spatial.cKDTree(np.c_[pts.real, pts.imag]).query_pairs(
@@ -110,7 +111,6 @@ class TestGradedGrid:
             "r_lo": np.repeat(radii - eps, n_t),
             "r_hi": np.repeat(radii + eps, n_t),
             "dtheta": np.full(centers.shape, 0.84 / n_t),
-            "slot": np.arange(centers.size),
         }
         grid = window_sector_grid(depth)
         for name, value in want.items():
