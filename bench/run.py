@@ -43,13 +43,15 @@ SEED = 11
 CALLS = {
     "ladder_8_10": ("critical-ladder", {"kind": "bulk", "levels": [8, 9, 10], "n_replicas": [1000, 600, 500]}),
     "maps_density_a0.01": ("maps-density", {"a": 0.01, "mu": 1.0, "mu_boundary": 1.0, "n_draws": 100000}),
+    "ladder_boundary": ("critical-ladder", {"kind": "boundary"}),
 }
 GAMMA = 1.6329931618554518  # sqrt(8/3)
 MARKED = {"gamma": GAMMA, "mu": 1.0, "mu_boundary": 0.0, "grid": {"n_r": 5}, "n_modes": 256, "n_replicas": 200,
           "n_draws": 2000, "insertions": [{"kind": "bulk", "position": [0.0, 0.0], "weight": GAMMA},
                                           {"kind": "boundary", "position": [1.0, 0.0], "weight": GAMMA}]}
 # a run's name is its experiment, then an optional label: one config per experiment, the perfbench shapes
-# of gmc-bulk and volume-law, and 4 arcs (small trace products, whose BLAS kernel can depend on the block)
+# of gmc-bulk and volume-law, 4 arcs (1,024 modes folded onto 3 bins of the trace's half spectrum), and a
+# boundary ladder whose levels keep different replica counts
 CONFIGS = {
     "green-selftest": {"n_samples": 2000},
     "field-sample": {"grid": {"n_r": 4}},
@@ -58,6 +60,7 @@ CONFIGS = {
     "gmc-boundary": {"gamma": 1.0, "n_modes": 256, "n_arcs": 128, "n_replicas": 500},
     "gmc-boundary few-arcs": {"gamma": 1.0, "n_modes": 1024, "n_arcs": 4, "n_replicas": 500},
     "critical-ladder": {"kind": "bulk", "levels": [4, 5, 6], "n_replicas": [2000, 1000, 500]},
+    "critical-ladder boundary": {"kind": "boundary", "mode_levels": [64, 256, 1024], "n_replicas": [700, 300, 100]},
     "seiberg-validate": MARKED,
     "volume-law": MARKED,
     "volume-law depth-7": {**MARKED, "grid": {"n_r": 7, "rings_per_band": 2}, "n_modes": 1024,
@@ -139,14 +142,15 @@ def ladder_layers():
 
 
 def chaos_builds():
-    """Seconds and tracemalloc peaks of the chaos layer's four largest builds."""
+    """Seconds and tracemalloc peaks of the chaos layer's four largest builds, the trace's with one 64-replica block."""
     from lqgdisk import gff
     from lqgdisk.gmc import graded_disk_grid
     points = (np.linspace(-0.6, 0.6, 64)[:, None] + 1j * np.linspace(-0.6, 0.6, 64)).ravel()
     out = {}
     _seconds_and_peak(out, "rotation_sampler_depth7", lambda: gff.RotationSampler(graded_disk_grid(7)))
     _seconds_and_peak(out, "graded_disk_grid_depth8", lambda: graded_disk_grid(8))
-    _seconds_and_peak(out, "trace_sampler_2048_4096", lambda: gff.TraceSampler(2048, 4096))
+    noise = np.random.default_rng(1).standard_normal((64, 2, 2048))
+    _seconds_and_peak(out, "trace_sampler_2048_4096", lambda: gff.TraceSampler(2048, 4096).fields(noise))
     _seconds_and_peak(out, "check_averaging_circles_4096", lambda: gff.check_averaging_circles(points, 0.009))
     return out
 

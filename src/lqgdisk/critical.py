@@ -23,7 +23,7 @@ from contextlib import closing
 import numpy as np
 
 from .errors import ConfigurationError, GridError
-from .gff import BUILD_CHUNK, TraceSampler, circulant_fields, circulant_root, covariance_entries
+from .gff import BUILD_CHUNK, REPLICA_BLOCK, TraceSampler, circulant_fields, circulant_root, covariance_entries
 from .gmc import bulk_masses, window_sector_grid
 
 __all__ = [
@@ -244,23 +244,27 @@ def boundary_ladder_totals(mode_levels, n_replicas, rng):
         sqrt(Var_N / 2) exp(X(theta) - Var_N / 2) (2 pi / 2N):
 
     the exponent is normalized by the exact truncated variance Var_N, and
-    the push is its square root over two.  Levels and counts are checked by check_boundary_ladder; n_replicas is one count or one
-    per level.  All levels share one block of Fourier coefficients, drawn
-    once at the largest cutoff for the largest count, and level i uses its
-    first n_i replicas, so consecutive-level ratios are strongly coupled.
+    the push is its square root over two.  Levels and counts are checked
+    by check_boundary_ladder; n_replicas is one count or one per level.
+    All levels share one block of Fourier coefficients, drawn once at the
+    largest cutoff for the largest count, and level i uses its first n_i
+    replicas, so consecutive-level ratios are strongly coupled.  The block
+    is drawn and synthesized gff.REPLICA_BLOCK replicas at a time, in the
+    order of one whole draw.
     Returns (pushed, plain): two lists of per-level total arrays, with and
     without the sqrt(Var_N / 2) push.
     """
     mode_levels, counts = check_boundary_ladder(mode_levels, n_replicas)
     gen = rng.generator()
-    coeffs = gen.standard_normal((max(counts), 2, max(mode_levels)))
-    pushed, plain = [], []
-    for n, count in zip(mode_levels, counts):
-        trace = TraceSampler(n, 2 * n)
-        # unlike gmc.boundary_masses at gamma = 2, no e^{-gamma^2/8} factor; 2N arcs of pi / N
-        masses = np.exp(trace.fields(coeffs[:count, :, :n]) - 0.5 * trace.variance) * (np.pi / n)
-        pushed.append((masses * np.sqrt(0.5 * trace.variance)).sum(axis=1))
-        plain.append(masses.sum(axis=1))
+    traces, plain = [TraceSampler(n, 2 * n) for n in mode_levels], [np.empty(count) for count in counts]
+    for r in range(0, max(counts), REPLICA_BLOCK):
+        coeffs = gen.standard_normal((min(REPLICA_BLOCK, max(counts) - r), 2, max(mode_levels)))
+        for n, count, trace, totals in zip(mode_levels, counts, traces, plain):
+            if count > r:
+                x = trace.fields(coeffs[: count - r, :, :n]) - 0.5 * trace.variance
+                # unlike gmc.boundary_masses at gamma = 2, no e^{-gamma^2/8} factor; 2N arcs of pi / N
+                totals[r : r + len(x)] = np.exp(x, out=x).sum(axis=1) * (np.pi / n)
+    pushed = [t * math.sqrt(0.5 * trace.variance) for t, trace in zip(plain, traces)]
     return pushed, plain
 
 

@@ -286,13 +286,6 @@ class ConformalFactor:
             self.n_r, self.n_theta, self.values + other.values, self.boundary + other.boundary
         )
 
-    def __mul__(self, scalar):
-        return ConformalFactor(
-            self.n_r, self.n_theta, self.values * scalar, self.boundary * scalar
-        )
-
-    __rmul__ = __mul__
-
 
 def _radial_derivatives(factor):
     """First and second radial derivatives of phi at the cell centers.

@@ -27,8 +27,8 @@ from .errors import FactorizationError, GridError, UnsupportedSeparationError
 MAX_FIELD_POINTS = 8192
 # RotationSampler's symmetry: rotation by 2 pi / ROTATION_ORDER
 ROTATION_ORDER = 16
-# replicas per block of a replica_map, bulk and trace alike (64 bulk replicas at depth 7 draw 1.2 MB of
-# noise, and a block's FFT and products take several times that); the block size changes no noise
+# replicas per block of a replica_map and of the boundary ladder (64 bulk replicas at depth 7 draw 1.2 MB
+# of noise, and a block's FFT and products take several times that); the block size changes no noise
 REPLICA_BLOCK = 64
 # float64 values per chunk of a chunked build (2 MB; a complex entry counts two); the chunk size changes no bit
 BUILD_CHUNK = 2**18
@@ -70,8 +70,10 @@ class TraceSampler:
     b_n sin n theta), its noise the standard normal (a_n) and (b_n); its
     covariance converges to 2 ln 1/|e^{i t} - e^{i s}| as N grows, its
     pointwise variance is sum_{n<=N} 2/n, and, with no constant mode, its
-    boundary mean vanishes for every draw.  The synthesis matrix is built
-    in place, a few modes (BUILD_CHUNK values) at a time.
+    boundary mean vanishes for every draw.  At the M arc centers it is
+    M irfft(E), with no matrix: mode n = m M + j adds sqrt(2/n) (a_n - i b_n)
+    (-1)^m e^{i pi j / M} to bin j of D, and E_j = (D_j + conj D_{M-j}) / 2,
+    j <= M/2.
     """
 
     def __init__(self, n_modes, n_arcs):
@@ -79,20 +81,26 @@ class TraceSampler:
         self.theta = arc_centers(n_arcs)
         mode = np.arange(1, n_modes + 1)
         self.variance = float(2.0 * np.sum(1.0 / mode))
-        amp = np.sqrt(2.0 / mode)
-        # rows follow (cos, sin) x mode, columns the arcs: the transpose of a C-ordered array
-        synthesis = np.empty((n_arcs, 2 * n_modes))
-        step = max(1, BUILD_CHUNK // n_arcs)
-        for j in range(0, n_modes, step):
-            chunk = slice(j, min(j + step, n_modes))
-            arg = np.outer(self.theta, mode[chunk])
-            np.multiply(np.cos(arg), amp[chunk], out=synthesis[:, chunk])
-            np.multiply(np.sin(arg), amp[chunk], out=synthesis[:, n_modes:][:, chunk])
-        self._synthesis = synthesis.T
+        # sqrt(2/n) / 2 (-1)^m, the half of each term of E; column i of a fold holds bin (i + 1) mod M
+        self._amp = np.sqrt(0.5 / mode) * (1 - 2 * (mode // n_arcs % 2))
+        bins = np.arange(n_arcs // 2 + 1)
+        self._phase = np.roll(np.exp(1j * np.pi * np.arange(n_arcs) / n_arcs), -1)
+        self._bins, self._mirror = (bins - 1) % n_arcs, (-bins - 1) % n_arcs
 
     def fields(self, noise):
-        """Trace values at theta, shape (n, n_arcs), from noise of shape (n, *noise_shape)."""
-        return noise.reshape(len(noise), -1) @ self._synthesis
+        """Trace values at theta, shape (n, n_arcs) and C-ordered, from noise of shape (n, *noise_shape)."""
+        n, m, n_modes = len(noise), len(self.theta), len(self._amp)
+        # the weighted a_n and b_n summed over whole periods of M modes, then over the rest: shape (n, 2, M)
+        k = n_modes // m * m
+        fold = np.einsum("nckm,km->ncm", noise[:, :, :k].reshape(n, 2, k // m, m), self._amp[:k].reshape(-1, m))
+        fold[:, :, : n_modes - k] += noise[:, :, k:] * self._amp[k:]
+        d = fold[:, 1] * -1j
+        d += fold[:, 0]
+        d *= self._phase
+        del fold
+        half = np.conj(np.take(d, self._mirror, axis=1))
+        half += np.take(d, self._bins, axis=1)
+        return np.fft.irfft(half, n=m, norm="forward")
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +280,7 @@ def circulant_fields(root, noise):
         spec = np.matmul(root, spec.view(float)).view(complex)
     else:
         spec = np.matmul(root, spec)
-    return np.fft.irfft(spec.transpose(2, 1, 0), n=noise.shape[-1], axis=-1)
+    return np.fft.irfft(spec.transpose(2, 1, 0), n=noise.shape[-1], axis=-1, out=np.empty(noise.shape))
 
 
 def replica_map(fn, streams, shape):
@@ -297,6 +305,7 @@ def replica_map(fn, streams, shape):
         if out is None:
             out = np.empty_like(result, shape=(len(streams), *result.shape[1:]))
         out[start : start + len(batch)] = result
+        del result  # freed before the next block's temporaries
     return out
 
 

@@ -216,7 +216,7 @@ def graded_disk_grid(n_bands, rings_per_band=2, aspect=2.0):
 # ---------------------------------------------------------------------------
 
 def bulk_masses(values, variances, weights, gamma):
-    """Bulk atom masses exp(gamma X - (gamma^2/2) Var X) * w, elementwise.
+    """Bulk atom masses exp(gamma X - (gamma^2/2) Var X) * w, elementwise, in one new C-ordered array.
 
     The arguments broadcast against each other, so a (points, replicas)
     block of field values takes variances and weights of shape
@@ -224,7 +224,9 @@ def bulk_masses(values, variances, weights, gamma):
     (GradedDiskGrid.density_weights), each atom has mean w.  Any gamma is
     accepted; at gamma = 2 these are the plain critical masses.
     """
-    return np.exp(gamma * values - 0.5 * gamma**2 * variances) * weights
+    out = np.multiply(gamma, values, out=np.empty(np.broadcast(values, variances, weights).shape))
+    out -= 0.5 * gamma**2 * variances
+    return np.multiply(np.exp(out, out=out), weights, out=out)
 
 
 def boundary_masses(x, variance, gamma, n_arcs):

@@ -340,7 +340,7 @@ class TestGradedSampler:
         "command, config",
         [
             ("gmc-bulk", {"gamma": 1.0, "grid": {"n_r": 4}}),
-            # small trace products, whose last bits depend on the BLAS kernel a product's size picks
+            # 1,024 modes folded onto the 3 bins of 4 arcs
             ("gmc-boundary", {"gamma": 1.0, "n_modes": 1024, "n_arcs": 4}),
         ],
         ids=["gmc-bulk", "gmc-boundary-few-arcs"],

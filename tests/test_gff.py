@@ -38,9 +38,18 @@ def batched_trace_values(n_modes, n_arcs, n_replicas, rng):
 
 class TestBoundaryTrace:
     def test_build_memory(self):
-        # the 2,048-mode synthesis on 4,096 arcs is 128 MB; built in one piece it took 320 MB
-        peak = traced_peak(lambda: TraceSampler(2048, 4096))
-        assert peak < 1.1 * (2 * 2048 * 4096 * 8)
+        # 2,048 modes on 4,096 arcs, built and synthesized for one block of 64 traces: the fold and
+        # D, 4 MB each, then the half spectrum and the traces, 2 MB each (8.3 MB measured); through
+        # the 128 MB synthesis matrix, 132 MB
+        noise = np.zeros((64, 2, 2048))
+        peak = traced_peak(lambda: TraceSampler(2048, 4096).fields(noise))
+        assert peak < 10 * 2**20
+
+    def test_ladder_memory(self):
+        # the top level of the boundary ladder, 1,000 replicas drawn and synthesized in blocks of 64
+        # (13.0 MB measured); drawn at once and synthesized through the matrix, 222 MB
+        peak = traced_peak(lambda: boundary_ladder_totals([2048], 1000, RngStream(9, 1)))
+        assert peak < 16 * 2**20
 
     def test_zero_boundary_mean_every_draw(self):
         # no constant mode: the uniform-grid mean vanishes to roundoff
@@ -82,9 +91,14 @@ class TestBoundaryTrace:
         want = np.exp(dense_trace(coef, arc_centers(128)) - var / 2.0).sum(axis=1) * (2.0 * np.pi / 128)
         assert np.allclose(plain[0], want, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("n_modes, n_arcs", [(1024, 256), (64, 256), (5, 7), (1, 1)])
+    @pytest.mark.parametrize(
+        "n_modes, n_arcs",
+        [(1024, 256), (64, 256), (5, 7), (1, 1), (257, 256), (512, 256), (2048, 4096), (1, 8192)],
+    )
     def test_trace_sampler_matches_dense_reference(self, n_modes, n_arcs):
-        # modes above n_arcs / 2 alias on the arc centers; the sampler must keep them
+        # modes above n_arcs / 2 alias on the arc centers; the sampler must keep them.  Mode 256 of
+        # 257 lands on bin 0, modes 257-512 on 256 arcs fold with sign -1, (2048, 4096) is the
+        # boundary ladder's top level and (1, 8192) has far fewer modes than arcs
         trace = TraceSampler(n_modes, n_arcs)
         assert trace.noise_shape == (2, n_modes)
         assert np.array_equal(trace.theta, 2.0 * np.pi * (np.arange(n_arcs) + 0.5) / n_arcs)
@@ -231,6 +245,14 @@ class TestRotationSampler:
         got = replica_map(lambda b: np.asfortranarray(b.reshape(len(b), -1)), streams, (3, 4))
         assert got.flags.f_contiguous and got.shape == (11, 12)
 
+    def test_fields_are_c_ordered(self):
+        # drifted_totals and the masses' sums read the fields' layout
+        rotation, trace = RotationSampler(graded_disk_grid(5)), TraceSampler(1024, 256)
+        for block in REPLICA_BLOCKS:
+            for sampler in (rotation, trace):
+                x = sampler.fields(np.zeros((block, *sampler.noise_shape)))
+                assert x.flags.c_contiguous and x.shape[0] == block, (sampler, block)
+
     def test_blocks_of_few_modes_on_many_arcs_stay_bounded(self):
         # 10 traces of one mode on 8,192 arcs: one block of 64 rows of arc values (4 MB) and
         # the temporaries of its masses, however few noise values a replica draws
@@ -255,9 +277,8 @@ class TestRotationSampler:
             assert np.array_equal(replica_map(block_totals, streams, sampler.noise_shape), want), block
 
     def test_basis_masses_ignore_replica_block(self, monkeypatch):
-        # the masses keep their layout too: drifted_totals' products read it.  The trace blocks
-        # (1,024 modes on 256 arcs) are products of at least 4 x 10^6 multiply-adds; smaller
-        # products, such as blocks of 8-12 traces of 256 modes on 128 arcs, moved bits
+        # the masses keep their layout too: drifted_totals' products read it.  Each trace is its
+        # own folds and inverse FFT, so no block size moves its bits
         g = math.sqrt(8.0 / 3.0)
 
         def basis(block):

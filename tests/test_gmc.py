@@ -5,9 +5,10 @@ import pytest
 import scipy.spatial
 
 from lqgdisk.errors import DomainError
-from lqgdisk.gff import ROTATION_ORDER, FieldSampler, RngStream
+from lqgdisk.gff import ROTATION_ORDER, FieldSampler, RngStream, RotationSampler, TraceSampler
 from lqgdisk.gmc import (
     AtomicMeasure,
+    boundary_masses,
     bulk_masses,
     graded_disk_grid,
     jackknife_var,
@@ -187,6 +188,27 @@ class TestBoundaryMeasure:
 
 
 class TestMeasureOps:
+    def test_masses_and_fields_write_no_argument(self):
+        # bulk masses are computed in place in one new array, with the bits of the plain expression
+        gen, g = np.random.default_rng(5), 1.2
+        args = [gen.standard_normal((4, 6)), gen.random((4, 1)), gen.random((4, 1))]
+        kept = [a.copy() for a in args]
+        masses = bulk_masses(*args, g)
+        assert all(np.array_equal(a, k) for a, k in zip(args, kept))
+        assert not any(np.shares_memory(masses, a) for a in args)
+        assert np.array_equal(masses, np.exp(g * kept[0] - 0.5 * g**2 * kept[1]) * kept[2])
+        x = gen.standard_normal((3, 8))
+        x_kept = x.copy()
+        arcs = boundary_masses(x, 2.0, g, 8)
+        assert np.array_equal(x, x_kept) and not np.shares_memory(arcs, x)
+        want = np.exp(-0.125 * g**2) * np.exp(0.5 * g * x - 0.125 * g**2 * 2.0) * (2.0 * np.pi / 8)
+        assert np.array_equal(arcs, want)
+        for sampler in (RotationSampler(graded_disk_grid(4)), TraceSampler(64, 16)):
+            noise = gen.standard_normal((5, *sampler.noise_shape))
+            before = noise.copy()
+            sampler.fields(noise)
+            assert np.array_equal(noise, before), sampler
+
     def test_integrate_trivials(self, grid6, sampler6):
         masses, _ = single_draw_masses(grid6, sampler6, 1.0, RngStream(51, 0))
         m = AtomicMeasure("bulk", grid6.centers, masses)
