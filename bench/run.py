@@ -108,14 +108,14 @@ def ladder_layers():
     """SectorSampler builds at levels 4-10; the steps of the default ladder's level-9 blocks, as gff.circulant_fields
     and critical.bulk_ladder_totals take them; and the serial draw and coarsening of its noise (its worker's work)."""
     import math
-    from lqgdisk import critical
+    from lqgdisk import critical, gff
     from lqgdisk.gff import RngStream
     from lqgdisk.gmc import bulk_masses
     out, steps = {}, {}
     for k in range(4, 11):
         _seconds_and_peak(out, f"sector_build_level{k}", lambda: critical.SectorSampler(k))
     s = critical.SectorSampler(9)
-    block = max(1, critical.NOISE_BLOCK // math.prod(s.noise_shape))
+    block = max(1, gff.BUILD_CHUNK // math.prod(s.noise_shape))
     weights, gen, starts = s.grid.density_weights(2.0), np.random.default_rng(1), range(0, 1500, block)
     for start in starts:
         noise = _clock(steps, "draw", gen.standard_normal, (min(block, 1500 - start), *s.noise_shape))
@@ -131,7 +131,7 @@ def ladder_layers():
     gen, r, t = RngStream(SEED, 0).generator(), 0, time.perf_counter()
     while r < max(counts):
         finest = max(i for i, n in enumerate(counts) if n > r)
-        end = min(counts[finest], r + max(1, critical.NOISE_BLOCK // math.prod(shapes[finest])))
+        end = min(counts[finest], r + max(1, gff.BUILD_CHUNK // math.prod(shapes[finest])))
         noise = gen.standard_normal((end - r, *shapes[finest]))
         for i in range(finest, 0, -1):
             for _ in range(levels[i] - levels[i - 1]):

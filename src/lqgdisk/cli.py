@@ -565,26 +565,13 @@ def run_maps_density(config, seed):
     cfg = _maps_config(config)
     n_draws = _count(config, "n_draws", 100000)
     bins = _bins_from(config)
-    report = maps.joint_density_check(cfg, n_draws, RngStream(seed, 0), bins=bins)
-    rows = []
-    for i in range(report.observed.shape[0]):
-        for j in range(report.observed.shape[1]):
-            rows.append(
-                (
-                    report.v_edges[i],
-                    report.v_edges[i + 1],
-                    report.l_edges[j],
-                    report.l_edges[j + 1],
-                    report.observed[i, j],
-                    report.expected[i, j],
-                )
-            )
+    density, rows = maps.joint_density_check(cfg, n_draws, RngStream(seed, 0), bins=bins)
     summary = {
         "quantity": "joint volume/perimeter law against the limit density",
-        "estimate": report.chi2,
+        "estimate": density["chi2"],
         "stderr": 0.0,
         "n_replicas": n_draws,
-        **report.summary(),
+        **density,
     }
     header = ["v_lo", "v_hi", "l_lo", "l_hi", "observed", "expected"]
     return summary, {"maps-density-bins.csv": (header, rows)}

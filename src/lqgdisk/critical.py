@@ -46,8 +46,6 @@ __all__ = [
 # a level-8-10 ladder peaks near 190 MB; at level 11 the spectrum and its
 # root alone would take 2 x 539 MB
 MAX_LADDER_LEVEL = 10
-# noise values drawn per replica block (2 MB); the block size changes no draw
-NOISE_BLOCK = 2**18
 
 
 class SectorSampler:
@@ -175,9 +173,9 @@ def bulk_ladder_totals(levels, n_replicas, rng, report=None):
     Returns (pushed, plain): two lists of per-level total arrays, with and
     without the sqrt(ln 1/eps) push.  A dict passed as report receives
     "min_eigenvalues", the smallest eigenvalue of each level's embedding,
-    "segments", the number of replica blocks, and "noise_wait_s", the
-    seconds waited for their noise, which a worker thread draws and
-    coarsens one block ahead, with the bits of a serial loop.
+    "segments", the number of replica blocks (gff.BUILD_CHUNK noise values
+    at most), and "noise_wait_s", the seconds waited for their noise, which
+    a worker thread draws and coarsens one block ahead, bit for bit.
     """
     levels, counts = check_bulk_ladder(levels, n_replicas)
     samplers = [SectorSampler(k) for k in levels]
@@ -186,7 +184,7 @@ def bulk_ladder_totals(levels, n_replicas, rng, report=None):
     segments, r = [], 0
     while r < max(counts):
         finest = max(i for i, n in enumerate(counts) if n > r)
-        end = min(counts[finest], r + max(1, NOISE_BLOCK // math.prod(samplers[finest].noise_shape)))
+        end = min(counts[finest], r + max(1, BUILD_CHUNK // math.prod(samplers[finest].noise_shape)))
         segments.append((r, end, finest))
         r = end
     report = {} if report is None else report

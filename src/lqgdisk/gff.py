@@ -8,12 +8,12 @@ kinds of draws are provided:
   synthesized at arc centers for a block of coefficient draws at once
   (TraceSampler);
 * an exact-covariance Gaussian vector of circle-average values on a point
-  set, built from the closed-form regularized covariance and a symmetric
-  factorization (FieldSampler), or, on a graded grid invariant under
-  rotation by 2 pi / ROTATION_ORDER, from the block-circulant structure
-  of that covariance (RotationSampler).
+  set, built from the closed-form regularized covariance and its numpy
+  Cholesky factor, or its eigh root where Cholesky fails (FieldSampler),
+  or, on a graded grid invariant under rotation by 2 pi / ROTATION_ORDER,
+  from the block-circulant structure of that covariance (RotationSampler).
 
-All are deterministic functions of an RngStream.
+All are deterministic functions of an RngStream; circulant_root does every eigendecomposition.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ ROTATION_ORDER = 16
 # replicas per block of a replica_map and of the boundary ladder (64 bulk replicas at depth 7 draw 1.2 MB
 # of noise, and a block's FFT and products take several times that); the block size changes no noise
 REPLICA_BLOCK = 64
-# float64 values per chunk of a chunked build (2 MB; a complex entry counts two); the chunk size changes no bit
+# float64 values per chunk of a chunked build, per bulk ladder noise block and per zero-mode quadrature block
+# (2 MB; a complex entry counts two); the chunk size changes no bit
 BUILD_CHUNK = 2**18
 
 
@@ -183,10 +184,10 @@ def check_averaging_circles(points, eps):
 class FieldSampler:
     """Factorized sampler for repeated draws on a fixed point set.
 
-    Factorization is Cholesky when the matrix is numerically positive
-    definite, otherwise a symmetric eigendecomposition with small negative
-    eigenvalues (>= -1e-10 relative) clipped to zero.  Each draw costs one
-    matrix-vector product.
+    The factor is numpy's Cholesky factor in LAPACK's Fortran order (a
+    C-ordered copy rounds the draws' products differently), or, where
+    Cholesky fails, circulant_root's symmetric root, with small negative
+    eigenvalues (>= -1e-10 relative) clipped to zero.  A draw is one product.
     """
 
     def __init__(self, points, eps):
@@ -194,7 +195,11 @@ class FieldSampler:
         self.points = pts
         self.eps = np.broadcast_to(np.asarray(eps, dtype=float), (len(pts),)).copy()
         self.covariance = neumann_covariance(pts, self.eps)
-        self._factor = _symmetric_factor(self.covariance)
+        try:
+            factor = np.linalg.cholesky(self.covariance)
+        except np.linalg.LinAlgError:
+            factor = circulant_root(self.covariance[None])[0][0]
+        self._factor = np.asfortranarray(factor)
 
     def draw(self, rng):
         gen = rng.generator()
@@ -307,17 +312,6 @@ def replica_map(fn, streams, shape):
         out[start : start + len(batch)] = result
         del result  # freed before the next block's temporaries
     return out
-
-
-def _symmetric_factor(cov):
-    import scipy.linalg
-    try:
-        return scipy.linalg.cholesky(cov, lower=True)
-    except scipy.linalg.LinAlgError:
-        pass
-    w, v = scipy.linalg.eigh(cov)
-    check_eigenvalues(w)
-    return v * np.sqrt(np.clip(w, 0.0, None))
 
 
 def check_eigenvalues(w):

@@ -39,7 +39,7 @@ from .geometry import (
     green,
     poincare_density,
 )
-from .gff import RotationSampler, TraceSampler, replica_map
+from .gff import BUILD_CHUNK, RotationSampler, TraceSampler, replica_map
 from .gmc import AtomicMeasure, boundary_masses, bulk_masses, graded_disk_grid, jackknife_var
 
 __all__ = [
@@ -548,7 +548,7 @@ def _log_y_integral(a_exp, mu_r, mu_b):
         total = f(todo, np.array([0.0, 1.0])).mean(axis=1)  # trapezoid sums in v
         while len(todo) and 2 * n <= Y_NODE_CAP:
             n *= 2
-            blocks = np.array_split(todo, 1 + len(todo) * n // 2**20)  # at most 2^19 nodes each
+            blocks = np.array_split(todo, 1 + len(todo) * n // (2 * BUILD_CHUNK))  # ~BUILD_CHUNK nodes each
             mid = np.concatenate([f(q, np.arange(1, n, 2) / n).sum(axis=1) for q in blocks]) / n
             new = 0.5 * total[todo] + mid
             err[todo] = (np.abs(new - total[todo]) + (tails / (u_hi - u_lo))[todo, 0]) / new

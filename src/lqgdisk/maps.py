@@ -427,33 +427,6 @@ def _group_by_p(p_draws, p_max):
 # goodness of fit
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DensityReport:
-    chi2: float
-    dof: int
-    p_value: float
-    observed: np.ndarray
-    expected: np.ndarray
-    v_edges: np.ndarray
-    l_edges: np.ndarray
-    underpowered: np.ndarray
-    n_in_range: int
-    n_draws: int
-    log_tail_mass: float
-
-    def summary(self):
-        return {
-            "chi2": self.chi2,
-            "dof": self.dof,
-            "p_value": self.p_value,
-            "n_in_range": self.n_in_range,
-            "n_draws": self.n_draws,
-            "n_bins": int(self.observed.size),
-            "n_underpowered": int(self.underpowered.sum()),
-            "log_tail_mass": self.log_tail_mass,
-        }
-
-
 def _density_bin_probs(sampler, v_edges, l_edges):
     """Lattice-summed conjectured-density mass of each (V, l) bin.
 
@@ -503,6 +476,10 @@ def joint_density_check(cfg, n_draws, rng, bins=(20, 20), window=None, min_expec
     count below `min_expected` are flagged underpowered and excluded
     (degrees of freedom adjust accordingly); fewer than two bins left
     leave no degree of freedom and raise ConfigurationError.
+
+    Returns (summary, rows): chi2, dof, p_value, n_in_range, n_draws,
+    n_bins, n_underpowered and the sampler's log_tail_mass, and one row
+    (v_lo, v_hi, l_lo, l_hi, observed, expected) per bin, volume outermost.
     """
     if window is None:
         window = (max(0.05, 600.0 * cfg.a**2), max(0.2, 24.0 * cfg.a))
@@ -539,20 +516,19 @@ def joint_density_check(cfg, n_draws, rng, bins=(20, 20), window=None, min_expec
         raise ConfigurationError("under two bins reach the expected-count floor; increase n_draws")
     chi2 = float(np.sum((observed[use] - expected[use]) ** 2 / expected[use]))
     dof = int(use.sum()) - 1
-    p_value = _chi2_sf(dof, chi2)  # scipy.stats.chi2.sf in closed form
-    return DensityReport(
-        chi2=chi2,
-        dof=dof,
-        p_value=p_value,
-        observed=observed,
-        expected=expected,
-        v_edges=v_edges,
-        l_edges=l_edges,
-        underpowered=~use,
-        n_in_range=int(in_range.sum()),
-        n_draws=n_draws,
-        log_tail_mass=sampler.log_tail_mass,
-    )
+    summary = {
+        "chi2": chi2,
+        "dof": dof,
+        "p_value": _chi2_sf(dof, chi2),  # scipy.stats.chi2.sf in closed form
+        "n_in_range": int(in_range.sum()),
+        "n_draws": n_draws,
+        "n_bins": int(observed.size),
+        "n_underpowered": int((~use).sum()),
+        "log_tail_mass": sampler.log_tail_mass,
+    }
+    rows = [(v_edges[i], v_edges[i + 1], l_edges[j], l_edges[j + 1], observed[i, j], expected[i, j])
+            for i in range(len(v_edges) - 1) for j in range(len(l_edges) - 1)]
+    return summary, rows
 
 
 def histogram_check(cfg, n_draws, rng):

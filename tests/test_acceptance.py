@@ -297,13 +297,13 @@ def test_criterion_11_boltzmann_joint_density():
     zmax, n_cells = histogram_check(coarse, 100000, RngStream(2, 9))
     hist_ok = zmax < 3.0 and n_cells >= 10
     fine = BoltzmannConfig(a=0.01, mu=1.0, mu_boundary=1.0)
-    report = joint_density_check(fine, 100000, RngStream(77, 1))
+    density, _ = joint_density_check(fine, 100000, RngStream(77, 1))
     dt = time.time() - t0
     verdict(
         11,
-        hist_ok and report.p_value > 0.01 and dt < 300.0,
-        f"exact-histogram max|z|={zmax:.2f} over {n_cells} cells; density chi2 p={report.p_value:.3f} "
-        f"({report.n_in_range} draws in window, dof {report.dof}) ({dt:.1f}s)",
+        hist_ok and density["p_value"] > 0.01 and dt < 300.0,
+        f"exact-histogram max|z|={zmax:.2f} over {n_cells} cells; density chi2 p={density['p_value']:.3f} "
+        f"({density['n_in_range']} draws in window, dof {density['dof']}) ({dt:.1f}s)",
     )
 
 

@@ -3,7 +3,10 @@
 import importlib.util
 import json
 import pathlib
+import re
 import subprocess
+
+from lqgdisk import critical, gff, maps
 
 DRIVER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "run.py"
 SCHEMA = ("command", "revisions", "environment", "rounds", "metrics", "csv_sha256", "csv_identical", "digests", "tier1")
@@ -20,6 +23,15 @@ def test_rounds_run_abba():
     run = load_driver()
     order = [side for r in range(4) for side in run.round_order(r)]
     assert order == ["base", "head", "head", "base", "base", "head", "head", "base"]
+
+
+def test_named_library_attributes_exist():
+    # a probe that names a removed attribute fails only when `record` runs it, after the digests and tier-1
+    text = DRIVER.read_text()
+    for module in (critical, gff, maps):
+        name = module.__name__.rsplit(".", 1)[1]
+        named = set(re.findall(rf"\b{name}\.(\w+)", text))
+        assert named and [attr for attr in named if not hasattr(module, attr)] == [], name
 
 
 def committed_repo(repo, files):

@@ -119,7 +119,7 @@ class TestSectorSampler:
         # last bits of the batched matrix products may move
         levels, reps = [4, 5, 6, 7], [1300, 1000, 700, 450]
         want = bulk_ladder_totals(levels, reps, RngStream(66, 0))
-        monkeypatch.setattr(critical, "NOISE_BLOCK", 97)
+        monkeypatch.setattr(critical, "BUILD_CHUNK", 97)
         got = bulk_ladder_totals(levels, reps, RngStream(66, 0))
         for a, b in zip(want, got):
             assert all(np.allclose(x, y, rtol=1e-12, atol=0.0) for x, y in zip(a, b))
@@ -127,7 +127,7 @@ class TestSectorSampler:
     @pytest.mark.parametrize("noise_block", [None, 97], ids=["default-block", "ragged-blocks"])
     def test_worker_draws_are_the_serial_draws(self, monkeypatch, noise_block):
         if noise_block is not None:
-            monkeypatch.setattr(critical, "NOISE_BLOCK", noise_block)
+            monkeypatch.setattr(critical, "BUILD_CHUNK", noise_block)
         levels, reps = [4, 5, 6, 7], [1300, 1000, 700, 450]
         report = {}
         got = bulk_ladder_totals(levels, reps, RngStream(66, 1), report)

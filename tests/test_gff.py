@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +32,23 @@ from tests_support import (
     traced_peak,
     truncated_boundary_covariance,
 )
+
+
+SRC = os.path.dirname(os.path.dirname(gff.__file__))
+# prints whether FieldSampler's draw and 2-column draw_batch on graded_disk_grid(4) are, bit for bit, those
+# of scipy's lower Cholesky factor (with 7 or more columns a C-ordered factor happens to round the same)
+FACTOR_LAYOUT_PROBE = """
+import numpy as np, scipy.linalg
+from lqgdisk.gff import FieldSampler, RngStream
+from lqgdisk.gmc import graded_disk_grid
+grid = graded_disk_grid(4)
+sampler = FieldSampler(grid.centers, grid.eps)
+factor = scipy.linalg.cholesky(sampler.covariance, lower=True)
+z = RngStream(5, 0).generator().standard_normal(len(grid.centers))
+batch = RngStream(5, 1).generator().standard_normal((len(grid.centers), 2))
+print(np.array_equal(sampler.draw(RngStream(5, 0)), factor @ z),
+      np.array_equal(sampler.draw_batch(2, RngStream(5, 1)), factor @ batch))
+"""
 
 
 def batched_trace_values(n_modes, n_arcs, n_replicas, rng):
@@ -172,6 +192,24 @@ class TestFieldSampler:
         assert cov[0, 0] == pytest.approx(math.log(1 / 0.05) - math.log(1 - 0.04), abs=1e-13)
         assert cov[1, 1] == pytest.approx(math.log(1 / 0.1) - math.log(1 - 0.36), abs=1e-13)
         assert cov[0, 1] == pytest.approx(green(0.2, 0.6), abs=1e-13)
+
+    def test_factor_falls_back_to_the_symmetric_root(self, monkeypatch):
+        def refuse(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        grid = graded_disk_grid(4)
+        sampler = FieldSampler(grid.centers, grid.eps)
+        f, c = sampler._factor, sampler.covariance
+        np.testing.assert_allclose(f @ f.T, c, rtol=0.0, atol=1e-10 * np.max(np.abs(c)))
+        np.testing.assert_allclose(f, f.T, rtol=0.0, atol=1e-14 * np.max(np.abs(f)))
+
+    def test_draws_are_those_of_a_fortran_ordered_factor(self):
+        # numpy's Cholesky factor has the entries of scipy's (at 2 OpenBLAS threads; at 1 they differ in
+        # the last bits at some sizes) but comes C-ordered, and a C-ordered factor's products round differently
+        out = subprocess.run([sys.executable, "-c", FACTOR_LAYOUT_PROBE], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"})
+        assert out.stdout.split() == ["True", "True"]
 
 
 def dense_rotation_covariance(sampler):

@@ -42,6 +42,8 @@ NUMPY_ONLY_RUNS = {
     "gmc-bulk": {"gamma": 1.0, "grid": {"n_r": 4}, "n_replicas": 20},
     "gmc-boundary": {"gamma": 1.0, "n_modes": 64, "n_replicas": 20},
     "critical-ladder": {"kind": "bulk", "levels": [4, 5], "n_replicas": [100, 50]},
+    # the Cholesky factor, and its eigh fallback, from numpy.linalg
+    "field-sample": {"grid": {"n_r": 4}},
     # the zero-mode quadrature route (mu_boundary > 0)
     "volume-law": {**MARKED, "n_draws": 500},
     "partition": MARKED,

@@ -84,7 +84,7 @@ def serial_bulk_ladder(levels, n_replicas, rng):
     """critical.bulk_ladder_totals as one serial loop: each segment's noise drawn, then used and coarsened.
 
     The reference that the ladder's worker-thread draws must match bit for
-    bit; segments follow critical.NOISE_BLOCK as it is at the call.
+    bit; segments follow critical.BUILD_CHUNK as it is at the call.
     """
     levels, counts = critical.check_bulk_ladder(levels, n_replicas)
     samplers = [critical.SectorSampler(k) for k in levels]
@@ -95,7 +95,7 @@ def serial_bulk_ladder(levels, n_replicas, rng):
     while r < max(counts):
         finest = max(i for i, n in enumerate(counts) if n > r)
         shape = samplers[finest].noise_shape
-        end = min(counts[finest], r + max(1, critical.NOISE_BLOCK // math.prod(shape)))
+        end = min(counts[finest], r + max(1, critical.BUILD_CHUNK // math.prod(shape)))
         noise = gen.standard_normal((end - r, *shape))
         for i in range(finest, -1, -1):
             n = min(end, counts[i]) - r
