@@ -15,7 +15,9 @@ quartiles of every value, every digest and the line count of src/.  Both exit 1 
 and `record` also if a perfbench call fails its checks.
 
 A probe is a function below that imports lqgdisk from the side's src/ and
-returns {name: number}: a new layer needs one such function in PROBES.
+returns {name: number}: a new layer needs one such function in PROBES.  Both
+sides run this file's probes, so a probe may call only names that the base's
+src/ also has; a name the change adds or renames fails the base's run.
 """
 
 import argparse

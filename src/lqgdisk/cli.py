@@ -72,8 +72,8 @@ def _insertions_from(config):
     return liouville.InsertionSet(params=params, bulk=tuple(bulk), boundary=tuple(boundary))
 
 
-def _grid_shape(config):
-    """(depth, rings_per_band, aspect) of the graded grid a config asks for."""
+def _grid_from(config):
+    """The graded_disk_grid(depth, rings_per_band, aspect) a config's "grid" object asks for."""
     grid_cfg = _typed(config.get("grid", {}), dict, "grid")
     key = "n_r" if "n_r" in grid_cfg else "depth"
     depth = _integer(grid_cfg.get(key, 7), key, 1)
@@ -89,11 +89,7 @@ def _grid_shape(config):
         aspect = min(max(aspect, 0.5), 8.0)
     else:
         aspect = _real(grid_cfg.get("aspect", 2.0), "aspect")
-    return depth, rings, aspect
-
-
-def _grid_from(config):
-    return graded_disk_grid(*_grid_shape(config))
+    return graded_disk_grid(depth, rings, aspect)
 
 
 def _integer(n, name, least):
@@ -361,18 +357,8 @@ def run_seiberg_validate(config, seed):
 
 
 def _basis_from(config, seed, gamma):
-    depth, rings, aspect = _grid_shape(config)
-    n_modes, n_arcs = _modes_from(config)
-    return liouville.ChaosBasis(
-        gamma,
-        _count(config, "n_replicas", 400),
-        RngStream(seed, 1),
-        depth=depth,
-        rings_per_band=rings,
-        aspect=aspect,
-        n_modes=n_modes,
-        n_arcs=n_arcs,
-    )
+    grid, trace = _grid_from(config), TraceSampler(*_modes_from(config))
+    return liouville.ChaosBasis(gamma, _count(config, "n_replicas", 400), RngStream(seed, 1), grid, trace)
 
 
 def run_volume_law(config, seed):

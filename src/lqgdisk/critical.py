@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import closing
 
 import numpy as np
 
@@ -174,8 +173,10 @@ def bulk_ladder_totals(levels, n_replicas, rng, report=None):
     without the sqrt(ln 1/eps) push.  A dict passed as report receives
     "min_eigenvalues", the smallest eigenvalue of each level's embedding,
     "segments", the number of replica blocks (gff.BUILD_CHUNK noise values
-    at most), and "noise_wait_s", the seconds waited for their noise, which
-    a worker thread draws and coarsens one block ahead, bit for bit.
+    at most), and "noise_wait_s", the seconds waited for their noise.  A
+    worker thread draws and coarsens segment s + 1 while segment s is
+    computed, bit for bit as a serial draw, into the other of two buffers:
+    a buffer is refilled only after its segment is used.
     """
     levels, counts = check_bulk_ladder(levels, n_replicas)
     samplers = [SectorSampler(k) for k in levels]
@@ -189,8 +190,28 @@ def bulk_ladder_totals(levels, n_replicas, rng, report=None):
         r = end
     report = {} if report is None else report
     report.update(segments=len(segments), noise_wait_s=0.0)
-    with closing(_noise_chains(rng.generator(), segments, samplers, levels, report)) as chains:
-        for (r, end, _), chain in chains:
+    gen, shapes = rng.generator(), [(end - r, *samplers[f].noise_shape) for r, end, f in segments]
+    buffers = [np.empty(max(map(math.prod, shapes))) for _ in range(2)]
+
+    def draw(s):  # segment s's noise at each level i <= its finest, in buffer s % 2
+        chain = [gen.standard_normal(out=buffers[s % 2][: math.prod(shapes[s])].reshape(shapes[s]))]
+        for i in range(segments[s][2], 0, -1):
+            chain.append(chain[-1])
+            for _ in range(levels[i] - levels[i - 1]):
+                chain[-1] = coarsen_noise(chain[-1])
+        return chain[::-1]
+
+    from concurrent.futures import ThreadPoolExecutor  # its logging import would add to start-up
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = worker.submit(draw, 0)
+        for s, (r, end, _) in enumerate(segments):
+            t = time.perf_counter()
+            chain = ahead.result()
+            report["noise_wait_s"] += time.perf_counter() - t
+            # segment s - 1 is used up, so its buffer may take segment s + 1
+            if s + 1 < len(segments):
+                ahead = worker.submit(draw, s + 1)
             for i, noise in enumerate(chain):
                 n = min(end, counts[i]) - r
                 if n > 0:
@@ -200,37 +221,6 @@ def bulk_ladder_totals(levels, n_replicas, rng, report=None):
     pushed = [t * math.sqrt(math.log(1.0 / s.grid.eps[0])) for t, s in zip(plain, samplers)]
     report["min_eigenvalues"] = [s.min_eigenvalue for s in samplers]
     return pushed, plain
-
-
-def _noise_chains(gen, segments, samplers, levels, report):
-    """(segment, chain) per segment (r, end, finest), chain[i] its replicas' noise at level i <= finest.
-
-    A worker thread draws the segments from gen in order, into two buffers in turn, and coarsens
-    them one segment ahead: the caller is done with a segment when it takes the next.  A worker's
-    exception is raised in the caller; report["noise_wait_s"] sums the caller's waits.
-    """
-    from concurrent.futures import ThreadPoolExecutor  # its logging import would add to start-up
-
-    shapes = [(end - r, *samplers[f].noise_shape) for r, end, f in segments]
-    buffers = [np.empty(max(map(math.prod, shapes))) for _ in range(2)]
-
-    def draw(s):
-        chain = [gen.standard_normal(out=buffers[s % 2][: math.prod(shapes[s])].reshape(shapes[s]))]
-        for i in range(segments[s][2], 0, -1):
-            chain.append(chain[-1])
-            for _ in range(levels[i] - levels[i - 1]):
-                chain[-1] = coarsen_noise(chain[-1])
-        return chain[::-1]
-
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        ahead = worker.submit(draw, 0)
-        for s, segment in enumerate(segments):
-            t = time.perf_counter()
-            chain = ahead.result()
-            report["noise_wait_s"] += time.perf_counter() - t
-            if s + 1 < len(segments):
-                ahead = worker.submit(draw, s + 1)
-            yield segment, chain
 
 
 def boundary_ladder_totals(mode_levels, n_replicas, rng):

@@ -115,14 +115,18 @@ def neumann_covariance(points, eps):
     averaging circle stays inside the disk and that distinct circles do not
     overlap; under those constraints every entry is closed form:
     off-diagonal entries equal G and diagonal entries equal
-    ln(1/eps_i) - ln(1 - |x_i|^2).
+    ln(1/eps_i) - ln(1 - |x_i|^2).  The rows are filled a few (BUILD_CHUNK
+    values) at a time, so the build holds the matrix and one chunk.
     """
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 1:
         raise GridError("points must be a 1-d array of complex numbers")
     eps_arr = np.broadcast_to(np.asarray(eps, dtype=float), pts.shape).copy()
     check_averaging_circles(pts, eps_arr)
-    return covariance_entries(pts[:, None], pts[None, :], eps_arr[:, None])
+    cov, rows = np.empty((len(pts), len(pts))), 1 + BUILD_CHUNK // (2 * len(pts) + 1)
+    for i in range(0, len(pts), rows):
+        cov[i : i + rows] = covariance_entries(pts[i : i + rows, None], pts[None, :], eps_arr[i : i + rows, None])
+    return cov
 
 
 def covariance_entries(x, y, eps):

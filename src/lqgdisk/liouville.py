@@ -20,7 +20,6 @@ per-replica c-integrals from one helper, _log_zero_mode.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +38,8 @@ from .geometry import (
     green,
     poincare_density,
 )
-from .gff import BUILD_CHUNK, RotationSampler, TraceSampler, replica_map
-from .gmc import AtomicMeasure, boundary_masses, bulk_masses, graded_disk_grid, jackknife_var
+from .gff import BUILD_CHUNK, RotationSampler, replica_map
+from .gmc import AtomicMeasure, boundary_masses, bulk_masses, jackknife_var
 
 __all__ = [
     "InsertionSet",
@@ -215,50 +214,38 @@ class ShiftedChaosPair:
 
 
 class ChaosBasis:
-    """Replicated plain chaos measures on a fixed grid, ready for drifting.
+    """Replicated plain chaos measures on a given grid and trace, ready for drifting.
 
-    Holds per-replica bulk atom masses and boundary arc masses of the
-    undrifted measures; any insertion set at the same gamma can then be
-    applied as a deterministic atomwise drift, so several insertion
+    Holds per-replica bulk atom masses on grid's cells and boundary arc
+    masses on trace's arcs (a gmc.GradedDiskGrid and a gff.TraceSampler)
+    of the undrifted measures; any insertion set at the same gamma can
+    then be applied as a deterministic atomwise drift, so several insertion
     configurations can share one set of field replicas (paired-replica
-    comparisons of partition functions use exactly this).  Replica r
-    draws its bulk field from rng.child(2r) through a RotationSampler and
-    its boundary trace from rng.child(2r + 1) through a TraceSampler, in
-    blocks of gff.replica_map; both mass arrays are C-ordered, as the
-    blocks' masses are, and the products of drifted_totals read them so.
+    comparisons of partition functions use exactly this).  Replica r draws
+    its bulk field from rng.child(2r) through RotationSampler(grid) and its
+    boundary trace from rng.child(2r + 1) through trace, in blocks of
+    gff.replica_map; both mass arrays are C-ordered, as the blocks' masses
+    are, and the products of drifted_totals read them so.
     """
 
-    def __init__(
-        self,
-        gamma,
-        n_replicas,
-        rng,
-        depth=7,
-        rings_per_band=2,
-        aspect=2.0,
-        n_modes=1024,
-        n_arcs=256,
-    ):
+    def __init__(self, gamma, n_replicas, rng, grid, trace):
         self.check_gamma(gamma)
-        self.gamma = float(gamma)
+        self.gamma = g = float(gamma)
         self.n_replicas = int(n_replicas)
-        self.grid = graded_disk_grid(depth, rings_per_band, aspect)
-        self.sampler = RotationSampler(self.grid)
-        self.trace = TraceSampler(n_modes, n_arcs)
-        self.arc_points = np.exp(1j * self.trace.theta)
-
-        g = self.gamma
-        weights = self.grid.density_weights(0.5 * g**2)
+        self.grid, self.trace = grid, trace
+        self.sampler = sampler = RotationSampler(grid)
+        self.arc_points = np.exp(1j * trace.theta)
+        weights = grid.density_weights(0.5 * g**2)
 
         def bulk_block(noise):
-            return bulk_masses(self.sampler.fields(noise), self.sampler.variances, weights, g)
+            return bulk_masses(sampler.fields(noise), sampler.variances, weights, g)
 
         def boundary_block(coef):
-            return boundary_masses(self.trace.fields(coef), self.trace.variance, g, n_arcs)
+            return boundary_masses(trace.fields(coef), trace.variance, g, len(trace.theta))
 
         streams = [rng.child(k) for k in range(2 * self.n_replicas)]
-        self.bulk_masses = replica_map(bulk_block, streams[0::2], self.sampler.noise_shape)
-        self.bdry_masses = replica_map(boundary_block, streams[1::2], self.trace.noise_shape)
+        self.bulk_masses = replica_map(bulk_block, streams[0::2], sampler.noise_shape)
+        self.bdry_masses = replica_map(boundary_block, streams[1::2], trace.noise_shape)
         self._factors = {}
 
     @staticmethod
@@ -465,9 +452,9 @@ def sample_liouville_triple(ins, n_draws, rng, basis, functionals=None):
     e^{-mu R_r y^2 - mu_b y} by _sample_y.  Returns a dict with arrays V, L,
     replica and weight, one column per requested functional (evaluated on
     the selected replica's normalized pair), the effective sample size `ess`
-    of the replica weights, the y sampler's `acceptance_rate` (1 when
-    mu_b = 0, where nothing is rejected) and the `zero_mode_rel_err` of
-    _log_zero_mode.
+    of the replica weights (ResamplingError below 10), the y sampler's
+    `acceptance_rate` (1 when mu_b = 0, where nothing is rejected) and the
+    `zero_mode_rel_err` of _log_zero_mode.
     """
     p = ins.params
     log_w, bulk_tot, bdry_tot, rel_err = _log_zero_mode(ins, basis)
@@ -499,10 +486,10 @@ def sample_liouville_triple(ins, n_draws, rng, basis, functionals=None):
 
 
 def _effective_sample_size(w):
-    """(sum w)^2 / sum w^2 of replica weights w; warns (RuntimeWarning) below 10."""
+    """(sum w)^2 / sum w^2 of replica weights w; ResamplingError below 10."""
     ess = float(w.sum() ** 2 / np.sum(w**2))
     if ess < 10.0:
-        warnings.warn(f"effective sample size {ess:.1f} < 10", RuntimeWarning)
+        raise ResamplingError(f"effective sample size {ess:.1f} < 10: too few replicas carry the weight")
     return ess
 
 
@@ -608,7 +595,8 @@ def unit_volume_expectation(ins, fn, basis):
     weight gamma.  The estimator is the average of fn over the replicas of
     the ChaosBasis (normalized pairs), weighted by their zero-mode
     integrals (_log_zero_mode, proportional to I^{-s/gamma}), with a
-    jackknife standard error; returns (value, stderr, effective_sample_size).
+    jackknife standard error; returns (value, stderr, effective_sample_size),
+    and raises ResamplingError if that size is below 10.
     """
     p = ins.params
     if p.mu_boundary != 0.0:
@@ -620,8 +608,8 @@ def unit_volume_expectation(ins, fn, basis):
         )
     log_w = _log_zero_mode(ins, basis)[0]
     w = np.exp(log_w - np.max(log_w))
-    f_vals = basis.functional_values(ins, fn)
     ess = _effective_sample_size(w)
+    f_vals = basis.functional_values(ins, fn)
     value = float(np.sum(w * f_vals) / w.sum())
     loo = (np.sum(w * f_vals) - w * f_vals) / (w.sum() - w)
     return value, math.sqrt(jackknife_var(loo)), ess

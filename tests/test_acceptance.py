@@ -27,7 +27,7 @@ from lqgdisk.geometry import (
     poincare_density,
     weyl_anomaly,
 )
-from lqgdisk.gff import FieldSampler, RngStream
+from lqgdisk.gff import FieldSampler, RngStream, TraceSampler
 from lqgdisk.gmc import graded_disk_grid
 from lqgdisk.liouville import (
     ChaosBasis,
@@ -163,7 +163,7 @@ def test_criterion_06_gamma_volume_law():
     t0 = time.time()
     p = LiouvilleParams(gamma=GAMMA_83, mu=1.0, mu_boundary=0.0)
     ins = InsertionSet(params=p, bulk=((0.0, GAMMA_83),), boundary=((1.0, GAMMA_83),))
-    basis = ChaosBasis(GAMMA_83, 300, RngStream(7, 100), depth=7)
+    basis = ChaosBasis(GAMMA_83, 300, RngStream(7, 100), graded_disk_grid(7), TraceSampler(1024, 256))
     half = lambda pair: pair.bulk.integrate(
         lambda z: (np.real(z) > 0).astype(float)
     ) / pair.bulk.total
@@ -190,7 +190,7 @@ def test_criterion_07_kpz_covariance():
         "A": InsertionSet(params=p, bulk=((0.55, 1.1), (-0.35 + 0.2j, 1.1))),
         "B": InsertionSet(params=p, bulk=((0.5j, 0.75), (-0.45, 0.75), (0.3 - 0.4j, 0.75))),
     }
-    basis = ChaosBasis(gamma, 2000, RngStream(21, 1), depth=7)
+    basis = ChaosBasis(gamma, 2000, RngStream(21, 1), graded_disk_grid(7), TraceSampler(1024, 256))
     ok = True
     parts = []
     for name, ins in sets.items():

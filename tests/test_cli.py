@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from lqgdisk import cli, gff, gmc, io, liouville, maps
@@ -197,6 +198,12 @@ class TestExitCodes:
         assert run_cli(tmp_path, "kpz-covariance", config) == 2
         assert "mu_boundary = 0" in json.loads(capsys.readouterr().out)["error"]["message"]
 
+    def test_collapsed_effective_sample_size_is_exit_4(self, tmp_path, capsys):
+        # 3 replicas leave an effective sample size of at most 3, below the floor of 10
+        assert run_cli(tmp_path, "volume-law", marked_config(n_replicas=3), seed=1) == 4
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "numeric"
+        assert not (tmp_path / "out" / "volume-law" / "volume-law.csv").exists()
+
     def test_bad_config_is_exit_2(self, tmp_path, capsys):
         config = {"points": [[0.1, 0.0], [0.12, 0.0]], "eps": 0.05, "seed": 4}
         assert run_cli(tmp_path, "field-sample", config) == 2
@@ -214,11 +221,10 @@ class TestExitCodes:
 
 class TestGridConfig:
     def test_n_theta_reaches_every_experiment_grid(self):
-        # gmc-bulk builds its grid with _grid_from; volume-law, partition and
-        # kpz-covariance build theirs inside the chaos basis
-        config = {"gamma": 1.0, "grid": {"n_r": 5, "n_theta": 64}, "n_replicas": 2, "n_modes": 64}
-        basis = cli._basis_from(config, 1, 1.0)
-        assert basis.grid.size == cli._grid_from(config).size
+        config = {"gamma": 1.0, "grid": {"n_r": 5, "n_theta": 64}, "n_replicas": 2, "n_modes": 64, "n_arcs": 32}
+        basis, grid = cli._basis_from(config, 1, 1.0), cli._grid_from(config)
+        assert np.array_equal(basis.grid.centers, grid.centers) and np.array_equal(basis.grid.eps, grid.eps)
+        assert len(basis.trace.theta) == config["n_arcs"]
 
 
 # every graded grid shape the tests build up to depth 7; (5, 2, pi) is n_theta = 64 at depth 5

@@ -193,6 +193,14 @@ class TestFieldSampler:
         assert cov[1, 1] == pytest.approx(math.log(1 / 0.1) - math.log(1 - 0.36), abs=1e-13)
         assert cov[0, 1] == pytest.approx(green(0.2, 0.6), abs=1e-13)
 
+    def test_covariance_is_built_in_row_chunks(self):
+        # 1,152 points take 11 chunks of rows, the last one short; the build holds the matrix and one chunk
+        grid = graded_disk_grid(6)
+        pts, eps = grid.centers, grid.eps
+        cov = neumann_covariance(pts, eps)
+        assert np.array_equal(cov, covariance_entries(pts[:, None], pts[None, :], eps[:, None]))
+        assert traced_peak(lambda: neumann_covariance(pts, eps)) < 2 * cov.nbytes
+
     def test_factor_falls_back_to_the_symmetric_root(self, monkeypatch):
         def refuse(a):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
@@ -321,7 +329,7 @@ class TestRotationSampler:
 
         def basis(block):
             monkeypatch.setattr(gff, "REPLICA_BLOCK", block)
-            return ChaosBasis(g, 230, RngStream(17, 1), depth=5)
+            return ChaosBasis(g, 230, RngStream(17, 1), graded_disk_grid(5), TraceSampler(1024, 256))
 
         want = basis(64)
         fb, fd = np.random.default_rng(0).random(want.grid.size), np.random.default_rng(1).random(256)

@@ -139,7 +139,7 @@ class TestBulkMeasure:
     def test_gamma_range(self):
         for bad in (0.0, 2.0, 2.3, -1.0):
             with pytest.raises(DomainError):
-                ChaosBasis(bad, 2, RngStream(31, 1), depth=4)
+                ChaosBasis(bad, 2, RngStream(31, 1), graded_disk_grid(4), TraceSampler(1024, 256))
 
     def test_mean_total_mass(self, grid6, sampler6):
         # E[total] = pi / (1 - gamma^2/2), Monte Carlo within 3 SE

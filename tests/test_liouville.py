@@ -14,7 +14,7 @@ from lqgdisk.errors import (
     ResamplingError,
 )
 from lqgdisk.geometry import LiouvilleParams, MobiusMap, green, weyl_anomaly, ConformalFactor
-from lqgdisk.gff import FieldSampler, RngStream, arc_centers
+from lqgdisk.gff import FieldSampler, RngStream, TraceSampler, arc_centers
 from lqgdisk import liouville
 from lqgdisk.gmc import graded_disk_grid
 from lqgdisk.liouville import (
@@ -60,7 +60,7 @@ def ln_y_cdf(a, log_coef, mu_r, mu_b, n=400_001):
 
 @pytest.fixture(scope="module")
 def basis83():
-    return ChaosBasis(GAMMA_83, 200, RngStream(70, 0), depth=6)
+    return ChaosBasis(GAMMA_83, 200, RngStream(70, 0), graded_disk_grid(6), TraceSampler(1024, 256))
 
 
 class TestSeiberg:
@@ -186,7 +186,7 @@ class TestShiftedChaos:
     def test_no_insertions_is_plain_pair(self):
         p = LiouvilleParams(gamma=1.2, mu=1.0)
         ins = InsertionSet(params=p)
-        basis = ChaosBasis(1.2, 3, RngStream(71, 0), depth=5, n_modes=256, n_arcs=128)
+        basis = ChaosBasis(1.2, 3, RngStream(71, 0), graded_disk_grid(5), TraceSampler(256, 128))
         bulk_tot, bdry_tot = basis.drifted_totals(ins)
         assert np.array_equal(bulk_tot, basis.bulk_masses @ np.ones(basis.grid.size))
         assert np.array_equal(bdry_tot, basis.bdry_masses @ np.ones(128))
@@ -198,7 +198,7 @@ class TestShiftedChaos:
     def test_inadmissible_rejected(self):
         p = LiouvilleParams(gamma=1.2, mu=1.0)
         ins = InsertionSet(params=p, bulk=((0.3, 0.1),))  # s_total < 0
-        basis = ChaosBasis(1.2, 3, RngStream(71, 2), depth=5, n_modes=256)
+        basis = ChaosBasis(1.2, 3, RngStream(71, 2), graded_disk_grid(5), TraceSampler(256, 256))
         with pytest.raises(NotAdmissibleError):
             sample_liouville_triple(ins, 10, RngStream(71, 3), basis=basis)
 
@@ -208,7 +208,7 @@ class TestShiftedChaos:
         bdry = tuple((np.exp(2j * np.pi * k / 3), beta) for k in range(3))
         ins = InsertionSet(params=p, boundary=bdry)
         assert seiberg_check(ins).admissible
-        basis = ChaosBasis(1.5, 150, RngStream(71, 4), depth=6)
+        basis = ChaosBasis(1.5, 150, RngStream(71, 4), graded_disk_grid(6), TraceSampler(1024, 256))
         bulk_tot, bdry_tot = basis.drifted_totals(ins)
         assert np.all(np.isfinite(bulk_tot)) and np.all(bulk_tot > 0)
         assert np.all(np.isfinite(bdry_tot)) and np.all(bdry_tot > 0)
@@ -398,7 +398,7 @@ class TestVolumeLawSampling:
             params=p, bulk=((0.3, 1.0), (-0.2 + 0.4j, 0.9)), boundary=((1.0, 0.8),)
         )
         shape, rate = volume_law_params(ins)
-        basis = ChaosBasis(g, 200, RngStream(72, 3), depth=6)
+        basis = ChaosBasis(g, 200, RngStream(72, 3), graded_disk_grid(6), TraceSampler(1024, 256))
         draws = sample_liouville_triple(ins, 4000, RngStream(72, 4), basis=basis)
         ks = scipy.stats.kstest(draws["V"], "gamma", args=(shape, 0.0, 1.0 / rate))
         assert ks.pvalue > 0.01
@@ -504,7 +504,7 @@ class TestKPZ:
             InsertionSet(params=p, bulk=((0.55, 1.1), (-0.35 + 0.2j, 1.1))),
             InsertionSet(params=p, bulk=((0.5j, 0.75), (-0.45, 0.75), (0.3 - 0.4j, 0.75))),
         ]
-        basis = ChaosBasis(gamma, 800, RngStream(73, 0), depth=6)
+        basis = ChaosBasis(gamma, 800, RngStream(73, 0), graded_disk_grid(6), TraceSampler(1024, 256))
         for psi in maps_:
             for ins in sets:
                 dev, se = kpz_ratio_test(ins, psi, basis)
@@ -554,11 +554,20 @@ class TestUnitVolume:
                 lambda z: (np.real(z * np.conj(rot)) > 0).astype(float)
             ) / pair.bulk.total
 
-        basis = ChaosBasis(GAMMA_83, 400, RngStream(74, 0), depth=6)
+        basis = ChaosBasis(GAMMA_83, 400, RngStream(74, 0), graded_disk_grid(6), TraceSampler(1024, 256))
         v1, se1, _ = unit_volume_expectation(ins, half, basis=basis)
-        basis2 = ChaosBasis(GAMMA_83, 400, RngStream(74, 1), depth=6)
+        basis2 = ChaosBasis(GAMMA_83, 400, RngStream(74, 1), graded_disk_grid(6), TraceSampler(1024, 256))
         v2, se2, _ = unit_volume_expectation(ins, half_rot, basis=basis2)
         assert abs(v1 - v2) < 3 * math.sqrt(se1**2 + se2**2)
+
+    def test_collapsed_effective_sample_size_raises(self):
+        # the effective sample size of 3 replicas is at most 3, below the floor of 10
+        p = LiouvilleParams(gamma=GAMMA_83, mu=1.0, mu_boundary=0.0)
+        roots = [1.0, np.exp(2j * np.pi / 3), np.exp(-2j * np.pi / 3)]
+        ins = InsertionSet(params=p, boundary=tuple((s, GAMMA_83) for s in roots))
+        basis = ChaosBasis(GAMMA_83, 3, RngStream(74, 2), graded_disk_grid(4), TraceSampler(64, 32))
+        with pytest.raises(ResamplingError, match="effective sample size"):
+            unit_volume_expectation(ins, lambda pair: 1.0, basis=basis)
 
     def test_requires_three_gamma_boundary(self, basis83):
         p = LiouvilleParams(gamma=GAMMA_83, mu=1.0, mu_boundary=0.0)

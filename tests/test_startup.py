@@ -78,7 +78,7 @@ def test_numpy_experiments_load_no_scipy(tmp_path):
 
 
 def test_cli_import_loads_no_thread_pool():
-    # the thread users (maps._thread_map, critical._noise_chains) import them inside the call
+    # the thread users (maps._thread_map, critical.bulk_ladder_totals) import them inside the call
     loaded = json.loads(run_python("import json, sys, lqgdisk.cli; print(json.dumps(sorted(sys.modules)))"))
     assert "concurrent.futures" not in loaded and "logging" not in loaded
 
