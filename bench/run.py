@@ -11,7 +11,8 @@ seeds 1 and 11 on both sides.  `record` runs those digests and tier-1 once per
 side, then ROUNDS rounds, alternating which side goes first (ABBA), of
 `perfbench/run.py --seed 101 --seconds 0 --trace 0` (one checked iteration of
 every workload), the CALLS and the PROBES; it writes per side the median and
-quartiles of every value, every digest and the line count of src/.  Both exit 1 if a digest differs,
+quartiles of every value, every digest and the line count of src/, and per head value
+head_lower_rounds, the rounds in which the head read below the base.  Both exit 1 if a digest differs,
 and `record` also if a perfbench call fails its checks.
 
 A probe is a function below that imports lqgdisk from the side's src/ and
@@ -85,17 +86,24 @@ def _clock(out, key, fn, *args):
     return result
 
 
+def _peak_mb(fn, *args):
+    """The tracemalloc peak of fn(*args), in MB."""
+    tracemalloc.start()
+    fn(*args)
+    peak = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
+    return peak
+
+
 def _seconds_and_peak(out, name, build):
     """out[name.s]: seconds of build(); out[name.peak_mb]: tracemalloc peak of a second build()."""
     _clock(out, f"{name}.s", build)
-    tracemalloc.start()
-    build()
-    out[f"{name}.peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
-    tracemalloc.stop()
+    out[f"{name}.peak_mb"] = _peak_mb(build)
 
 
 def boltzmann_layers():
-    """The Boltzmann sampler at a = 0.0125: its build, its row builds and their logsumexp apart, and sample."""
+    """The Boltzmann sampler at a = 0.0125: its build, its row builds and their logsumexp apart, and sample; then
+    the tracemalloc peaks of a second build and a second sample."""
     from lqgdisk import maps
     from lqgdisk.gff import RngStream
     cfg, out = maps.BoltzmannConfig(a=0.0125, mu=1.0, mu_boundary=1.0), {}
@@ -103,6 +111,8 @@ def boltzmann_layers():
     for p in range(1, cfg.p_max + 1):
         _clock(out, "logsumexp_s", maps._logsumexp, _clock(out, "row_build_s", s.log_weight_row, p))
     _clock(out, "sample_s", s.sample, 100000, RngStream(1, 0))
+    out["sampler_build_peak_mb"] = _peak_mb(maps.BoltzmannSampler, cfg)
+    out["sample_peak_mb"] = _peak_mb(s.sample, 100000, RngStream(1, 0))
     return out
 
 
@@ -300,9 +310,12 @@ def make_record(command, revisions, threads, runs, digests, found, tiers):
     }
     csv = {side: {run: {f: sorted(s) for f, s in files.items()} for run, files in digests[side].items()}
            for side in SIDES}
+    metrics = {side: {k: summarize([v[k] for v in runs[side]]) for k in runs[side][0]} for side in SIDES}
+    for key, metric in metrics["head"].items():  # rounds pair up in order, so round r's head meets its base
+        metric["head_lower_rounds"] = int(sum(h < b for h, b in zip(metric["runs"], metrics["base"][key]["runs"])))
     return {
         "command": command, "revisions": revisions, "environment": environment, "rounds": len(runs["base"]),
-        "metrics": {side: {k: summarize([v[k] for v in runs[side]]) for k in runs[side][0]} for side in SIDES},
+        "metrics": metrics,
         "csv_sha256": csv, "csv_identical": csv["base"] == csv["head"],
         "digests": found, "tier1": tiers,
     }

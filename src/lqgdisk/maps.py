@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -46,7 +47,7 @@ __all__ = [
 BULK_CRITICAL_WEIGHT = math.log(12.0)
 BOUNDARY_CRITICAL_WEIGHT_PER_EDGE = 0.5 * math.log(4.5)
 TAIL_BOUND = 1e-9  # largest estimated truncation tail mass a sampler accepts
-ROW_THREADS = 4  # most weight rows built at once; each holds a few row-sized buffers
+ROW_THREADS = 4  # most weight rows built at once; each pool task holds one or two row-sized buffers
 
 
 def _pool_size():
@@ -66,12 +67,15 @@ def _thread_map(fn, items):
         return list(pool.map(fn, items))
 
 
+def _runs(items):
+    """items in at most _pool_size() contiguous non-empty runs: one pool task each, which allocates its buffers once."""
+    k = min(_pool_size(), len(items))
+    return [items[i * len(items) // k : (i + 1) * len(items) // k] for i in range(k)]
+
+
 def _lgamma_table(size):
     """ln Gamma(k) for the integers k = 0..size-1, from the C library's lgamma; +inf at the pole k = 0."""
-    out = np.empty(size)
-    out[:1] = np.inf
-    out[1:] = np.fromiter(map(math.lgamma, range(1, size)), float, size - 1)
-    return out
+    return np.fromiter(chain((math.inf,), map(math.lgamma, range(1, size))), float, size)
 
 
 def _chi2_sf(dof, x):
@@ -321,8 +325,8 @@ class BoltzmannSampler:
     Builds one table of ln Gamma(k) for every integer argument a row needs
     (k < 2 n_max + 3 p_max + 2) and slices each n-row from it, bit for bit
     the row log_count_exact gives.  The log-marginal over p streams the
-    rows through a small thread pool (the full table would not fit in
-    memory at small mesh); each row is summed in place by _logsumexp,
+    rows through a small thread pool, each task reusing one row buffer (the
+    full table would not fit at small mesh); each row is summed by _logsumexp,
     scipy 1.17's algorithm in numpy, and writes only its own entry, so the
     marginal has the same bits at any pool size.  Sampling draws p from the
     marginal and then n from the regenerated row by inverse CDF.
@@ -341,18 +345,20 @@ class BoltzmannSampler:
         log_m = np.full(cfg.p_max, -np.inf)
         edge_n = np.full(cfg.p_max, -np.inf)
 
-        def sum_row(p):
-            row = self.log_weight_row(p)
-            edge_n[p - 1] = row[-1]
-            log_m[p - 1] = _logsumexp(row)
+        def sum_rows(ps):
+            row = np.empty(cfg.n_max + 1)
+            for p in ps:
+                self.log_weight_row(p, out=row)
+                edge_n[p - 1] = row[-1]
+                log_m[p - 1] = _logsumexp(row)
 
-        _thread_map(sum_row, range(1, cfg.p_max + 1))
+        _thread_map(sum_rows, _runs(range(1, cfg.p_max + 1)))
         self.log_p_marginal = log_m
         self.log_total = float(_logsumexp(log_m.copy()))
         self._check_tails(edge_n)
 
-    def log_weight_row(self, p):
-        """log weights of n = 0..n_max at half-perimeter p.
+    def log_weight_row(self, p, out=None):
+        """log weights of n = 0..n_max at half-perimeter p, written into out if given (n_max + 1 floats).
 
         e^{-mu_bar n - mu_bar_b 2p} T(n, p), times n when the ensemble
         carries an interior marked quadrilateral; -inf where n < p - 1.
@@ -361,7 +367,8 @@ class BoltzmannSampler:
         g = self._lgamma
         lo = min(p - 1, cfg.n_max + 1)
         m = cfg.n_max + 1 - lo
-        row = np.full(cfg.n_max + 1, -np.inf)
+        row = np.empty(cfg.n_max + 1) if out is None else out
+        row[:lo] = -np.inf
         g1, g2, g3 = g[2 * lo + p :: 2][:m], g[lo - p + 2 :][:m], g[lo + 2 * p + 1 :][:m]
         _log_count(self._n[lo:], p, g1, g2, g3, out=row[lo:])
         row -= self._mu_bar_n
@@ -400,21 +407,24 @@ class BoltzmannSampler:
         """n_draws exact draws of (n, p); deterministic under the stream."""
         gen = rng.generator()
         probs = np.exp(self.log_p_marginal - self.log_total)
-        p_draws = gen.choice(self.cfg.p_max, size=n_draws, p=probs) + 1
+        p_draws = gen.choice(self.cfg.p_max, size=n_draws, p=probs)  # int64
+        p_draws += 1
         u = gen.uniform(size=n_draws)
         n_draws_out = np.empty(n_draws, dtype=np.int64)
         groups = _group_by_p(p_draws, self.cfg.p_max)
 
-        def draw_n(p):
-            row = self.log_weight_row(p)
-            w = np.exp(row - row.max())
-            cdf = np.cumsum(w)
-            cdf /= cdf[-1]
-            sel = groups[p - 1]
-            n_draws_out[sel] = np.searchsorted(cdf, u[sel], side="left")
+        def draw_n(ps):
+            row, cdf = np.empty(self.cfg.n_max + 1), np.empty(self.cfg.n_max + 1)  # cumsum in place is slower
+            for p in ps:
+                self.log_weight_row(p, out=row)
+                row -= row.max()
+                np.cumsum(np.exp(row, out=row), out=cdf)
+                cdf /= cdf[-1]
+                sel = groups[p - 1]
+                n_draws_out[sel] = np.searchsorted(cdf, u[sel], side="left")
 
-        _thread_map(draw_n, [p for p, sel in enumerate(groups, 1) if sel.size])
-        return n_draws_out, p_draws.astype(np.int64)
+        _thread_map(draw_n, _runs([p for p, sel in enumerate(groups, 1) if sel.size]))
+        return n_draws_out, p_draws
 
 
 def _group_by_p(p_draws, p_max):
@@ -443,17 +453,18 @@ def _density_bin_probs(sampler, v_edges, l_edges):
     mass = np.zeros((nv, nl))
     v_idx = np.searchsorted(v_edges, v, side="right") - 1
     ok_v = (v_idx >= 0) & (v_idx < nv) & (v >= v_edges[0]) & (v < v_edges[-1])
+    v_in, v_idx = v[ok_v], v_idx[ok_v]
     shift = None
     for p in range(1, cfg.p_max + 1):
         ell = 2.0 * cfg.a * p
         if not (l_edges[0] <= ell < l_edges[-1]):
             continue
         l_idx = int(np.searchsorted(l_edges, ell, side="right") - 1)
-        logf = conjectured_log_density(v, ell, cfg.mu, cfg.mu_boundary)
-        if shift is None:
-            shift = float(logf.max())
-        f = np.exp(logf - shift)
-        np.add.at(mass[:, l_idx], v_idx[ok_v], f[ok_v])
+        if shift is None:  # the max over the whole lattice at the first binned p
+            shift = float(conjectured_log_density(v, ell, cfg.mu, cfg.mu_boundary).max())
+        f = conjectured_log_density(v_in, ell, cfg.mu, cfg.mu_boundary)
+        f -= shift
+        np.add.at(mass[:, l_idx], v_idx, np.exp(f, out=f))
     total = mass.sum()
     if total <= 0.0:
         raise ConfigurationError("no conjectured-density mass inside the binned range")
@@ -544,15 +555,19 @@ def histogram_check(cfg, n_draws, rng):
     groups = _group_by_p(p_arr, cfg.p_max)
     thresh = 100.0 / n_draws
 
-    def row_z(p):
-        row = np.exp(sampler.log_weight_row(p) - sampler.log_total)
-        hot = np.nonzero(row >= thresh)[0]
-        if len(hot) == 0:
-            return 0.0, 0
-        counts = np.bincount(n_arr[groups[p - 1]], minlength=cfg.n_max + 1)
-        prob = row[hot]
-        z = np.abs(counts[hot] - n_draws * prob) / np.sqrt(n_draws * prob * (1.0 - prob))
-        return z.max(), len(hot)
+    def row_z(ps):
+        row, z_max, n_hot = np.empty(cfg.n_max + 1), 0.0, 0
+        for p in ps:
+            sampler.log_weight_row(p, out=row)
+            row -= sampler.log_total
+            hot = np.nonzero(np.exp(row, out=row) >= thresh)[0]
+            if len(hot):
+                drawn = np.sort(n_arr[groups[p - 1]])  # the draws' counts at the hot cells only
+                counts = np.searchsorted(drawn, hot, side="right") - np.searchsorted(drawn, hot, side="left")
+                prob = row[hot]
+                z = np.abs(counts - n_draws * prob) / np.sqrt(n_draws * prob * (1.0 - prob))
+                z_max, n_hot = max(z_max, z.max()), n_hot + len(hot)
+        return z_max, n_hot
 
-    cells = _thread_map(row_z, range(1, cfg.p_max + 1))
-    return max(0.0, *(z for z, _ in cells)), sum(n for _, n in cells)
+    cells = _thread_map(row_z, _runs(range(1, cfg.p_max + 1)))
+    return max(z for z, _ in cells), sum(n for _, n in cells)

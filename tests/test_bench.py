@@ -101,3 +101,15 @@ def test_record_of_two_fake_rounds_has_every_schema_key(tmp_path):
     assert record["rounds"] == 2 and record["csv_identical"]
     assert record["metrics"]["head"]["perfbench.boltzmann.wall_s"]["runs"] == [2.0, 3.0]
     assert set(record["metrics"]["base"]["perfbench.boltzmann.wall_s"]) == {"median", "q1", "q3", "runs"}
+
+
+def test_head_lower_rounds_counts_the_rounds_the_head_reads_below_the_base(tmp_path):
+    run = load_driver()
+    base = [3.0, 1.0, 2.0, 5.0]
+    head = [2.0, 1.0, 2.5, 4.0]  # lower in rounds 0 and 3; a tie counts for neither side
+    runs = {"base": [{"m": b, "n": 0} for b in base], "head": [{"m": h, "n": 0} for h in head]}
+    tiers = {side: {"wall_s": 1.0, "passed": 3} for side in run.SIDES}
+    record = json.loads(json.dumps(run.make_record("cmd", {}, 1, runs, {"base": {}, "head": {}}, {}, tiers)))
+    assert record["metrics"]["head"]["m"]["head_lower_rounds"] == 2
+    assert record["metrics"]["head"]["n"]["head_lower_rounds"] == 0
+    assert "head_lower_rounds" not in record["metrics"]["base"]["m"]

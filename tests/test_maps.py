@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,6 +299,24 @@ class TestTablePath:
         for p in (1, 2, 3, 500, s.cfg.p_max):
             assert np.array_equal(s.log_weight_row(p), _reference_row(s, p))
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            BoltzmannConfig(a=0.2),
+            BoltzmannConfig(a=0.2, interior_marked=False),
+            BoltzmannConfig(a=0.5, n_max=3, p_max=9),
+        ],
+        ids=["a-0.2", "a-0.2-unmarked", "p-cap-beyond-n"],
+    )
+    def test_row_into_a_used_buffer(self, untruncated, cfg):
+        # a reused buffer holds NaN or another row's values; the row must overwrite every entry
+        s = BoltzmannSampler(cfg)
+        for p in range(1, cfg.p_max + 1):
+            want = s.log_weight_row(p)
+            for held in (np.full(cfg.n_max + 1, np.nan), s.log_weight_row(cfg.p_max), s.log_weight_row(1)):
+                assert s.log_weight_row(p, out=held) is held
+                assert np.array_equal(held, want)
+
 
 @pytest.mark.parametrize(
     "cfg",
@@ -329,6 +348,97 @@ def test_pool_size_changes_no_z_score(monkeypatch):
         monkeypatch.setattr(maps, "_pool_size", lambda: threads)
         results.append(histogram_check(cfg, 20000, RngStream(2, 8)))
     assert results[0] == results[1]
+
+
+def _reference_sample(sampler, n_draws, rng):
+    """The draws by a fresh row per p: log_weight_row(p), np.exp(row - row.max()), np.cumsum, searchsorted."""
+    gen = rng.generator()
+    probs = np.exp(sampler.log_p_marginal - sampler.log_total)
+    p_draws = gen.choice(sampler.cfg.p_max, size=n_draws, p=probs) + 1
+    u = gen.uniform(size=n_draws)
+    n_draws_out = np.empty(n_draws, dtype=np.int64)
+    for p in np.unique(p_draws):
+        row = sampler.log_weight_row(int(p))
+        cdf = np.cumsum(np.exp(row - row.max()))
+        cdf /= cdf[-1]
+        n_draws_out[p_draws == p] = np.searchsorted(cdf, u[p_draws == p], side="left")
+    return n_draws_out, p_draws
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize(
+    "cfg",
+    [BoltzmannConfig(a=0.03), BoltzmannConfig(a=0.5, n_max=3, p_max=9)],
+    ids=["a-0.03", "p-cap-beyond-n"],
+)
+def test_sample_matches_serial_reference(cfg, threads, monkeypatch):
+    """Draws from the pool tasks' reused row and CDF buffers equal the serial row-per-p draws."""
+    monkeypatch.setattr(BoltzmannSampler, "_check_tails", lambda self, edge_n: None)
+    monkeypatch.setattr(maps, "_pool_size", lambda: threads)
+    s = BoltzmannSampler(cfg)
+    for seed in (1, 2, 3):
+        n_arr, p_arr = s.sample(5000, RngStream(seed, 0))
+        want_n, want_p = _reference_sample(s, 5000, RngStream(seed, 0))
+        assert n_arr.dtype == p_arr.dtype == np.int64
+        assert np.array_equal(n_arr, want_n) and np.array_equal(p_arr, want_p)
+
+
+def test_sample_peak_memory(monkeypatch):
+    """One pool task's sample() holds two row buffers and no copy of the p draws.
+
+    Pinned to one task, so no thread timing moves the peak.  At a = 0.03 (rows of 22,224 values, 0.17 MB) the
+    tracemalloc peak of 100,000 draws is 3.83 MB, five arrays of the draws' size; fresh row-sized temporaries per p
+    and an int64 copy of the p draws on return would read 4.09 MB.
+    """
+    monkeypatch.setattr(maps, "_pool_size", lambda: 1)
+    s = BoltzmannSampler(BoltzmannConfig(a=0.03))
+    s.sample(100000, RngStream(1, 0))  # first-call allocations stay out of the measured call
+    tracemalloc.start()
+    try:
+        s.sample(100000, RngStream(2, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.96 * 2**20
+
+
+def _reference_bin_probs(sampler, v_edges, l_edges):
+    """The bin masses from the density on the whole lattice at every binned p, then masked to the window."""
+    cfg = sampler.cfg
+    n_lo = max(1, int(math.floor(v_edges[0] / cfg.a**2)))
+    n_hi = min(cfg.n_max, int(math.ceil(v_edges[-1] / cfg.a**2)))
+    v = cfg.a**2 * np.arange(n_lo, n_hi + 1, dtype=float)
+    mass = np.zeros((len(v_edges) - 1, len(l_edges) - 1))
+    v_idx = np.searchsorted(v_edges, v, side="right") - 1
+    ok_v = (v_idx >= 0) & (v_idx < len(mass)) & (v >= v_edges[0]) & (v < v_edges[-1])
+    shift = None
+    for p in range(1, cfg.p_max + 1):
+        ell = 2.0 * cfg.a * p
+        if not (l_edges[0] <= ell < l_edges[-1]):
+            continue
+        logf = conjectured_log_density(v, ell, cfg.mu, cfg.mu_boundary)
+        if shift is None:
+            shift = float(logf.max())
+        f = np.exp(logf - shift)
+        np.add.at(mass[:, int(np.searchsorted(l_edges, ell, side="right") - 1)], v_idx[ok_v], f[ok_v])
+    return mass / mass.sum()
+
+
+@pytest.mark.parametrize(
+    "cfg, n_draws, seed, kw",
+    [
+        (BoltzmannConfig(a=0.02, mu=1.0, mu_boundary=1.0), 60000, 5, dict(bins=(12, 12))),
+        (BoltzmannConfig(a=0.05, mu=1.0, mu_boundary=1.0), 3000, 6, dict(bins=(10, 10), window=(0.2, 0.4))),
+    ],
+    ids=["moderate-mesh", "underpowered"],
+)
+def test_density_bin_probs_match_the_whole_lattice_loop(cfg, n_draws, seed, kw, monkeypatch):
+    """The window-only density evaluation gives the bin masses of the whole-lattice loop bit for bit."""
+    seen, bin_probs = [], maps._density_bin_probs
+    monkeypatch.setattr(maps, "_density_bin_probs", lambda *args: seen.append((args, bin_probs(*args))) or seen[-1][1])
+    joint_density_check(cfg, n_draws, RngStream(5, seed), **kw)
+    (sampler, v_edges, l_edges), got = seen[0]
+    assert np.array_equal(got, _reference_bin_probs(sampler, v_edges, l_edges))
 
 
 @pytest.mark.parametrize("threads", [1, 3])
