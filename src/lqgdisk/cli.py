@@ -29,7 +29,7 @@ from .errors import (
     ResamplingError,
     UnsupportedSeparationError,
 )
-from .geometry import ConformalFactor, LiouvilleParams, MobiusMap, green, weyl_anomaly
+from .geometry import ConformalFactor, LiouvilleParams, MobiusMap, green, mobius_green_residual, weyl_anomaly
 from .gff import (
     ROTATION_ORDER,
     FieldSampler,
@@ -61,7 +61,8 @@ def _insertions_from(config):
     bulk, boundary = [], []
     for i, item in enumerate(_typed(config.get("insertions", []), list, "insertions")):
         name = f"insertion {i}"
-        z = _point(_key(_typed(item, dict, "an insertion"), "position", name), "position")
+        item = _closed(_typed(item, dict, "an insertion"), name, ("kind", "position", "weight"))
+        z = _point(_key(item, "position", name), "position")
         kind = _key(item, "kind", name)
         if kind == "bulk":
             bulk.append((z, _real(_key(item, "weight", name), "weight")))
@@ -74,9 +75,8 @@ def _insertions_from(config):
 
 def _grid_from(config):
     """The graded_disk_grid(depth, rings_per_band, aspect) a config's "grid" object asks for."""
-    grid_cfg = _typed(config.get("grid", {}), dict, "grid")
-    key = "n_r" if "n_r" in grid_cfg else "depth"
-    depth = _integer(grid_cfg.get(key, 7), key, 1)
+    grid_cfg = _closed(config.get("grid", {}), "grid", ("n_r", "rings_per_band", "aspect", "n_theta"))
+    depth = _integer(grid_cfg.get("n_r", 7), "n_r", 1)
     rings = _integer(grid_cfg.get("rings_per_band", 2), "rings_per_band", 1)
     if "n_theta" in grid_cfg:
         # angular resolution given as the outermost band's cell count
@@ -111,6 +111,14 @@ def _key(obj, key, name="the config"):
     if key not in obj:
         raise ConfigurationError(f"{name} has no key {key!r}")
     return obj[key]
+
+
+def _closed(obj, name, keys):
+    """obj, if the config object `name` is a JSON object with no key outside `keys`."""
+    for key in _typed(obj, dict, name):
+        if key not in keys:
+            raise ConfigurationError(f"{name} takes no key {key!r}; it accepts {', '.join(keys)}")
+    return obj
 
 
 def _typed(x, kind, name):
@@ -160,7 +168,7 @@ def _modes_from(config):
 
 
 def _mobius_from(config):
-    mb = _typed(config.get("mobius", {"a": [0.3, 0.0], "alpha": 0.0}), dict, "mobius")
+    mb = _closed(config.get("mobius", {"a": [0.3, 0.0], "alpha": 0.0}), "mobius", ("a", "alpha"))
     alpha = _real(mb.get("alpha", 0.0), "mobius.alpha")
     return MobiusMap(a=_point(_key(mb, "a", "mobius"), "mobius.a"), alpha=alpha)
 
@@ -169,49 +177,37 @@ def _mobius_from(config):
 # experiments
 # ---------------------------------------------------------------------------
 
+def _summary(quantity, estimate, stderr, n_replicas, **rest):
+    """A run's summary: the four keys every experiment reports, then its own."""
+    return {"quantity": quantity, "estimate": estimate, "stderr": stderr, "n_replicas": n_replicas, **rest}
+
+
+def _mean_summary(quantity, x, n_replicas, **rest):
+    """The summary of the mean of the draws x, with its standard error."""
+    return _summary(quantity, float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(len(x))), n_replicas, **rest)
+
+
 def run_green_selftest(config, seed):
     n = _samples_from(config)
     gen = RngStream(seed, 0).generator()
-    r = np.sqrt(gen.uniform(size=n)) * 0.999
-    x = r * np.exp(2j * np.pi * gen.uniform(size=n))
+    x = np.sqrt(gen.uniform(size=n)) * 0.999 * np.exp(2j * np.pi * gen.uniform(size=n))
     y = np.sqrt(gen.uniform(size=n)) * 0.999 * np.exp(2j * np.pi * gen.uniform(size=n))
     a = np.sqrt(gen.uniform(size=n)) * 0.95 * np.exp(2j * np.pi * gen.uniform(size=n))
-    alpha = 2.0 * np.pi * gen.uniform(size=n)
-
-    res = {}
-    res["green_symmetry"] = float(np.max(np.abs(green(x, y) - green(y, x))))
-    res["green_at_origin"] = float(np.max(np.abs(green(0.0, y) + np.log(np.abs(y)))))
-    shift_res = []
-    ratio_res = []
-    greenpsi_res = []
-    for k in range(n):
-        psi = MobiusMap(a=a[k], alpha=float(alpha[k]))
-        dx, dy = psi.derivative(x[k]), psi.derivative(y[k])
-        lhs = abs(psi(y[k]) - psi(x[k]))
-        shift_res.append(abs(lhs - abs(dx) ** 0.5 * abs(dy) ** 0.5 * abs(y[k] - x[k])))
-        lhs2 = abs(1.0 - psi(x[k]) * np.conj(psi(y[k])))
-        ratio_res.append(
-            abs(lhs2 - abs(dx) ** 0.5 * abs(dy) ** 0.5 * abs(1.0 - x[k] * np.conj(y[k])))
-        )
-        greenpsi_res.append(
-            abs(
-                green(psi(x[k]), psi(y[k]))
-                - green(x[k], y[k])
-                + math.log(abs(dx))
-                + math.log(abs(dy))
-            )
-        )
-    res["mobius_difference_identity"] = float(np.max(shift_res))
-    res["mobius_inner_identity"] = float(np.max(ratio_res))
-    res["green_transform_identity"] = float(np.max(greenpsi_res))
-
-    summary = {
-        "quantity": "closed-form identities of the disk Green function and Mobius maps",
-        "estimate": max(res.values()),
-        "stderr": 0.0,
-        "n_replicas": n,
-        "residuals": res,
+    psi = MobiusMap(a=a, alpha=2.0 * np.pi * gen.uniform(size=n))  # one map per sample
+    px, py = psi(x), psi(y)
+    root = np.abs(psi.derivative(x)) ** 0.5 * np.abs(psi.derivative(y)) ** 0.5
+    res = {
+        "green_symmetry": green(x, y) - green(y, x),
+        "green_at_origin": green(0.0, y) + np.log(np.abs(y)),
+        "mobius_difference_identity": np.abs(py - px) - root * np.abs(y - x),
+        "mobius_inner_identity": np.abs(1.0 - px * np.conj(py)) - root * np.abs(1.0 - x * np.conj(y)),
+        "green_transform_identity": mobius_green_residual(psi, x, y),
     }
+    res = {check: float(np.max(np.abs(resid))) for check, resid in res.items()}
+    summary = _summary(
+        "closed-form identities of the disk Green function and Mobius maps", max(res.values()), 0.0, n,
+        residuals=res,
+    )
     return summary, {"green-selftest.csv": (["check", "max_abs_residual"], sorted(res.items()))}
 
 
@@ -219,13 +215,10 @@ def run_field_sample(config, seed):
     pts, eps = _points_from(config)
     sampler = FieldSampler(pts, eps)
     values = sampler.draw(RngStream(seed, 0))
-    summary = {
-        "quantity": "one exact-covariance draw of regularized field values",
-        "estimate": float(np.mean(values)),
-        "stderr": float(np.std(values, ddof=1) / math.sqrt(len(values))),
-        "n_replicas": 1,
-        "n_points": int(len(pts)),
-    }
+    summary = _mean_summary(
+        "one exact-covariance draw of regularized field values", values, 1,
+        n_points=int(len(pts)),
+    )
     # the snapshot: re,im,value per point, and a JSON sidecar with its stream and radii
     radii = sampler.eps
     sidecar = {"seed": seed, "stream_id": 0, "n_points": len(pts)}
@@ -241,13 +234,10 @@ def _totals_result(name, quantity, gamma, totals):
     n = len(totals)
     mean = math.fsum(totals) / n
     var = math.fsum((t - mean) ** 2 for t in totals) / (n - 1)
-    summary = {
-        "quantity": quantity,
-        "estimate": mean,
-        "stderr": math.sqrt(var / n),
-        "n_replicas": n,
-        "gamma": gamma,
-    }
+    summary = _summary(
+        quantity, mean, math.sqrt(var / n), n,
+        gamma=gamma,
+    )
     return summary, {f"{name}.csv": (["replica", "total"], enumerate(totals))}
 
 
@@ -321,38 +311,31 @@ def run_critical_ladder(config, seed):
         del report["noise_wait_s"]  # wall-clock seconds: not fixed by the config and seed
     else:
         pushed, plain = critical.boundary_ladder_totals(levels, n_replicas, rng)
-    rows = []
-    for lvl, tp, tn in zip(levels, pushed, plain):
-        rows.append((lvl, len(tp), float(np.median(tp)), float(np.median(tn))))
+    rows = [(lvl, len(tp), float(np.median(tp)), float(np.median(tn))) for lvl, tp, tn in zip(levels, pushed, plain)]
     ratios = critical.median_ratios(pushed)
-    summary = {
-        "quantity": "total-mass medians of the critical measure along a cutoff ladder",
-        "estimate": float(np.median(pushed[-1])),
-        "stderr": 0.0,
-        "n_replicas": rows[-1][1],
-        "kind": kind,
-        "levels": levels,
-        "pushed_median_ratios": [float(r) for r in ratios],
-        "plain_medians": [r[3] for r in rows],
+    quantity = "total-mass medians of the critical measure along a cutoff ladder"
+    summary = _summary(
+        quantity, float(np.median(pushed[-1])), 0.0, rows[-1][1],
+        kind=kind,
+        levels=levels,
+        pushed_median_ratios=[float(r) for r in ratios],
+        plain_medians=[r[3] for r in rows],
         **report,
-    }
+    )
     return summary, {"critical-ladder.csv": (["level", "n_replicas", "median_pushed", "median_plain"], rows)}
 
 
 def run_seiberg_validate(config, seed):
     ins = _insertions_from(config)
     verdict = liouville.seiberg_check(ins)
-    summary = {
-        "quantity": "admissibility bounds of the insertion set",
-        "estimate": float(verdict.s_total),
-        "stderr": 0.0,
-        "n_replicas": 0,
-        "case": verdict.case,
-        "bound1_ok": verdict.bound1_ok,
-        "bound2_ok": verdict.bound2_ok,
-        "bound3_ok": verdict.bound3_ok,
-        "admissible": verdict.admissible,
-    }
+    summary = _summary(
+        "admissibility bounds of the insertion set", float(verdict.s_total), 0.0, 0,
+        case=verdict.case,
+        bound1_ok=verdict.bound1_ok,
+        bound2_ok=verdict.bound2_ok,
+        bound3_ok=verdict.bound3_ok,
+        admissible=verdict.admissible,
+    )
     return summary, {}
 
 
@@ -373,16 +356,13 @@ def run_volume_law(config, seed):
     draws = liouville.sample_liouville_triple(
         ins, n_draws, RngStream(seed, 2), basis=basis, functionals=functionals
     )
-    summary = {
-        "quantity": "law of the total volume under the marked-point measure",
-        "estimate": float(np.mean(draws["V"])),
-        "stderr": float(np.std(draws["V"], ddof=1) / math.sqrt(n_draws)),
-        "n_replicas": basis.n_replicas,
-        "n_draws": n_draws,
-        "ess": draws["ess"],
-        "acceptance_rate": draws["acceptance_rate"],
+    summary = _mean_summary(
+        "law of the total volume under the marked-point measure", draws["V"], basis.n_replicas,
+        n_draws=n_draws,
+        ess=draws["ess"],
+        acceptance_rate=draws["acceptance_rate"],
         **_sampler_report(basis.sampler),
-    }
+    )
     if boundary_free:
         import scipy.stats
         shape, rate = liouville.volume_law_params(ins)
@@ -407,15 +387,12 @@ def run_partition(config, seed):
     basis = _basis_from(config, seed, ins.params.gamma)
     value, stderr, rel_err = liouville.partition_estimate(ins, basis=basis)
     bulk_tot, bdry_tot = basis.drifted_totals(ins)
-    summary = {
-        "quantity": "reduced partition function of the insertion set",
-        "estimate": value,
-        "stderr": stderr,
-        "n_replicas": basis.n_replicas,
-        "method": "gamma" if ins.params.mu_boundary == 0.0 else "quadrature",
-        "s_total": float(ins.s_total),
+    summary = _summary(
+        "reduced partition function of the insertion set", value, stderr, basis.n_replicas,
+        method="gamma" if ins.params.mu_boundary == 0.0 else "quadrature",
+        s_total=float(ins.s_total),
         **_sampler_report(basis.sampler),
-    }
+    )
     if rel_err is not None:
         summary["zero_mode_rel_err"] = rel_err
     return summary, {"partition.csv": (["replica", "I", "J"], zip(range(len(bulk_tot)), bulk_tot, bdry_tot))}
@@ -428,15 +405,12 @@ def run_kpz_covariance(config, seed):
     psi = _mobius_from(config)
     basis = _basis_from(config, seed, ins.params.gamma)
     dev, stderr = liouville.kpz_ratio_test(ins, psi, basis)
-    summary = {
-        "quantity": "Mobius covariance of the partition function at the conformal weights",
-        "estimate": dev,
-        "stderr": stderr,
-        "n_replicas": basis.n_replicas,
-        "predicted_log_weight": liouville.kpz_log_weight(ins, psi),
-        "z_score": dev / stderr if stderr > 0 else float("inf"),
+    summary = _summary(
+        "Mobius covariance of the partition function at the conformal weights", dev, stderr, basis.n_replicas,
+        predicted_log_weight=liouville.kpz_log_weight(ins, psi),
+        z_score=dev / stderr if stderr > 0 else float("inf"),
         **_sampler_report(basis.sampler),
-    }
+    )
     return summary, {}
 
 
@@ -466,15 +440,13 @@ def run_weyl_anomaly(config, seed):
     cocycle_resid = weyl_anomaly(f1 + f2, base, params) - (
         weyl_anomaly(f1, base, params) + weyl_anomaly(f2, f1, params)
     )
-    summary = {
-        "quantity": "conformal-background dependence of the log partition function",
-        "estimate": float(weyl_anomaly(f1, base, params)),
-        "stderr": 0.0,
-        "n_replicas": 0,
-        "constant_shift_residual": float(const_resid),
-        "cocycle_residual": float(cocycle_resid),
-        "grid": [n_r, n_theta],
-    }
+    quantity = "conformal-background dependence of the log partition function"
+    summary = _summary(
+        quantity, float(weyl_anomaly(f1, base, params)), 0.0, 0,
+        constant_shift_residual=float(const_resid),
+        cocycle_residual=float(cocycle_resid),
+        grid=[n_r, n_theta],
+    )
     return summary, {}
 
 
@@ -492,12 +464,7 @@ def _pairs_from(config):
 
 def run_maps_count(config, seed):
     rows = [(n, p, str(maps.count_exact(n, p))) for n, p in _pairs_from(config)]
-    summary = {
-        "quantity": "exact boundary-quadrangulation counts",
-        "estimate": float(len(rows)),
-        "stderr": 0.0,
-        "n_replicas": 0,
-    }
+    summary = _summary("exact boundary-quadrangulation counts", float(len(rows)), 0.0, 0)
     return summary, {"maps-count.csv": (["n", "p", "count"], rows)}
 
 
@@ -528,14 +495,11 @@ def run_maps_sample(config, seed):
         tables["maps-weight-table.csv"] = (["n", "p", "log_weight"], table_iter())
     else:
         tables["maps-p-marginal.csv"] = (["p", "log_marginal"], enumerate(sampler.log_p_marginal, 1))
-    summary = {
-        "quantity": "Boltzmann draws of (n, p) from the truncated weight table",
-        "estimate": float(np.mean(n_arr)),
-        "stderr": float(np.std(n_arr, ddof=1) / math.sqrt(n_draws)),
-        "n_replicas": n_draws,
-        "caps": [cfg.n_max, cfg.p_max],
-        "log_tail_mass": sampler.log_tail_mass,
-    }
+    summary = _mean_summary(
+        "Boltzmann draws of (n, p) from the truncated weight table", n_arr, n_draws,
+        caps=[cfg.n_max, cfg.p_max],
+        log_tail_mass=sampler.log_tail_mass,
+    )
     return summary, tables
 
 
@@ -552,13 +516,10 @@ def run_maps_density(config, seed):
     n_draws = _count(config, "n_draws", 100000)
     bins = _bins_from(config)
     density, rows = maps.joint_density_check(cfg, n_draws, RngStream(seed, 0), bins=bins)
-    summary = {
-        "quantity": "joint volume/perimeter law against the limit density",
-        "estimate": density["chi2"],
-        "stderr": 0.0,
-        "n_replicas": n_draws,
+    summary = _summary(
+        "joint volume/perimeter law against the limit density", density["chi2"], 0.0, n_draws,
         **density,
-    }
+    )
     header = ["v_lo", "v_hi", "l_lo", "l_hi", "observed", "expected"]
     return summary, {"maps-density-bins.csv": (header, rows)}
 

@@ -156,14 +156,15 @@ class MobiusMap:
     """psi(x) = e^{i alpha} (x - a) / (1 - conj(a) x) with |a| < 1.
 
     Maps the open disk bijectively onto itself and the circle onto itself.
+    Arrays of a and alpha hold one map per entry, applied entrywise.
     """
 
     a: complex = 0.0
     alpha: float = 0.0
 
     def __post_init__(self):
-        if abs(complex(self.a)) >= 1.0:
-            raise InvalidMapError(f"|a| must be < 1, got {abs(complex(self.a))}")
+        if np.any(np.abs(self.a) >= 1.0):
+            raise InvalidMapError(f"|a| must be < 1, got {np.max(np.abs(self.a))}")
 
     def __call__(self, x):
         xa = np.asarray(x, dtype=complex)
@@ -172,9 +173,7 @@ class MobiusMap:
 
     def derivative(self, x):
         xa = np.asarray(x, dtype=complex)
-        out = np.exp(1j * self.alpha) * (1.0 - abs(complex(self.a)) ** 2) / (
-            1.0 - np.conj(self.a) * xa
-        ) ** 2
+        out = np.exp(1j * self.alpha) * (1.0 - np.abs(self.a) ** 2) / (1.0 - np.conj(self.a) * xa) ** 2
         return complex(out) if out.ndim == 0 else out
 
     def inverse(self):
@@ -257,17 +256,12 @@ class ConformalFactor:
 
     @classmethod
     def from_function(cls, fn, n_r, n_theta):
-        """Sample fn (a function of a complex point) on the grid."""
+        """Sample fn (a vectorized function of complex points) on the grid."""
         r = (np.arange(n_r) + 0.5) / n_r
         t = 2.0 * np.pi * np.arange(n_theta) / n_theta
         z = r[:, None] * np.exp(1j * t[None, :])
         vals = np.asarray(fn(z), dtype=float)
-        if vals.shape != z.shape:
-            vals = np.vectorize(fn)(z).astype(float)
-        zb = np.exp(1j * t)
-        bvals = np.asarray(fn(zb), dtype=float)
-        if bvals.shape != zb.shape:
-            bvals = np.vectorize(fn)(zb).astype(float)
+        bvals = np.asarray(fn(np.exp(1j * t)), dtype=float)
         return cls(n_r=n_r, n_theta=n_theta, values=vals, boundary=bvals)
 
     @classmethod

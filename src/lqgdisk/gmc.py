@@ -56,11 +56,8 @@ class AtomicMeasure:
         return float(np.sum(self.masses))
 
     def integrate(self, f):
-        """Sum of f(location) * mass over atoms; f may be vectorized or not."""
-        vals = np.asarray(f(self.points), dtype=float)
-        if vals.shape != self.points.shape:
-            vals = np.array([float(f(p)) for p in self.points])
-        return float(np.sum(vals * self.masses))
+        """Sum of f(location) * mass over atoms; f is vectorized over the locations."""
+        return float(np.sum(np.asarray(f(self.points), dtype=float) * self.masses))
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +104,6 @@ class GradedDiskGrid:
         else:
             radial = (one_lo ** (1.0 - s) - one_hi ** (1.0 - s)) / (2.0 * (1.0 - s))
         return self.dtheta * radial
-
-    def cell_scale(self):
-        """Nominal linear cell size, used for marked-point exclusion zones."""
-        return 2.0 * self.eps
 
 
 def window_sector_grid(depth):

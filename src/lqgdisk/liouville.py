@@ -289,7 +289,7 @@ class ChaosBasis:
 def bulk_drift_factors(ins, grid, gamma):
     """Cellwise factors e^{gamma H} for the bulk measure atoms.
 
-    Cells within two cell scales of a marked point get the mass-weighted
+    Cells within 4 eps (two atom spacings) of a marked point get the mass-weighted
     average of e^{gamma H} over a 24 x 24 subgrid of the cell instead of
     the center value: the drift is integrable there but singular, so a
     single sample would either hit the singularity or misstate the cell's
@@ -304,7 +304,7 @@ def bulk_drift_factors(ins, grid, gamma):
         pts = (rr[:, None] * np.exp(1j * tt[None, :])).ravel()
         return pts, (1.0 - np.abs(pts) ** 2) ** (-s) * np.abs(pts)
 
-    return _drift_factors(ins, grid.centers, gamma, 2.0 * grid.cell_scale(), subgrid)
+    return _drift_factors(ins, grid.centers, gamma, 4.0 * grid.eps, subgrid)
 
 
 def boundary_drift_factors(ins, arc_theta, gamma):

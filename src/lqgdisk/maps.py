@@ -277,7 +277,7 @@ class BoltzmannConfig:
     uniformly marked quadrilateral, multiplying the weight by n.  That is
     the ensemble whose rescaled (V, l) law converges to
     V^{-3/2} l^{1/2} e^{-mu V - mu_b l - 9 l^2/(16 V)}; without the
-    interior marking the V exponent would be -5/2.
+    interior marking the V exponent is -5/2.
     """
 
     a: float
@@ -445,6 +445,11 @@ def _density_bin_probs(sampler, v_edges, l_edges):
     over the binned range.
     """
     cfg = sampler.cfg
+
+    def log_density(vol, ell):  # without the interior marking's factor n, the law has one more 1/V
+        f = conjectured_log_density(vol, ell, cfg.mu, cfg.mu_boundary)
+        return f if cfg.interior_marked else f - np.log(vol)
+
     n_lo = max(1, int(math.floor(v_edges[0] / cfg.a**2)))
     n_hi = min(cfg.n_max, int(math.ceil(v_edges[-1] / cfg.a**2)))
     n = np.arange(n_lo, n_hi + 1, dtype=float)
@@ -461,8 +466,8 @@ def _density_bin_probs(sampler, v_edges, l_edges):
             continue
         l_idx = int(np.searchsorted(l_edges, ell, side="right") - 1)
         if shift is None:  # the max over the whole lattice at the first binned p
-            shift = float(conjectured_log_density(v, ell, cfg.mu, cfg.mu_boundary).max())
-        f = conjectured_log_density(v_in, ell, cfg.mu, cfg.mu_boundary)
+            shift = float(log_density(v, ell).max())
+        f = log_density(v_in, ell)
         f -= shift
         np.add.at(mass[:, l_idx], v_idx, np.exp(f, out=f))
     total = mass.sum()

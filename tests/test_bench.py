@@ -5,10 +5,12 @@ import json
 import pathlib
 import re
 import subprocess
+import sys
 
-from lqgdisk import critical, gff, maps
+from lqgdisk import cli, critical, gff, maps
 
 DRIVER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "run.py"
+WORKLOADS = DRIVER.parents[1] / "perfbench" / "workloads.py"
 SCHEMA = ("command", "revisions", "environment", "rounds", "metrics", "csv_sha256", "csv_identical", "digests", "tier1")
 
 
@@ -23,6 +25,19 @@ def test_rounds_run_abba():
     run = load_driver()
     order = [side for r in range(4) for side in run.round_order(r)]
     assert order == ["base", "head", "head", "base", "base", "head", "head", "base"]
+
+
+def test_every_benchmark_config_validates(monkeypatch):
+    # a config rule that refused one of these would make the benchmark's runs exit 2, and no other test runs them
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    perfbench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, perfbench)  # where its dataclass looks its module up
+    spec.loader.exec_module(perfbench)
+    run = load_driver()
+    calls = [call for w in perfbench.WORKLOADS.values() for call in (*w.calls, *w.smoke_calls)]
+    calls += [*run.CALLS.values(), *((name.split()[0], config) for name, config in run.CONFIGS.items())]
+    for command, config in calls:
+        assert cli.validate(config, command) == [], (command, config)
 
 
 def test_named_library_attributes_exist():

@@ -476,6 +476,13 @@ def test_every_summary_is_strict_json(tmp_path, capsys):
         json.loads(text, parse_constant=reject)
 
 
+def test_every_summary_begins_with_the_four_shared_keys():
+    # the order the run prints them in: files sort their keys, the printed summary does not
+    for command, config in SMOKE_CONFIGS.items():
+        summary, _ = cli.EXPERIMENTS[command](config, 2)
+        assert list(summary)[:4] == ["quantity", "estimate", "stderr", "n_replicas"], command
+
+
 class TestCriticalLadder:
     def test_boundary_counts_per_level(self, tmp_path, capsys):
         config = {"kind": "boundary", "mode_levels": [64, 128], "n_replicas": [200, 100]}
@@ -688,6 +695,10 @@ class TestValidate:
             ("volume-law", marked_config(insertions=[5]), "insertions"),
             ("volume-law", marked_config(insertions=5), "insertions"),
             ("kpz-covariance", marked_config(insertions=KPZ_INSERTIONS, mobius=5), "mobius"),
+            ("gmc-bulk", bulk_grid_config(depth=5), "grid"),
+            ("gmc-bulk", bulk_grid_config(rings_per_bands=5), "grid"),
+            ("kpz-covariance", marked_config(insertions=KPZ_INSERTIONS, mobius={"a": [0.3, 0], "b": 1}), "mobius"),
+            ("volume-law", marked_config(insertions=[{**bulk_point([0.0, 0.0], 1.6), "mass": 1.0}]), "insertions"),
         ],
         ids=[
             "list-count", "mobius-outside-disk", "no-samples", "no-arcs", "no-modes",
@@ -703,7 +714,8 @@ class TestValidate:
             "maps-weightless-rows", "maps-string-marking", "density-integer-marking",
             "fractional-levels", "string-level", "scalar-mode-levels", "boolean-count",
             "fractional-count-list", "counts-for-default-levels", "list-grid", "list-grid-basis",
-            "number-insertion", "number-insertions", "number-mobius",
+            "number-insertion", "number-insertions", "number-mobius", "grid-depth-key",
+            "grid-misspelt-key", "mobius-unknown-key", "insertion-unknown-key",
         ],
     )
     def test_validate_reports_the_error_the_run_stops_at(self, tmp_path, capsys, command, config, code):

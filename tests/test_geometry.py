@@ -134,6 +134,24 @@ class TestMobius:
         with pytest.raises(InvalidMapError):
             MobiusMap(a=1.0)
 
+    def test_invalid_map_in_an_array(self):
+        with pytest.raises(InvalidMapError):
+            MobiusMap(a=np.array([0.5, 0.3j, -1.0]), alpha=np.zeros(3))
+
+    def test_array_of_maps_matches_the_scalar_maps(self):
+        # complex array arithmetic rounds differently from numpy's scalar path: on 20 seeds of
+        # 5,000 maps the two differed by up to 2.3 (psi) and 5.0 (psi') units of relative rounding
+        gen = np.random.default_rng(31)
+        n = 5000
+        a = 0.95 * np.sqrt(gen.uniform(size=n)) * np.exp(2j * np.pi * gen.uniform(size=n))
+        alpha = 2 * np.pi * gen.uniform(size=n)
+        x = 0.999 * np.sqrt(gen.uniform(size=n)) * np.exp(2j * np.pi * gen.uniform(size=n))
+        psi = MobiusMap(a=a, alpha=alpha)
+        for method in ("__call__", "derivative"):
+            got = getattr(psi, method)(x)
+            want = [getattr(MobiusMap(a=a[k], alpha=float(alpha[k])), method)(x[k]) for k in range(n)]
+            assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * np.abs(want)), method
+
     def test_identities_randomized(self):
         gen = np.random.default_rng(12)
         worst_diff = worst_inner = worst_green = 0.0

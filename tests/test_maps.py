@@ -508,6 +508,14 @@ class TestJointDensity:
         assert summary["n_underpowered"] <= summary["n_bins"] == len(rows)
         assert summary["dof"] <= summary["n_bins"] - 1
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_unmarked_ensemble_fits_its_own_law(self, seed):
+        # without the interior marking (V, l) converges to the V^{-5/2} law: against the
+        # marked V^{-3/2} law these draws gave p = 4e-15, 9e-17 and 9e-20
+        cfg = BoltzmannConfig(a=0.05, interior_marked=False)
+        summary, _ = joint_density_check(cfg, 200000, RngStream(seed, 0), bins=(8, 8), window=(0.2, 0.4))
+        assert summary["p_value"] > 1e-4
+
     def test_too_few_window_draws_rejected(self):
         cfg = BoltzmannConfig(a=0.05, mu=1.0, mu_boundary=1.0)
         with pytest.raises(ConfigurationError):
