@@ -12,8 +12,10 @@ side, then ROUNDS rounds, alternating which side goes first (ABBA), of
 `perfbench/run.py --seed 101 --seconds 0 --trace 0` (one checked iteration of
 every workload), the CALLS and the PROBES; it writes per side the median and
 quartiles of every value, every digest and the line count of src/, and per head value
-head_lower_rounds, the rounds in which the head read below the base.  Both exit 1 if a digest differs,
-and `record` also if a perfbench call fails its checks.
+head_lower_rounds, the rounds in which the head read below the base.  Each end-to-end metric of a
+perfbench workload is "resolved" unless the base's quartile spread exceeds its BENCHMARK.json bound
+times the base median: a change of that size could not be told from noise; `record` prints the
+unresolved ones.  Both exit 1 if a digest differs, and `record` also if a perfbench call fails its checks.
 
 A probe is a function below that imports lqgdisk from the side's src/ and
 returns {name: number}: a new layer needs one such function in PROBES.  Both
@@ -43,6 +45,7 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BL
 PERFBENCH = ["perfbench/run.py", "--seed", "101", "--seconds", "0", "--trace", "0"]
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 SEED = 11
+BENCHMARK = pathlib.Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 CALLS = {
     "ladder_8_10": ("critical-ladder", {"kind": "bulk", "levels": [8, 9, 10], "n_replicas": [1000, 600, 500]}),
     "maps_density_a0.01": ("maps-density", {"a": 0.01, "mu": 1.0, "mu_boundary": 1.0, "n_draws": 100000}),
@@ -300,6 +303,11 @@ def summarize(series):
     return {"median": median, "q1": q1, "q3": q3, "runs": series}
 
 
+def end_to_end_bounds():
+    """{metric name: relative bound} of the benchmark's end-to-end metrics."""
+    return {m["name"]: m["bound"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+
+
 def make_record(command, revisions, threads, runs, digests, found, tiers):
     """The record of abba_rounds' (runs, digests), and per side the output digests and tier-1 counts."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -311,8 +319,13 @@ def make_record(command, revisions, threads, runs, digests, found, tiers):
     csv = {side: {run: {f: sorted(s) for f, s in files.items()} for run, files in digests[side].items()}
            for side in SIDES}
     metrics = {side: {k: summarize([v[k] for v in runs[side]]) for k in runs[side][0]} for side in SIDES}
+    bounds = end_to_end_bounds()
     for key, metric in metrics["head"].items():  # rounds pair up in order, so round r's head meets its base
-        metric["head_lower_rounds"] = int(sum(h < b for h, b in zip(metric["runs"], metrics["base"][key]["runs"])))
+        base = metrics["base"][key]
+        metric["head_lower_rounds"] = int(sum(h < b for h, b in zip(metric["runs"], base["runs"])))
+        parts = key.split(".", 2)  # perfbench.<workload>.<metric>
+        if parts[0] == "perfbench" and parts[-1] in bounds:
+            metric["resolved"] = bool(base["q3"] - base["q1"] <= bounds[parts[-1]] * base["median"])
     return {
         "command": command, "revisions": revisions, "environment": environment, "rounds": len(runs["base"]),
         "metrics": metrics,
@@ -356,6 +369,8 @@ def main(argv=None):
     record = make_record(command, revisions, threads, runs, digests, found, tiers)
     with open(args.out, "w") as fh:
         fh.write(json.dumps(record, indent=2) + "\n")
+    unresolved = [key for key, metric in record["metrics"]["head"].items() if metric.get("resolved") is False]
+    print(f"unresolved (base quartile spread above the bound): {', '.join(unresolved) or 'none'}")
     failed = any(any(m["runs"]) for side in SIDES for k, m in record["metrics"][side].items() if k.endswith(".failed"))
     return 1 if differ or failed or not record["csv_identical"] else 0
 

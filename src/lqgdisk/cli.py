@@ -75,21 +75,10 @@ def _insertions_from(config):
 
 def _grid_from(config):
     """The graded_disk_grid(depth, rings_per_band, aspect) a config's "grid" object asks for."""
-    grid_cfg = _closed(config.get("grid", {}), "grid", ("n_r", "rings_per_band", "aspect", "n_theta"))
+    grid_cfg = _closed(config.get("grid", {}), "grid", ("n_r", "rings_per_band", "aspect"))
     depth = _integer(grid_cfg.get("n_r", 7), "n_r", 1)
     rings = _integer(grid_cfg.get("rings_per_band", 2), "rings_per_band", 1)
-    if "n_theta" in grid_cfg:
-        # angular resolution given as the outermost band's cell count
-        n_theta = _real(grid_cfg["n_theta"], "n_theta")
-        if n_theta <= 0.0:
-            raise GridError(f"n_theta must be positive and finite, got {n_theta}")
-        # the grid refuses depths past 54 (their bands have zero width), so capping
-        # the exponent changes no accepted grid; it keeps 2^(depth - 1) from overflowing
-        aspect = 2.0 * math.pi * rings * 2.0 ** min(depth - 1, 1023) / n_theta
-        aspect = min(max(aspect, 0.5), 8.0)
-    else:
-        aspect = _real(grid_cfg.get("aspect", 2.0), "aspect")
-    return graded_disk_grid(depth, rings, aspect)
+    return graded_disk_grid(depth, rings, _real(grid_cfg.get("aspect", 2.0), "aspect"))
 
 
 def _integer(n, name, least):
@@ -229,9 +218,10 @@ def run_field_sample(config, seed):
     }
 
 
-def _totals_result(name, quantity, gamma, totals):
-    """The summary of the mean of per-replica total masses, and their table."""
-    n = len(totals)
+def _totals_result(name, quantity, gamma, seed, n, sampler, block_totals):
+    """The summary of the mean total mass of replicas 0..n-1, replica r from RngStream(seed, r), and their table."""
+    streams = [RngStream(seed, r) for r in range(n)]
+    totals = replica_map(block_totals, streams, sampler.noise_shape)
     mean = math.fsum(totals) / n
     var = math.fsum((t - mean) ** 2 for t in totals) / (n - 1)
     summary = _summary(
@@ -260,9 +250,8 @@ def run_gmc_bulk(config, seed):
     def block_totals(noise):
         return bulk_masses(sampler.fields(noise), sampler.variances, weights, gamma).sum(axis=1)
 
-    streams = [RngStream(seed, r) for r in range(n_replicas)]
-    totals = replica_map(block_totals, streams, sampler.noise_shape)
-    summary, tables = _totals_result("gmc-bulk", "mean total mass of the bulk chaos measure", gamma, totals)
+    quantity = "mean total mass of the bulk chaos measure"
+    summary, tables = _totals_result("gmc-bulk", quantity, gamma, seed, n_replicas, sampler, block_totals)
     summary.update(_sampler_report(sampler))
     if gamma**2 < 2.0:
         summary["analytic_mean"] = math.pi / (1.0 - gamma**2 / 2.0)
@@ -278,10 +267,8 @@ def run_gmc_boundary(config, seed):
     def block_totals(coef):
         return boundary_masses(trace.fields(coef), trace.variance, gamma, n_arcs).sum(axis=1)
 
-    streams = [RngStream(seed, r) for r in range(n_replicas)]
-    totals = replica_map(block_totals, streams, trace.noise_shape)
     quantity = "mean total mass of the boundary chaos measure"
-    summary, tables = _totals_result("gmc-boundary", quantity, gamma, totals)
+    summary, tables = _totals_result("gmc-boundary", quantity, gamma, seed, n_replicas, trace, block_totals)
     summary["analytic_mean"] = 2.0 * math.pi * math.exp(-(gamma**2) / 8.0)
     return summary, tables
 
@@ -546,9 +533,7 @@ EXPERIMENTS = {
 # ---------------------------------------------------------------------------
 
 CONFIG_ERRORS = (ConfigurationError, DomainError, GridError, UnsupportedSeparationError)
-LADDER_TRIGGERS = ("kind", "levels", "mode_levels", "critical-ladder")
 BASIS_COMMANDS = ("volume-law", "partition", "kpz-covariance")  # they build a ChaosBasis
-MAPS_COMMANDS = ("maps-sample", "maps-density")  # they build a BoltzmannSampler
 
 
 def _bound_findings(config):
@@ -562,40 +547,46 @@ def _bound_findings(config):
     return [{"code": code, "message": message} for ok, code, message in failed if not ok]
 
 
-# (finding code, the config keys or experiments that trigger it, the reader or check a run
-# calls on them).  A reader's error is its finding, coded "separation rule" when averaging
-# circles overlap; a check returns its findings as a list (and no reader returns a list).
+# (finding code, the config keys that select it when no experiment is named, the experiments whose run
+# calls it, the reader or check it calls).  A reader's error is its finding, coded "separation rule" when
+# averaging circles overlap; a check returns its findings as a list (and no reader returns a list).
 VALIDATION = (
-    ("seed", ("seed",), lambda c: _integer(c["seed"], "seed", 0)),
-    ("parameters", ("gamma",), _params_from),
-    ("parameters", BASIS_COMMANDS, lambda c: liouville.ChaosBasis.check_gamma(_params_from(c).gamma)),
-    ("parameters", ("kpz-covariance",), lambda c: liouville.check_ratio_test(_params_from(c))),
-    ("insertions", ("insertions",), _bound_findings),
-    ("averaging circles", ("points",), lambda c: check_averaging_circles(*_points_from(c))),
-    ("grid", ("grid",), _grid_from),
-    ("ladder", LADDER_TRIGGERS, _ladder_from),
-    ("counts", ("n_replicas",), lambda c: _count(c, "n_replicas", None)),
-    ("counts", ("n_draws",), lambda c: _count(c, "n_draws", None)),
-    ("counts", ("n_samples",), _samples_from),
-    ("modes", ("n_modes", "n_arcs"), _modes_from),
-    ("mobius", ("mobius",), _mobius_from),
-    ("maps-config", ("a", *MAPS_COMMANDS), lambda c: maps.BoltzmannSampler(_maps_config(c))),
-    ("bins", ("bins",), _bins_from),
-    ("pairs", ("pairs", "maps-count"), _pairs_from),
-    ("conformal grid", ("n_r", "n_theta", "shift"), _weyl_from),
+    ("seed", ("seed",), (), lambda c: _integer(c["seed"], "seed", 0)),
+    ("parameters", ("gamma",),
+     ("gmc-bulk", "gmc-boundary", "seiberg-validate", *BASIS_COMMANDS, "weyl-anomaly"), _params_from),
+    ("insertions", (), ("seiberg-validate",), _insertions_from),
+    ("insertions", ("insertions",), BASIS_COMMANDS, _bound_findings),
+    ("parameters", (), ("kpz-covariance",), lambda c: liouville.check_ratio_test(_params_from(c))),
+    ("averaging circles", ("points",), ("field-sample",), lambda c: check_averaging_circles(*_points_from(c))),
+    ("grid", ("grid",), ("gmc-bulk", *BASIS_COMMANDS), _grid_from),
+    ("ladder", ("kind", "levels", "mode_levels"), ("critical-ladder",), _ladder_from),
+    ("counts", ("n_replicas",), ("gmc-bulk", "gmc-boundary", *BASIS_COMMANDS), lambda c: _count(c, "n_replicas", 2)),
+    ("counts", ("n_draws",), ("volume-law", "maps-sample", "maps-density"), lambda c: _count(c, "n_draws", 2)),
+    ("counts", ("n_samples",), ("green-selftest",), _samples_from),
+    ("modes", ("n_modes", "n_arcs"), ("gmc-boundary", *BASIS_COMMANDS), _modes_from),
+    ("parameters", (), BASIS_COMMANDS, lambda c: liouville.ChaosBasis.check_gamma(_params_from(c).gamma)),
+    ("mobius", ("mobius",), ("kpz-covariance",), _mobius_from),
+    ("maps-config", ("a",), ("maps-sample", "maps-density"), lambda c: maps.BoltzmannSampler(_maps_config(c))),
+    ("bins", ("bins",), ("maps-density",), _bins_from),
+    ("pairs", ("pairs",), ("maps-count",), _pairs_from),
+    ("conformal grid", ("n_r", "n_theta", "shift"), ("weyl-anomaly",), _weyl_from),
 )
 
 
 def validate(config, command=None):
-    """Each distinct error that the readers and checks of VALIDATION raise on the config."""
+    """Each distinct error that the readers and checks of VALIDATION raise on the config.  For a known experiment
+    they are those of the rows that name it, and of the seed row by its key; else those of the rows whose keys
+    the config holds, less the counts rows when a ladder key is held (_ladder_from reads a ladder's counts)."""
     command = command or config.get("command")
     findings = []
     if command is not None and command not in EXPERIMENTS:
         findings.append({"code": "unknown-command", "message": f"unknown experiment {command!r}"})
-    present = {*config, command}
-    ladder = not present.isdisjoint(LADDER_TRIGGERS)  # its counts are read by _ladder_from
-    for code, triggers, read in VALIDATION:
-        if present.isdisjoint(triggers) or (ladder and code == "counts"):
+    ladder = any(code == "ladder" and not config.keys().isdisjoint(keys) for code, keys, _, _ in VALIDATION)
+    for code, keys, commands, read in VALIDATION:
+        if command in EXPERIMENTS and commands:
+            if command not in commands:
+                continue
+        elif config.keys().isdisjoint(keys) or (ladder and code == "counts"):
             continue
         try:
             found = read(config)

@@ -128,3 +128,24 @@ def test_head_lower_rounds_counts_the_rounds_the_head_reads_below_the_base(tmp_p
     assert record["metrics"]["head"]["m"]["head_lower_rounds"] == 2
     assert record["metrics"]["head"]["n"]["head_lower_rounds"] == 0
     assert "head_lower_rounds" not in record["metrics"]["base"]["m"]
+
+
+def test_end_to_end_metrics_are_resolved_only_within_their_bound():
+    run = load_driver()
+    assert run.end_to_end_bounds() == {"wall_s": 0.25, "setup_s": 0.25, "cpu_s": 0.25, "peak_rss_mb": 0.05}
+    base = {  # quartile spreads: wall 1.0 of median 1.5, RSS 0.525 of median 50.1, setup 0.175 of median 1.0
+        "perfbench.boltzmann.wall_s": [1.0, 1.0, 2.0, 2.0],
+        "perfbench.boltzmann.peak_rss_mb": [49.5, 50.0, 50.2, 51.0],
+        "perfbench.boltzmann.setup_s": [0.8, 0.95, 1.05, 1.2],
+        "perfbench.boltzmann.gff.stream_s": [1.0, 1.0, 9.0, 9.0],
+        "ladder_8_10.wall_s": [1.0, 1.0, 9.0, 9.0],
+    }
+    runs = {side: [{k: v[r] for k, v in base.items()} for r in range(4)] for side in run.SIDES}
+    tiers = {side: {"wall_s": 1.0, "passed": 3} for side in run.SIDES}
+    record = json.loads(json.dumps(run.make_record("cmd", {}, 1, runs, {"base": {}, "head": {}}, {}, tiers)))
+    head = record["metrics"]["head"]
+    assert {k: m["resolved"] for k, m in head.items() if "resolved" in m} == {
+        "perfbench.boltzmann.wall_s": False,
+        "perfbench.boltzmann.peak_rss_mb": True,
+        "perfbench.boltzmann.setup_s": True,
+    }

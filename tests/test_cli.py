@@ -2,7 +2,6 @@ import json
 import math
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from lqgdisk import cli, gff, gmc, io, liouville, maps
@@ -219,15 +218,7 @@ class TestExitCodes:
         assert error == {"type": "config", "message": f"the config must be a JSON object, got {kind}"}
 
 
-class TestGridConfig:
-    def test_n_theta_reaches_every_experiment_grid(self):
-        config = {"gamma": 1.0, "grid": {"n_r": 5, "n_theta": 64}, "n_replicas": 2, "n_modes": 64, "n_arcs": 32}
-        basis, grid = cli._basis_from(config, 1, 1.0), cli._grid_from(config)
-        assert np.array_equal(basis.grid.centers, grid.centers) and np.array_equal(basis.grid.eps, grid.eps)
-        assert len(basis.trace.theta) == config["n_arcs"]
-
-
-# every graded grid shape the tests build up to depth 7; (5, 2, pi) is n_theta = 64 at depth 5
+# every graded grid shape the tests build up to depth 7; (5, 2, pi) has 64 cells in each outermost ring
 TEST_GRID_SHAPES = [(d, 2, 2.0) for d in range(1, 8)] + [(5, 3, 0.5), (5, 1, 8.0), (5, 2, math.pi)]
 # at aspect 1e20 every ring has 16 cells; past depth 21-23 the rings lie so close
 # to r = 1 that rounding eats the 1e-9 shave of their averaging radii
@@ -649,7 +640,6 @@ class TestValidate:
             ("gmc-bulk", bulk_grid_config(aspect=-2), "grid"),
             ("gmc-bulk", bulk_grid_config(aspect=1e400), "grid"),
             ("gmc-bulk", bulk_grid_config(aspect=math.nan), "grid"),
-            ("gmc-bulk", bulk_grid_config(n_theta=0), "grid"),
             ("partition", marked_config(gamma=2.0), "parameters"),
             ("volume-law", marked_config(gamma=2.0), "parameters"),
             ("kpz-covariance", marked_config(gamma=2.0, insertions=KPZ_INSERTIONS), "parameters"),
@@ -668,10 +658,9 @@ class TestValidate:
             ("volume-law", marked_config(insertions=[bulk_point([0.0, 0.0], "2")]), "insertions"),
             ("gmc-bulk", bulk_grid_config(n_r="x"), "grid"),
             ("gmc-bulk", bulk_grid_config(n_r=4.7), "grid"),
-            ("gmc-bulk", bulk_grid_config(n_r=2000, n_theta=64), "grid"),
+            ("gmc-bulk", bulk_grid_config(n_r=2000), "grid"),
             ("gmc-bulk", bulk_grid_config(n_r=10**400), "grid"),
             ("gmc-bulk", bulk_grid_config(rings_per_band=1.5), "grid"),
-            ("gmc-bulk", bulk_grid_config(n_theta="64"), "grid"),
             ("gmc-bulk", bulk_grid_config(aspect=[2.0]), "grid"),
             ("field-sample", {"points": [[0.1, "0"]], "eps": 0.02}, "averaging circles"),
             ("field-sample", {"points": 5, "eps": 0.01}, "averaging circles"),
@@ -699,23 +688,28 @@ class TestValidate:
             ("gmc-bulk", bulk_grid_config(rings_per_bands=5), "grid"),
             ("kpz-covariance", marked_config(insertions=KPZ_INSERTIONS, mobius={"a": [0.3, 0], "b": 1}), "mobius"),
             ("volume-law", marked_config(insertions=[{**bulk_point([0.0, 0.0], 1.6), "mass": 1.0}]), "insertions"),
+            ("gmc-bulk", bulk_grid_config(n_theta=64), "grid"),
+            ("gmc-bulk", {"grid": {"n_r": 3}, "n_replicas": 3}, "parameters"),
+            ("gmc-boundary", {"n_modes": 64, "n_replicas": 3}, "parameters"),
+            ("weyl-anomaly", {"n_r": 32}, "parameters"),
         ],
         ids=[
             "list-count", "mobius-outside-disk", "no-samples", "no-arcs", "no-modes",
             "fractional-count", "boolean-modes", "zero-aspect", "negative-aspect",
-            "infinite-aspect", "nan-aspect", "zero-n-theta", "partition-gamma-2",
+            "infinite-aspect", "nan-aspect", "partition-gamma-2",
             "volume-law-gamma-2", "kpz-gamma-2", "kpz-boundary-constant", "weyl-no-radii", "weyl-odd-angles",
             "weyl-nan-shift", "density-no-bins", "count-pair-domain", "count-pair-shape",
             "count-fractional-n-max", "count-no-p", "string-gamma", "null-mu-boundary",
             "short-position", "string-weight", "string-depth", "fractional-depth",
-            "overflowing-depth", "huge-integer-depth", "fractional-rings", "string-n-theta",
-            "list-aspect", "string-point", "number-points", "string-mobius-alpha", "string-maps-a",
+            "overflowing-depth", "huge-integer-depth", "fractional-rings", "list-aspect",
+            "string-point", "number-points", "string-mobius-alpha", "string-maps-a",
             "maps-string-n-max", "maps-fractional-n-max", "maps-negative-n-max", "maps-no-p",
             "maps-weightless-rows", "maps-string-marking", "density-integer-marking",
             "fractional-levels", "string-level", "scalar-mode-levels", "boolean-count",
             "fractional-count-list", "counts-for-default-levels", "list-grid", "list-grid-basis",
             "number-insertion", "number-insertions", "number-mobius", "grid-depth-key",
-            "grid-misspelt-key", "mobius-unknown-key", "insertion-unknown-key",
+            "grid-misspelt-key", "mobius-unknown-key", "insertion-unknown-key", "grid-n-theta-key",
+            "bulk-no-gamma", "boundary-no-gamma", "weyl-no-gamma",
         ],
     )
     def test_validate_reports_the_error_the_run_stops_at(self, tmp_path, capsys, command, config, code):
@@ -724,6 +718,38 @@ class TestValidate:
         assert run_cli(tmp_path, command, config, seed=3) == 2
         err = json.loads(capsys.readouterr().out)["error"]
         assert err == {"type": "config", "message": findings[0]["message"]}
+
+    @pytest.mark.parametrize(
+        "command, config, exit_code",
+        [
+            ("volume-law", {"gamma": 1.0}, 3),
+            ("partition", {"gamma": 1.0}, 3),
+            ("kpz-covariance", {"gamma": 1.0}, 3),
+            ("seiberg-validate", {"gamma": 1.0, "insertions": []}, 0),
+            ("gmc-bulk", {"gamma": 1.0, "grid": {"n_r": 4}, "n_replicas": 20, "a": -1}, 0),
+            ("gmc-bulk", {"gamma": 1.0, "grid": {"n_r": 4}, "n_replicas": 20, "n_r": 3}, 0),
+            ("partition", marked_config(n_draws=1), 0),
+            ("maps-count", {"n_max": 10, "p_max": 3, "n_draws": 1}, 0),
+            ("maps-sample", {"a": 0.3, "mu": 1.0, "mu_boundary": 1.0, "n_draws": 500, "pairs": [[1]]}, 0),
+        ],
+        ids=[
+            "volume-law-no-insertions", "partition-no-insertions", "kpz-no-insertions", "seiberg-inadmissible",
+            "bulk-maps-a", "bulk-weyl-n-r", "partition-n-draws", "count-n-draws", "sample-pairs",
+        ],
+    )
+    def test_validate_checks_what_the_run_reads(self, tmp_path, capsys, command, config, exit_code):
+        # the command's rows run whatever keys the config holds, and keys it never reads go unchecked
+        findings = cli.validate(config, command)
+        assert run_cli(tmp_path, command, config, seed=1) == exit_code
+        if exit_code == 3:
+            assert findings[0]["code"] == "bound1 violated"
+        else:
+            assert findings == []
+
+    def test_every_row_names_known_experiments(self):
+        # a misspelt experiment name would skip its checks without a word
+        named = {command for _, _, commands, _ in cli.VALIDATION for command in commands}
+        assert named == set(cli.EXPERIMENTS)
 
     @pytest.mark.parametrize(
         "command, config, message",
