@@ -573,17 +573,21 @@ VALIDATION = (
 )
 
 
-def validate(config, command=None):
+def validate(config, command=None, seed=None):
     """Each distinct error that the readers and checks of VALIDATION raise on the config.  For a known experiment
     they are those of the rows that name it, and of the seed row by its key; else those of the rows whose keys
-    the config holds, less the counts rows when a ladder key is held (_ladder_from reads a ladder's counts)."""
+    the config holds, less the counts rows when a ladder key is held (_ladder_from reads a ladder's counts).
+    A seed flag is checked in the seed row's place, as a run reads it (_resolve_seed)."""
     command = command or config.get("command")
+    known = isinstance(command, str) and command in EXPERIMENTS
     findings = []
-    if command is not None and command not in EXPERIMENTS:
+    if command is not None and not known:
         findings.append({"code": "unknown-command", "message": f"unknown experiment {command!r}"})
     ladder = any(code == "ladder" and not config.keys().isdisjoint(keys) for code, keys, _, _ in VALIDATION)
     for code, keys, commands, read in VALIDATION:
-        if command in EXPERIMENTS and commands:
+        if code == "seed" and seed is not None:  # the run reads the flag and never the key
+            read = lambda c: _resolve_seed(seed, c)
+        elif known and commands:
             if command not in commands:
                 continue
         elif config.keys().isdisjoint(keys) or (ladder and code == "counts"):
@@ -602,9 +606,9 @@ def validate(config, command=None):
 # entry point
 # ---------------------------------------------------------------------------
 
-def _resolve_seed(args, config):
-    if args.seed is not None:
-        return _integer(args.seed, "--seed", 0)
+def _resolve_seed(flag, config):
+    if flag is not None:
+        return _integer(flag, "--seed", 0)
     if "seed" in config:
         return _integer(config["seed"], "seed", 0)
     env = os.environ.get(SEED_ENV)
@@ -640,12 +644,12 @@ def main(argv=None):
         return 2
 
     if args.command == "validate":
-        findings = validate(config)
+        findings = validate(config, seed=args.seed)
         print(json.dumps({"findings": findings}, indent=2))
         return 2 if findings else 0
 
     try:
-        seed = _resolve_seed(args, config)
+        seed = _resolve_seed(args.seed, config)
         outdir = os.path.join(args.out, args.command)
         os.makedirs(outdir, exist_ok=True)
         t0 = time.time()

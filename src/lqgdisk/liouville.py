@@ -216,16 +216,17 @@ class ShiftedChaosPair:
 class ChaosBasis:
     """Replicated plain chaos measures on a given grid and trace, ready for drifting.
 
-    Holds per-replica bulk atom masses on grid's cells and boundary arc
-    masses on trace's arcs (a gmc.GradedDiskGrid and a gff.TraceSampler)
-    of the undrifted measures; any insertion set at the same gamma can
-    then be applied as a deterministic atomwise drift, so several insertion
-    configurations can share one set of field replicas (paired-replica
-    comparisons of partition functions use exactly this).  Replica r draws
-    its bulk field from rng.child(2r) through RotationSampler(grid) and its
-    boundary trace from rng.child(2r + 1) through trace, in blocks of
-    gff.replica_map; both mass arrays are C-ordered, as the blocks' masses
-    are, and the products of drifted_totals read them so.
+    Replica r draws its bulk field from rng.child(2r) through
+    RotationSampler(grid) and its boundary trace from rng.child(2r + 1)
+    through trace (a gmc.GradedDiskGrid and a gff.TraceSampler), in blocks
+    of gff.replica_map.  Any insertion set at the same gamma then acts as
+    a deterministic atomwise drift, so several insertion configurations
+    share one set of field replicas (paired-replica comparisons of
+    partition functions use exactly this).  The basis keeps no masses: a
+    pass draws every block again and reduces it by one product per
+    insertion set, so replica r's totals depend neither on the number of
+    replicas nor on the pass, and the basis keeps two floats per replica
+    per insertion set.
     """
 
     def __init__(self, gamma, n_replicas, rng, grid, trace):
@@ -233,20 +234,11 @@ class ChaosBasis:
         self.gamma = g = float(gamma)
         self.n_replicas = int(n_replicas)
         self.grid, self.trace = grid, trace
-        self.sampler = sampler = RotationSampler(grid)
+        self.sampler = RotationSampler(grid)
         self.arc_points = np.exp(1j * trace.theta)
-        weights = grid.density_weights(0.5 * g**2)
-
-        def bulk_block(noise):
-            return bulk_masses(sampler.fields(noise), sampler.variances, weights, g)
-
-        def boundary_block(coef):
-            return boundary_masses(trace.fields(coef), trace.variance, g, len(trace.theta))
-
-        streams = [rng.child(k) for k in range(2 * self.n_replicas)]
-        self.bulk_masses = replica_map(bulk_block, streams[0::2], sampler.noise_shape)
-        self.bdry_masses = replica_map(boundary_block, streams[1::2], trace.noise_shape)
-        self._factors = {}
+        self._weights = grid.density_weights(0.5 * g**2)
+        self._streams = [rng.child(k) for k in range(2 * self.n_replicas)]
+        self._totals = {}
 
     @staticmethod
     def check_gamma(gamma):
@@ -263,27 +255,47 @@ class ChaosBasis:
         fd = boundary_drift_factors(ins, self.trace.theta, g)
         return fb, fd
 
-    def _drift(self, ins):
-        """drift_factors(ins), computed once per insertion set."""
-        if ins not in self._factors:
-            self._factors[ins] = self.drift_factors(ins)
-        return self._factors[ins]
-
     def drifted_totals(self, ins):
-        """Per-replica totals (I_r, J_r) of the drifted measures."""
-        fb, fd = self._drift(ins)
-        return self.bulk_masses @ fb, self.bdry_masses @ fd
+        """Per-replica totals (I_r, J_r) of the drifted measures; only the first call for ins makes a pass."""
+        if ins not in self._totals:
+            self._pass([ins])
+        return self._totals[ins]
 
     def functional_values(self, ins, fn):
-        """fn evaluated on every replica's drifted pair."""
-        factors = self._drift(ins)
-        return np.array([fn(self._pair(factors, r)) for r in range(self.n_replicas)])
+        """fn evaluated on every replica's drifted pair, in one pass that also caches the totals of ins."""
+        return self._pass([ins], fn)
 
-    def _pair(self, factors, r):
-        fb, fd = factors
-        bulk = AtomicMeasure("bulk", self.grid.centers, self.bulk_masses[r] * fb)
-        bdry = AtomicMeasure("boundary", self.arc_points, self.bdry_masses[r] * fd)
-        return ShiftedChaosPair(bulk, bdry)
+    def _pass(self, sets, fn=None):
+        """Draw every replica block, cache the drifted totals of each set, and return fn on the pairs of sets[0].
+
+        Each block of masses is reduced by one product per set.  With fn,
+        the pass holds every replica's arc masses while it evaluates fn.
+        """
+        g, sampler, trace = self.gamma, self.sampler, self.trace
+        factors = [self.drift_factors(ins) for ins in sets]
+        values = []
+
+        def bdry_block(coef):
+            masses = boundary_masses(trace.fields(coef), trace.variance, g, len(trace.theta))
+            return np.column_stack([masses @ fd for _, fd in factors] + ([masses] if fn else []))
+
+        def bulk_block(noise):
+            masses = bulk_masses(sampler.fields(noise), sampler.variances, self._weights, g)
+            if fn:
+                fb, fd = factors[0]
+                for row in masses[: self.n_replicas - len(values)]:  # not the zero rows padding the last block
+                    pair = ShiftedChaosPair(
+                        AtomicMeasure("bulk", self.grid.centers, row * fb),
+                        AtomicMeasure("boundary", self.arc_points, bdry[len(values), len(sets) :] * fd),
+                    )
+                    values.append(fn(pair))
+            return np.column_stack([masses @ fb for fb, _ in factors])
+
+        bdry = replica_map(bdry_block, self._streams[1::2], trace.noise_shape)
+        bulk = replica_map(bulk_block, self._streams[0::2], sampler.noise_shape)
+        for i, ins in enumerate(sets):
+            self._totals[ins] = bulk[:, i].copy(), bdry[:, i].copy()
+        return np.array(values) if fn else None
 
 
 def bulk_drift_factors(ins, grid, gamma):
@@ -417,8 +429,9 @@ def kpz_ratio_test(ins, psi, basis):
     is the jackknife error of the paired log ratio.  mu_boundary = 0.
     """
     check_ratio_test(ins.params)
-    log_orig = _log_zero_mode(ins, basis)[0]
     moved = mobius_moved(ins, psi)
+    basis._pass([ins, moved])  # both sets' totals from one pass
+    log_orig = _log_zero_mode(ins, basis)[0]
     log_moved = _log_zero_mode(moved, basis)[0]
     # one shift for both sets, so that it cancels from every ratio below
     shift = max(float(np.max(log_orig)), float(np.max(log_moved)))
@@ -457,6 +470,8 @@ def sample_liouville_triple(ins, n_draws, rng, basis, functionals=None):
     `zero_mode_rel_err` of _log_zero_mode.
     """
     p = ins.params
+    # each functional makes a pass of its own, which also fills the totals that _log_zero_mode reads
+    values = {name: basis.functional_values(ins, fn) for name, fn in (functionals or {}).items()}
     log_w, bulk_tot, bdry_tot, rel_err = _log_zero_mode(ins, basis)
     ratio = bulk_tot / bdry_tot**2
     a_exp = 2.0 * ins.s_total / p.gamma
@@ -478,10 +493,7 @@ def sample_liouville_triple(ins, n_draws, rng, basis, functionals=None):
 
     out = {"V": volume, "L": length, "replica": idx, "weight": prob[idx]}
     out.update(ess=ess, acceptance_rate=acceptance, zero_mode_rel_err=rel_err)
-    if functionals:
-        for name, fn in functionals.items():
-            per_replica = basis.functional_values(ins, fn)
-            out[name] = per_replica[idx]
+    out.update((name, per_replica[idx]) for name, per_replica in values.items())
     return out
 
 
@@ -606,10 +618,10 @@ def unit_volume_expectation(ins, fn, basis):
         raise ConfigurationError(
             "unit-volume expectations require exactly three boundary insertions of weight gamma"
         )
+    f_vals = basis.functional_values(ins, fn)  # its pass fills the totals that _log_zero_mode reads
     log_w = _log_zero_mode(ins, basis)[0]
     w = np.exp(log_w - np.max(log_w))
     ess = _effective_sample_size(w)
-    f_vals = basis.functional_values(ins, fn)
     value = float(np.sum(w * f_vals) / w.sum())
     loo = (np.sum(w * f_vals) - w * f_vals) / (w.sum() - w)
     return value, math.sqrt(jackknife_var(loo)), ess

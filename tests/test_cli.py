@@ -785,6 +785,33 @@ class TestValidate:
         findings = json.loads(capsys.readouterr().out)["findings"]
         assert [f["code"] for f in findings] == (["grid"] if code else [])
 
+    def test_validate_refuses_a_command_that_is_not_a_name(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"command": ["gmc-bulk"], "gamma": 1.0}))
+        assert cli.main(["validate", "--config", str(cfg_path)]) == 2
+        findings = json.loads(capsys.readouterr().out)["findings"]
+        assert findings == [{"code": "unknown-command", "message": "unknown experiment ['gmc-bulk']"}]
+
+    @pytest.mark.parametrize(
+        "seed, config_seed, message",
+        [(-5, None, "--seed must be at least 0, got -5"), (3, -1, None)],
+        ids=["negative-flag", "flag-over-key"],
+    )
+    def test_validate_reads_the_seed_as_the_run_does(self, tmp_path, capsys, seed, config_seed, message):
+        # the run checks the flag, and never reads the config's key when the flag is given
+        config = {"gamma": 1.0, "grid": {"n_r": 3}, "n_replicas": 3}
+        if config_seed is not None:
+            config["seed"] = config_seed
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code = 2 if message else 0
+        assert cli.main(["validate", "--config", str(cfg_path), "--seed", str(seed)]) == code
+        findings = json.loads(capsys.readouterr().out)["findings"]
+        assert findings == ([{"code": "seed", "message": message}] if message else [])
+        assert run_cli(tmp_path, "gmc-bulk", config, seed=seed) == code
+        out = json.loads(capsys.readouterr().out)
+        assert out.get("error") == ({"type": "config", "message": message} if message else None)
+
     def test_degenerate_constants_finding(self):
         config = {
             "gamma": 1.0,

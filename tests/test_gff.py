@@ -10,7 +10,7 @@ import pytest
 from lqgdisk import cli, gff, io
 from lqgdisk.errors import FactorizationError, GridError, UnsupportedSeparationError
 from lqgdisk.critical import boundary_ladder_totals
-from lqgdisk.geometry import green, poincare_density
+from lqgdisk.geometry import LiouvilleParams, green, poincare_density
 from lqgdisk.gff import (
     ROTATION_ORDER,
     FieldSampler,
@@ -23,8 +23,9 @@ from lqgdisk.gff import (
     replica_map,
 )
 from lqgdisk.gmc import bulk_masses, graded_disk_grid
-from lqgdisk.liouville import ChaosBasis
+from lqgdisk.liouville import ChaosBasis, InsertionSet
 from tests_support import (
+    basis_reference,
     boundary_coefficient_chunks,
     boundary_coefficients,
     cell_by_cell_csv,
@@ -285,8 +286,8 @@ class TestRotationSampler:
             assert np.array_equal(replica_map(lambda b: b, streams, (3, 4)), want), block
 
     def test_results_keep_the_layout_of_fn(self):
-        # as np.concatenate of the blocks did: the products of drifted_totals read the layout
-        # of ChaosBasis's masses
+        # as np.concatenate of the blocks did: a caller's reductions of the results may read
+        # their layout
         streams = [RngStream(15, r) for r in range(11)]
         got = replica_map(lambda b: np.asfortranarray(b.reshape(len(b), -1)), streams, (3, 4))
         assert got.flags.f_contiguous and got.shape == (11, 12)
@@ -323,22 +324,28 @@ class TestRotationSampler:
             assert np.array_equal(replica_map(block_totals, streams, sampler.noise_shape), want), block
 
     def test_basis_masses_ignore_replica_block(self, monkeypatch):
-        # the masses keep their layout too: drifted_totals' products read it.  Each trace is its
-        # own folds and inverse FFT, so no block size moves its bits
+        # each block of masses is reduced by its own products, and each trace is its own folds
+        # and inverse FFT, so no block size moves the bits of a pair or of a total
         g = math.sqrt(8.0 / 3.0)
+        p = LiouvilleParams(gamma=g, mu=1.0, mu_boundary=0.5)
+        ins = InsertionSet(params=p, bulk=((0.0, g),), boundary=((1.0, g),))
+        rng = RngStream(17, 1)
 
         def basis(block):
             monkeypatch.setattr(gff, "REPLICA_BLOCK", block)
-            return ChaosBasis(g, 230, RngStream(17, 1), graded_disk_grid(5), TraceSampler(1024, 256))
+            return ChaosBasis(g, 230, rng, graded_disk_grid(5), TraceSampler(1024, 256))
 
         want = basis(64)
-        fb, fd = np.random.default_rng(0).random(want.grid.size), np.random.default_rng(1).random(256)
+        fb, fd = want.drift_factors(ins)
+        want_totals = basis_reference(want, rng, fb, fd)
+        bulk, bdry = basis_reference(want, rng)
         for block in REPLICA_BLOCKS:
             got = basis(block)
-            for a, b in ((got.bulk_masses, want.bulk_masses), (got.bdry_masses, want.bdry_masses)):
-                assert np.array_equal(a, b) and a.strides == b.strides, block
-            assert np.array_equal(got.bulk_masses @ fb, want.bulk_masses @ fb)
-            assert np.array_equal(got.bdry_masses @ fd, want.bdry_masses @ fd)
+            for a, b in zip(got.drifted_totals(ins), want_totals):
+                assert np.array_equal(a, b), block
+            for r, pair in enumerate(got.functional_values(ins, lambda pair: pair)):
+                assert np.array_equal(pair.bulk.masses, bulk[r] * fb), (block, r)
+                assert np.array_equal(pair.boundary.masses, bdry[r] * fd), (block, r)
 
 
 # replicas per block that the block tests try (64 is REPLICA_BLOCK)

@@ -14,7 +14,7 @@ from lqgdisk.errors import (
     ResamplingError,
 )
 from lqgdisk.geometry import LiouvilleParams, MobiusMap, green, weyl_anomaly, ConformalFactor
-from lqgdisk.gff import FieldSampler, RngStream, TraceSampler, arc_centers
+from lqgdisk.gff import FieldSampler, RngStream, RotationSampler, TraceSampler, arc_centers
 from lqgdisk import liouville
 from lqgdisk.gmc import graded_disk_grid
 from lqgdisk.liouville import (
@@ -37,7 +37,7 @@ from lqgdisk.liouville import (
     unit_volume_expectation,
     volume_law_params,
 )
-from tests_support import batched_bulk_masses
+from tests_support import basis_reference, batched_bulk_masses, traced_peak
 
 GAMMA_83 = math.sqrt(8.0 / 3.0)
 
@@ -186,14 +186,19 @@ class TestShiftedChaos:
     def test_no_insertions_is_plain_pair(self):
         p = LiouvilleParams(gamma=1.2, mu=1.0)
         ins = InsertionSet(params=p)
-        basis = ChaosBasis(1.2, 3, RngStream(71, 0), graded_disk_grid(5), TraceSampler(256, 128))
+        rng = RngStream(71, 0)
+        basis = ChaosBasis(1.2, 3, rng, graded_disk_grid(5), TraceSampler(256, 128))
+        fb, fd = basis.drift_factors(ins)
+        assert np.array_equal(fb, np.ones(basis.grid.size)) and np.array_equal(fd, np.ones(128))
         bulk_tot, bdry_tot = basis.drifted_totals(ins)
-        assert np.array_equal(bulk_tot, basis.bulk_masses @ np.ones(basis.grid.size))
-        assert np.array_equal(bdry_tot, basis.bdry_masses @ np.ones(128))
+        want_bulk, want_bdry = basis_reference(basis, rng, fb, fd)
+        assert np.array_equal(bulk_tot, want_bulk)
+        assert np.array_equal(bdry_tot, want_bdry)
+        bulk, bdry = basis_reference(basis, rng)
         pairs = basis.functional_values(ins, lambda pair: pair)
         for r, pair in enumerate(pairs):
-            assert np.array_equal(pair.bulk.masses, basis.bulk_masses[r])
-            assert np.array_equal(pair.boundary.masses, basis.bdry_masses[r])
+            assert np.array_equal(pair.bulk.masses, bulk[r])
+            assert np.array_equal(pair.boundary.masses, bdry[r])
 
     def test_inadmissible_rejected(self):
         p = LiouvilleParams(gamma=1.2, mu=1.0)
@@ -526,6 +531,63 @@ class TestKPZ:
         moved = mobius_moved(ins, psi)
         assert moved.bulk[0][0] == pytest.approx(psi(0.55))
         assert abs(abs(moved.boundary[0][0]) - 1.0) < 1e-14
+
+
+class TestBasisPasses:
+    """A ChaosBasis keeps two floats per replica per insertion set, and each pass draws its replicas again."""
+
+    @staticmethod
+    def marked(mu_boundary=0.5):
+        p = LiouvilleParams(gamma=GAMMA_83, mu=1.0, mu_boundary=mu_boundary)
+        return InsertionSet(params=p, bulk=((0.0, GAMMA_83),), boundary=((1.0, GAMMA_83),))
+
+    @pytest.mark.parametrize("depth", [5, 7])
+    def test_totals_ignore_the_replica_count(self, depth):
+        # 230 replicas leave a padded last block; each block is reduced alone
+        ins = self.marked()
+        few, many = (
+            ChaosBasis(GAMMA_83, n, RngStream(75, 0), graded_disk_grid(depth, 2), TraceSampler(1024, 256))
+            for n in (230, 400)
+        )
+        for got, want in zip(few.drifted_totals(ins), many.drifted_totals(ins)):
+            assert np.array_equal(got, want[:230])
+
+    def test_keeps_no_masses(self):
+        # the bulk masses of 2,000 replicas at depth 7 alone would take 37 MB
+        ins = self.marked(0.0)
+
+        def totals():
+            basis = ChaosBasis(GAMMA_83, 2000, RngStream(75, 1), graded_disk_grid(7), TraceSampler(1024, 256))
+            basis.drifted_totals(ins)
+
+        assert traced_peak(totals) < 20e6
+
+    def test_one_pass_per_estimator(self, monkeypatch):
+        # 100 replicas are two blocks of RotationSampler.fields
+        calls = []
+        fields = RotationSampler.fields
+        monkeypatch.setattr(RotationSampler, "fields", lambda sampler, noise: calls.append(1) or fields(sampler, noise))
+        p = LiouvilleParams(gamma=GAMMA_83, mu=1.0, mu_boundary=0.0)
+        roots = [1.0, np.exp(2j * np.pi / 3), np.exp(-2j * np.pi / 3)]
+        three = InsertionSet(params=p, boundary=tuple((s, GAMMA_83) for s in roots))
+        kpz = InsertionSet(params=p, bulk=((0.55, 1.1), (-0.35 + 0.2j, 1.1)))
+        half = lambda pair: pair.bulk.integrate(lambda z: (np.real(z) > 0).astype(float)) / pair.bulk.total
+        runs = {
+            "partition": lambda b: partition_estimate(self.marked(), b),
+            "triple": lambda b: sample_liouville_triple(self.marked(), 100, RngStream(75, 3), b),
+            "triple with a functional": lambda b: sample_liouville_triple(
+                self.marked(0.0), 100, RngStream(75, 3), b, functionals={"half": half}
+            ),
+            "kpz": lambda b: kpz_ratio_test(kpz, MobiusMap(a=0.3, alpha=0.0), b),
+            "unit volume": lambda b: unit_volume_expectation(three, half, b),
+        }
+        for name, run in runs.items():
+            basis = ChaosBasis(GAMMA_83, 100, RngStream(75, 2), graded_disk_grid(5), TraceSampler(256, 128))
+            calls.clear()
+            run(basis)
+            assert len(calls) == 2, name
+        basis.drifted_totals(three)
+        assert len(calls) == 2
 
 
 class TestUnitVolume:

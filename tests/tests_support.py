@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 
 from lqgdisk import critical, io
-from lqgdisk.gff import TraceSampler, check_eigenvalues, covariance_entries
+from lqgdisk.gff import TraceSampler, check_eigenvalues, covariance_entries, replica_map
 from lqgdisk.gmc import boundary_masses, bulk_masses, window_sector_grid
 
 
@@ -59,6 +59,29 @@ def batched_bulk_masses(gamma, grid, sampler, n_replicas, rng):
 def batched_bulk_totals(gamma, grid, sampler, n_replicas, rng):
     """Total masses of the bulk chaos measure across replicas."""
     return batched_bulk_masses(gamma, grid, sampler, n_replicas, rng).sum(axis=0)
+
+
+def basis_reference(basis, rng, fb=None, fd=None):
+    """Every replica's plain (bulk, boundary) masses of a ChaosBasis built on rng, drawn again by replica_map.
+
+    Given drift factors fb and fd, each block of masses is reduced by its
+    products with them instead: the drifted totals (I_r, J_r).
+    """
+    g, sampler, trace, n = basis.gamma, basis.sampler, basis.trace, basis.n_replicas
+    weights = basis.grid.density_weights(0.5 * g**2)
+
+    def bulk(noise):
+        masses = bulk_masses(sampler.fields(noise), sampler.variances, weights, g)
+        return masses if fb is None else masses @ fb
+
+    def bdry(coef):
+        masses = boundary_masses(trace.fields(coef), trace.variance, g, len(trace.theta))
+        return masses if fd is None else masses @ fd
+
+    return (
+        replica_map(bulk, [rng.child(2 * r) for r in range(n)], sampler.noise_shape),
+        replica_map(bdry, [rng.child(2 * r + 1) for r in range(n)], trace.noise_shape),
+    )
 
 
 def one_shot_sector(depth):
