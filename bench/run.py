@@ -157,8 +157,10 @@ def ladder_layers():
 
 
 def chaos_builds():
-    """Seconds and tracemalloc peaks of the chaos layer's four largest builds, the trace's with one 64-replica block."""
-    from lqgdisk import gff
+    """Seconds and tracemalloc peaks of the chaos layer's four largest builds, the trace's with one 64-replica block;
+    then the tracemalloc peaks of in-process gmc-bulk and partition runs at the depth-7 shapes of perfbench's
+    chaos-replicas (640 replicas: the run peaks at the sampler build, before its replica loop) and marked-point."""
+    from lqgdisk import cli, gff
     from lqgdisk.gmc import graded_disk_grid
     points = (np.linspace(-0.6, 0.6, 64)[:, None] + 1j * np.linspace(-0.6, 0.6, 64)).ravel()
     out = {}
@@ -167,6 +169,11 @@ def chaos_builds():
     noise = np.random.default_rng(1).standard_normal((64, 2, 2048))
     _seconds_and_peak(out, "trace_sampler_2048_4096", lambda: gff.TraceSampler(2048, 4096).fields(noise))
     _seconds_and_peak(out, "check_averaging_circles_4096", lambda: gff.check_averaging_circles(points, 0.009))
+    depth7 = {"grid": {"n_r": 7, "rings_per_band": 2}}
+    out["gmc_bulk_depth7.peak_mb"] = _peak_mb(cli.run_gmc_bulk, {"gamma": 1.0, **depth7, "n_replicas": 640}, SEED)
+    marked = {**MARKED, **depth7, "mu_boundary": 0.5, "n_modes": 1024, "n_arcs": 256, "n_replicas": 400,
+              "method": "quadrature"}
+    out["partition_depth7.peak_mb"] = _peak_mb(cli.run_partition, marked, SEED)
     return out
 
 

@@ -220,8 +220,7 @@ def run_field_sample(config, seed):
 
 def _totals_result(name, quantity, gamma, seed, n, sampler, block_totals):
     """The summary of the mean total mass of replicas 0..n-1, replica r from RngStream(seed, r), and their table."""
-    streams = [RngStream(seed, r) for r in range(n)]
-    totals = replica_map(block_totals, streams, sampler.noise_shape)
+    totals = replica_map(block_totals, lambda r: RngStream(seed, r), n, sampler.noise_shape)
     mean = math.fsum(totals) / n
     var = math.fsum((t - mean) ** 2 for t in totals) / (n - 1)
     summary = _summary(
@@ -298,11 +297,12 @@ def run_critical_ladder(config, seed):
         del report["noise_wait_s"]  # wall-clock seconds: not fixed by the config and seed
     else:
         pushed, plain = critical.boundary_ladder_totals(levels, n_replicas, rng)
-    rows = [(lvl, len(tp), float(np.median(tp)), float(np.median(tn))) for lvl, tp, tn in zip(levels, pushed, plain)]
+    rows = [(lvl, len(tp), float(critical.median(tp)), float(critical.median(tn)))
+            for lvl, tp, tn in zip(levels, pushed, plain)]
     ratios = critical.median_ratios(pushed)
     quantity = "total-mass medians of the critical measure along a cutoff ladder"
     summary = _summary(
-        quantity, float(np.median(pushed[-1])), 0.0, rows[-1][1],
+        quantity, rows[-1][2], 0.0, rows[-1][1],
         kind=kind,
         levels=levels,
         pushed_median_ratios=[float(r) for r in ratios],

@@ -35,6 +35,7 @@ __all__ = [
     "bulk_ladder_totals",
     "boundary_ladder_totals",
     "median_ratios",
+    "median",
 ]
 
 
@@ -258,5 +259,11 @@ def boundary_ladder_totals(mode_levels, n_replicas, rng):
 
 def median_ratios(totals):
     """Consecutive ratios of per-level medians of ladder totals."""
-    med = np.array([np.median(t) for t in totals])
+    med = np.array([median(t) for t in totals])
     return med[1:] / med[:-1]
+
+
+def median(x):
+    """np.median of a 1-d array, bit for bit, from np.partition: np.median's NaN check imports numpy.ma."""
+    k, odd = len(x) // 2, len(x) % 2
+    return np.partition(x, k if odd else [k - 1, k])[k - 1 + odd : k + 1].mean()

@@ -162,8 +162,9 @@ def check_averaging_circles(points, eps):
     circle must stay inside the disk, and the points must be distinct
     (GridError); distinct circles must not overlap, up to a relative
     tolerance of 1e-12 (UnsupportedSeparationError), a coincident pair
-    being reported first.  The pairs are compared a few rows (BUILD_CHUNK
-    values) at a time: 4,096 points take 4 MB, not 384 MB.
+    being reported first.  The pairs are compared a few rows at a time,
+    BUILD_CHUNK // 16 pairs, as RotationSampler builds its covariances:
+    4,096 points take 0.6 MB, not 384 MB.
     """
     pts = np.asarray(points, dtype=complex)
     check_point_count(len(pts))
@@ -172,7 +173,7 @@ def check_averaging_circles(points, eps):
         raise GridError("eps must be positive")
     if np.any(eps_arr >= 1.0 - np.abs(pts)):
         raise GridError("every averaging circle must stay inside the disk")
-    overlap, rows = False, 1 + BUILD_CHUNK // (2 * len(pts) + 1)
+    overlap, rows = False, 1 + BUILD_CHUNK // (16 * len(pts))
     for i in range(0, len(pts), rows):
         dist = np.abs(pts[i : i + rows, None] - pts[None, :])
         np.fill_diagonal(dist[:, i:], np.inf)
@@ -203,7 +204,9 @@ class FieldSampler:
             factor = np.linalg.cholesky(self.covariance)
         except np.linalg.LinAlgError:
             factor = circulant_root(self.covariance[None])[0][0]
-        self._factor = np.asfortranarray(factor)
+        for i in range(len(factor) - 1):  # transposed in place by row/column swaps: no second m x m copy
+            factor[i, i + 1 :], factor[i + 1 :, i] = factor[i + 1 :, i].copy(), factor[i, i + 1 :].copy()
+        self._factor = factor.T  # so Fortran-ordered
 
     def draw(self, rng):
         gen = rng.generator()
@@ -228,9 +231,11 @@ class RotationSampler:
     c(d)[a, b] = G(x_a, w^d x_b): block circulant over the rotation index
     d, with the Hermitian eigenblocks
     sum_d c(d)^T e^{-2 pi i q d / ROTATION_ORDER}, q = 0..ROTATION_ORDER/2,
-    which circulant_root factors and circulant_fields draws from, so the
-    fields of a block are a plain reshape of its draws; c(d) and the FFT
-    are built a few base cells a (BUILD_CHUNK values) at a time.
+    which circulant_root factors in place and circulant_fields draws
+    from, so the fields of a block are a plain reshape of its draws; c(d)
+    and the FFT are built BUILD_CHUNK // 16 entries at a time, so the
+    temporaries of covariance_entries (about eight complex arrays of a
+    chunk's entries) come to about BUILD_CHUNK values.
     """
 
     def __init__(self, grid):
@@ -241,27 +246,29 @@ class RotationSampler:
         x, e = pts[::n], eps[::n]
         turned = x[None, :] * np.exp(2j * np.pi * np.arange(n) / n)[:, None]
         spectrum = np.empty((n // 2 + 1, len(x), len(x)), complex)
-        step = max(1, BUILD_CHUNK // (2 * n * len(x)))
+        step = max(1, BUILD_CHUNK // (16 * n * len(x)))
         for a in range(0, len(x), step):
             blocks = covariance_entries(x[a : a + step, None], turned[:, None], e[a : a + step, None])
             spectrum[:, :, a : a + step] = np.fft.rfft(blocks.transpose(0, 2, 1), axis=0)
-        self._root, self.min_eigenvalue = circulant_root(spectrum)
+        self._root, self.min_eigenvalue = circulant_root(spectrum, out=spectrum)
 
     def fields(self, noise):
         """Field values in point order, shape (n, size), from noise of shape (n, *noise_shape)."""
         return circulant_fields(self._root, noise).reshape(len(noise), -1)
 
 
-def circulant_root(spectrum):
+def circulant_root(spectrum, out=None):
     """Square roots of a block-circulant covariance's eigenblocks, and its smallest eigenvalue.
 
     spectrum holds the Hermitian (or real symmetric) eigenblocks q = 0..M/2
-    of the embedding; each is factored by its Hermitian square root.  The
+    of the embedding; each is factored by its Hermitian square root, into
+    out if given (RotationSampler passes its spectrum, each chunk's roots
+    overwriting the blocks its eigh has read), else into a new array.  The
     eigenvalues must pass check_eigenvalues (FactorizationError otherwise).
     The blocks are factored BUILD_CHUNK values at a time, so a chunk holds
     half as many complex blocks as real ones.
     """
-    root, w = None, np.empty(spectrum.shape[:2])
+    root, w = out, np.empty(spectrum.shape[:2])
     step = max(1, BUILD_CHUNK * 8 // spectrum[0].nbytes)
     for q in range(0, len(spectrum), step):
         w[q : q + step], v = np.linalg.eigh(spectrum[q : q + step])
@@ -292,11 +299,12 @@ def circulant_fields(root, noise):
     return np.fft.irfft(spec.transpose(2, 1, 0), n=noise.shape[-1], axis=-1, out=np.empty(noise.shape))
 
 
-def replica_map(fn, streams, shape):
-    """fn applied to standard normal noise of the given shape drawn per replica, in blocks.
+def replica_map(fn, stream, n, shape):
+    """fn applied to standard normal noise of the given shape drawn for replicas 0..n-1, in blocks.
 
-    Replica r draws its noise from streams[r] alone, straight into one
-    reused buffer.  fn receives blocks of REPLICA_BLOCK replicas, shape
+    Replica r draws its noise from the RngStream stream(r) alone, made
+    just before it draws, straight into one reused buffer, so no list of
+    streams is held.  fn receives blocks of REPLICA_BLOCK replicas, shape
     (REPLICA_BLOCK, *shape), and returns one result per row.
     The last block is padded with zero rows, so every block has one shape
     and replica r's result depends neither on the number of replicas nor
@@ -304,16 +312,16 @@ def replica_map(fn, streams, shape):
     out in memory as fn's results are.
     """
     noise, out = np.empty((REPLICA_BLOCK, *shape)), None
-    # at least one block, so that no streams give an empty result of the right shape
-    for start in range(0, max(len(streams), 1), REPLICA_BLOCK):
-        batch = streams[start : start + REPLICA_BLOCK]
-        for j, stream in enumerate(batch):
-            stream.generator().standard_normal(out=noise[j])
-        noise[len(batch) :] = 0.0
-        result = fn(noise)[: len(batch)]
+    # at least one block, so that no replicas give an empty result of the right shape
+    for start in range(0, max(n, 1), REPLICA_BLOCK):
+        stop = min(start + REPLICA_BLOCK, n)
+        for r in range(start, stop):
+            stream(r).generator().standard_normal(out=noise[r - start])
+        noise[stop - start :] = 0.0
+        result = fn(noise)[: stop - start]
         if out is None:
-            out = np.empty_like(result, shape=(len(streams), *result.shape[1:]))
-        out[start : start + len(batch)] = result
+            out = np.empty_like(result, shape=(n, *result.shape[1:]))
+        out[start:stop] = result
         del result  # freed before the next block's temporaries
     return out
 

@@ -233,11 +233,10 @@ class ChaosBasis:
         self.check_gamma(gamma)
         self.gamma = g = float(gamma)
         self.n_replicas = int(n_replicas)
-        self.grid, self.trace = grid, trace
+        self.grid, self.trace, self.rng = grid, trace, rng
         self.sampler = RotationSampler(grid)
         self.arc_points = np.exp(1j * trace.theta)
         self._weights = grid.density_weights(0.5 * g**2)
-        self._streams = [rng.child(k) for k in range(2 * self.n_replicas)]
         self._totals = {}
 
     @staticmethod
@@ -291,8 +290,8 @@ class ChaosBasis:
                     values.append(fn(pair))
             return np.column_stack([masses @ fb for fb, _ in factors])
 
-        bdry = replica_map(bdry_block, self._streams[1::2], trace.noise_shape)
-        bulk = replica_map(bulk_block, self._streams[0::2], sampler.noise_shape)
+        bdry = replica_map(bdry_block, lambda r: self.rng.child(2 * r + 1), self.n_replicas, trace.noise_shape)
+        bulk = replica_map(bulk_block, lambda r: self.rng.child(2 * r), self.n_replicas, sampler.noise_shape)
         for i, ins in enumerate(sets):
             self._totals[ins] = bulk[:, i].copy(), bdry[:, i].copy()
         return np.array(values) if fn else None

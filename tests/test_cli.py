@@ -267,8 +267,8 @@ class TestGridRule:
         assert [max(d for d, r, _ in accepted & set(deep) if r == k) for k in (1, 2, 3)] == [23, 22, 21]
 
     def test_chunked_check_decides_as_one_piece(self, monkeypatch):
-        # the m x m check compares a few rows of pairs at a time: here 4 rows of the largest
-        # grid (2,640 cells), its default, and the whole matrix at once, as it did before chunks
+        # the m x m check compares a few rows of pairs at a time: here one row of the largest grid
+        # (2,640 cells), its default (7 rows), and the whole matrix at once, as it did before chunks
         decided = set()
         for shape in TEST_GRID_SHAPES + DEEP_GRID_SHAPES:
             grid = unchecked_grid(shape, monkeypatch)

@@ -11,6 +11,7 @@ from lqgdisk.critical import (
     bulk_ladder_totals,
     check_bulk_ladder,
     coarsen_noise,
+    median,
     median_ratios,
     sector_spectrum,
 )
@@ -62,6 +63,15 @@ class TestLadders:
         assert np.all(np.diff(med_plain) < 0)
         ratios = median_ratios(pushed)
         assert np.all((ratios > 0.75) & (ratios < 1.33))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 1499, 1500, 2500, 2501, 20000])
+    def test_median_is_numpys(self, n):
+        # odd and even lengths, the ladder's replica counts among them; ties included
+        rng = np.random.default_rng(n)
+        for x in (rng.lognormal(size=n), np.round(rng.standard_normal(n), 1)):
+            want = np.median(x)
+            got = median(x)
+            assert got == want and type(got) is type(want), n
 
 
 class TestSectorSampler:

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -202,6 +203,15 @@ class TestFieldSampler:
         assert np.array_equal(cov, covariance_entries(pts[:, None], pts[None, :], eps[:, None]))
         assert traced_peak(lambda: neumann_covariance(pts, eps)) < 2 * cov.nbytes
 
+    def test_build_memory(self):
+        # numpy's factor, transposed in place into Fortran order: the build holds two m x m matrices at
+        # depth 7, the covariance and the factor (83.3 MB measured for 41.6 MB each; 124.9 MB with a copy)
+        grid, built = graded_disk_grid(7), []
+        peak = traced_peak(lambda: built.append(FieldSampler(grid.centers, grid.eps)))
+        f = built[0]._factor
+        assert peak < 90 * 2**20
+        assert f.flags.f_contiguous and np.array_equal(f, np.linalg.cholesky(built[0].covariance))
+
     def test_factor_falls_back_to_the_symmetric_root(self, monkeypatch):
         def refuse(a):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
@@ -210,6 +220,7 @@ class TestFieldSampler:
         grid = graded_disk_grid(4)
         sampler = FieldSampler(grid.centers, grid.eps)
         f, c = sampler._factor, sampler.covariance
+        assert f.flags.f_contiguous and np.array_equal(f, gff.circulant_root(c[None])[0][0])
         np.testing.assert_allclose(f @ f.T, c, rtol=0.0, atol=1e-10 * np.max(np.abs(c)))
         np.testing.assert_allclose(f, f.T, rtol=0.0, atol=1e-14 * np.max(np.abs(f)))
 
@@ -261,13 +272,28 @@ class TestRotationSampler:
         assert np.max(np.abs(emp - want) / se) < 5.0
 
     def test_build_memory(self):
-        # the grid's ring-by-ring circle check builds no m x m matrix (m = 2,336 at depth 7), and
-        # the blocks, their FFT and the roots are built in chunks (12.6 MB measured, 17.4 MB before)
-        assert traced_peak(lambda: RotationSampler(graded_disk_grid(7))) < 16 * 2**20
+        # the grid's ring-by-ring circle check builds no m x m matrix (m = 2,336 at depth 7), the
+        # blocks and their FFT are built in chunks sized by their temporaries, and the roots are
+        # written over the spectrum (9.1 MB measured; 12.5 MB into a separate root, 17.4 MB before)
+        assert traced_peak(lambda: RotationSampler(graded_disk_grid(7))) < 10 * 2**20
 
     def test_grid_memory(self):
-        # the ring-pair circle checks compare a few rows at a time (4.4 MB measured, 61 MB in one piece)
-        assert traced_peak(lambda: graded_disk_grid(8)) < 8 * 2**20
+        # the ring-pair circle checks compare BUILD_CHUNK // 16 pairs at a time (0.93 MB measured;
+        # 4.3 MB at BUILD_CHUNK / 2 pairs, 61 MB in one piece)
+        assert traced_peak(lambda: graded_disk_grid(8)) < 1.5 * 2**20
+
+    @pytest.mark.parametrize("chunk", [2**12, gff.BUILD_CHUNK])
+    def test_chunked_build_is_the_one_piece_build(self, chunk, monkeypatch):
+        # at 2**12 one base cell and one eigenblock per chunk, each root written over its block
+        grid, n = graded_disk_grid(6), ROTATION_ORDER
+        x, e = grid.centers[::n], grid.eps[::n]
+        turned = x[None, :] * np.exp(2j * np.pi * np.arange(n) / n)[:, None]
+        blocks = covariance_entries(x[:, None], turned[:, None], e[:, None])
+        w, v = np.linalg.eigh(np.fft.rfft(blocks.transpose(0, 2, 1), axis=0))
+        root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.conj(v).transpose(0, 2, 1)
+        monkeypatch.setattr(gff, "BUILD_CHUNK", chunk)
+        sampler = RotationSampler(grid)
+        assert np.array_equal(sampler._root, root) and sampler.min_eigenvalue == w.min()
 
     def test_negative_eigenblock_raises(self, monkeypatch):
         entries = gff.covariance_entries
@@ -278,18 +304,29 @@ class TestRotationSampler:
             RotationSampler(grid)
 
     def test_replica_noise_ignores_block_size(self, monkeypatch):
-        streams = [RngStream(15, r) for r in range(11)]
-        want = np.stack([s.generator().standard_normal((3, 4)) for s in streams])
-        assert np.array_equal(replica_map(lambda b: b, streams, (3, 4)), want)
+        stream = functools.partial(RngStream, 15)
+        want = np.stack([stream(r).generator().standard_normal((3, 4)) for r in range(11)])
+        assert np.array_equal(replica_map(lambda b: b, stream, 11, (3, 4)), want)
         for block in (4, 5):
             monkeypatch.setattr(gff, "REPLICA_BLOCK", block)
-            assert np.array_equal(replica_map(lambda b: b, streams, (3, 4)), want), block
+            assert np.array_equal(replica_map(lambda b: b, stream, 11, (3, 4)), want), block
+
+    def test_each_stream_is_made_once_in_replica_order(self):
+        # 150 replicas take three blocks, the last one padded
+        made = []
+
+        def stream(r):
+            made.append(r)
+            return RngStream(15, r)
+
+        replica_map(lambda b: b.sum(axis=(1, 2)), stream, 150, (3, 4))
+        assert made == list(range(150))
 
     def test_results_keep_the_layout_of_fn(self):
         # as np.concatenate of the blocks did: a caller's reductions of the results may read
         # their layout
-        streams = [RngStream(15, r) for r in range(11)]
-        got = replica_map(lambda b: np.asfortranarray(b.reshape(len(b), -1)), streams, (3, 4))
+        stream = functools.partial(RngStream, 15)
+        got = replica_map(lambda b: np.asfortranarray(b.reshape(len(b), -1)), stream, 11, (3, 4))
         assert got.flags.f_contiguous and got.shape == (11, 12)
 
     def test_fields_are_c_ordered(self):
@@ -313,15 +350,15 @@ class TestRotationSampler:
         grid = graded_disk_grid(depth)
         sampler = RotationSampler(grid)
         weights = grid.density_weights(0.5)
-        streams = [RngStream(16, r) for r in range(230)]
+        stream = functools.partial(RngStream, 16)
 
         def block_totals(noise):
             return bulk_masses(sampler.fields(noise), sampler.variances, weights, 1.0).sum(axis=1)
 
-        want = replica_map(block_totals, streams, sampler.noise_shape)
+        want = replica_map(block_totals, stream, 230, sampler.noise_shape)
         for block in REPLICA_BLOCKS:
             monkeypatch.setattr(gff, "REPLICA_BLOCK", block)
-            assert np.array_equal(replica_map(block_totals, streams, sampler.noise_shape), want), block
+            assert np.array_equal(replica_map(block_totals, stream, 230, sampler.noise_shape), want), block
 
     def test_basis_masses_ignore_replica_block(self, monkeypatch):
         # each block of masses is reduced by its own products, and each trace is its own folds

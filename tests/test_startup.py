@@ -83,6 +83,14 @@ def test_cli_import_loads_no_thread_pool():
     assert "concurrent.futures" not in loaded and "logging" not in loaded
 
 
+def test_critical_ladder_loads_no_masked_arrays(tmp_path):
+    # np.median imports numpy.ma for its NaN check; the ladder's medians come from critical.median
+    argv = cli_argv(tmp_path, "critical-ladder", NUMPY_ONLY_RUNS["critical-ladder"], 1, "out")
+    code = ("import json, sys, lqgdisk.cli; rc = lqgdisk.cli.main(sys.argv[1:]); "
+            "print(json.dumps([rc, 'numpy.ma' in sys.modules]))")
+    assert json.loads(run_python(code, argv).splitlines()[-1]) == [0, False]
+
+
 def test_replica_totals_bounded_across_blas_thread_counts(tmp_path):
     # depth 7 (2,274 points): at these shapes the eigenblock products of
     # gff.circulant_fields round differently on one and two OpenBLAS threads

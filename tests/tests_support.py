@@ -79,8 +79,8 @@ def basis_reference(basis, rng, fb=None, fd=None):
         return masses if fd is None else masses @ fd
 
     return (
-        replica_map(bulk, [rng.child(2 * r) for r in range(n)], sampler.noise_shape),
-        replica_map(bdry, [rng.child(2 * r + 1) for r in range(n)], trace.noise_shape),
+        replica_map(bulk, lambda r: rng.child(2 * r), n, sampler.noise_shape),
+        replica_map(bdry, lambda r: rng.child(2 * r + 1), n, trace.noise_shape),
     )
 
 
