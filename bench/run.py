@@ -56,8 +56,9 @@ MARKED = {"gamma": GAMMA, "mu": 1.0, "mu_boundary": 0.0, "grid": {"n_r": 5}, "n_
           "n_draws": 2000, "insertions": [{"kind": "bulk", "position": [0.0, 0.0], "weight": GAMMA},
                                           {"kind": "boundary", "position": [1.0, 0.0], "weight": GAMMA}]}
 # a run's name is its experiment, then an optional label: one config per experiment, the perfbench shapes
-# of gmc-bulk and volume-law, 4 arcs (1,024 modes folded onto 3 bins of the trace's half spectrum), and a
-# boundary ladder whose levels keep different replica counts
+# of gmc-bulk and volume-law, volume-law at mu_b > 0 (the y quadrature and sampler), 4 arcs (1,024 modes
+# folded onto 3 bins of the trace's half spectrum), and a boundary ladder whose levels keep different
+# replica counts
 CONFIGS = {
     "green-selftest": {"n_samples": 2000},
     "field-sample": {"grid": {"n_r": 4}},
@@ -69,6 +70,7 @@ CONFIGS = {
     "critical-ladder boundary": {"kind": "boundary", "mode_levels": [64, 256, 1024], "n_replicas": [700, 300, 100]},
     "seiberg-validate": MARKED,
     "volume-law": MARKED,
+    "volume-law mu_b": {**MARKED, "mu_boundary": 0.5},
     "volume-law depth-7": {**MARKED, "grid": {"n_r": 7, "rings_per_band": 2}, "n_modes": 1024,
                            "n_arcs": 256, "n_replicas": 400},
     "partition": {**MARKED, "mu_boundary": 0.5},

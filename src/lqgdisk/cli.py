@@ -260,11 +260,10 @@ def run_gmc_bulk(config, seed):
 def run_gmc_boundary(config, seed):
     gamma = _params_from(config).gamma
     n_replicas = _count(config, "n_replicas", 1000)
-    n_modes, n_arcs = _modes_from(config)
-    trace = TraceSampler(n_modes, n_arcs)
+    trace = TraceSampler(*_modes_from(config))
 
     def block_totals(coef):
-        return boundary_masses(trace.fields(coef), trace.variance, gamma, n_arcs).sum(axis=1)
+        return boundary_masses(trace.fields(coef), trace.variance, gamma).sum(axis=1)
 
     quantity = "mean total mass of the boundary chaos measure"
     summary, tables = _totals_result("gmc-boundary", quantity, gamma, seed, n_replicas, trace, block_totals)

@@ -222,19 +222,19 @@ def bulk_masses(values, variances, weights, gamma):
     return np.multiply(np.exp(out, out=out), weights, out=out)
 
 
-def boundary_masses(x, variance, gamma, n_arcs):
+def boundary_masses(x, variance, gamma):
     """Boundary arc masses e^{-gamma^2/8} exp((gamma/2) X - (gamma^2/8) Var) (2 pi / n_arcs).
 
-    Elementwise in the trace values x; variance is the truncated trace
-    variance, constant along the circle, which replaces the divergent limit
-    in the normalization.  The factor e^{-gamma^2/8} carries the
-    boundary-average constant of the limiting density, so the expected
-    total mass is 2 pi e^{-gamma^2/8} at every truncation level.
+    Elementwise in the trace values x (arcs on the last axis); variance is
+    the truncated trace variance, constant along the circle, which replaces
+    the divergent limit in the normalization.  The factor e^{-gamma^2/8}
+    carries the boundary-average constant of the limiting density, so the
+    expected total mass is 2 pi e^{-gamma^2/8} at every truncation level.
     """
     return (
         np.exp(-0.125 * gamma**2)
         * np.exp(0.5 * gamma * x - 0.125 * gamma**2 * variance)
-        * (2.0 * np.pi / n_arcs)
+        * (2.0 * np.pi / x.shape[-1])
     )
 
 

@@ -219,14 +219,17 @@ class ChaosBasis:
     Replica r draws its bulk field from rng.child(2r) through
     RotationSampler(grid) and its boundary trace from rng.child(2r + 1)
     through trace (a gmc.GradedDiskGrid and a gff.TraceSampler), in blocks
-    of gff.replica_map.  Any insertion set at the same gamma then acts as
-    a deterministic atomwise drift, so several insertion configurations
+    of gff.replica_map.  The two draws are independent, a modelling
+    choice (in the paper, the trace of one free-boundary GFF carries the
+    boundary measure) that J and every estimate at mu_b > 0 see (ROADMAP
+    item 2).  Any insertion set at the same gamma acts as a
+    deterministic atomwise drift, so several insertion configurations
     share one set of field replicas (paired-replica comparisons of
-    partition functions use exactly this).  The basis keeps no masses: a
-    pass draws every block again and reduces it by one product per
-    insertion set, so replica r's totals depend neither on the number of
-    replicas nor on the pass, and the basis keeps two floats per replica
-    per insertion set.
+    partition functions use exactly this).  The basis keeps no masses:
+    each reduce call is one pass that draws every block again and reduces
+    it by one product per insertion set, so replica r's totals depend
+    neither on the number of replicas nor on the pass, and the basis
+    keeps two floats per replica per insertion set.
     """
 
     def __init__(self, gamma, n_replicas, rng, grid, trace):
@@ -256,45 +259,44 @@ class ChaosBasis:
 
     def drifted_totals(self, ins):
         """Per-replica totals (I_r, J_r) of the drifted measures; only the first call for ins makes a pass."""
-        if ins not in self._totals:
-            self._pass([ins])
+        self.reduce([ins])
         return self._totals[ins]
 
-    def functional_values(self, ins, fn):
-        """fn evaluated on every replica's drifted pair, in one pass that also caches the totals of ins."""
-        return self._pass([ins], fn)
+    def reduce(self, sets, functionals=None):
+        """Cache the drifted totals of every set in one pass, and return {name: fn on the pairs of sets[0]}.
 
-    def _pass(self, sets, fn=None):
-        """Draw every replica block, cache the drifted totals of each set, and return fn on the pairs of sets[0].
-
-        Each block of masses is reduced by one product per set.  With fn,
-        the pass holds every replica's arc masses while it evaluates fn.
+        Each block of masses is reduced by one product per set.  With
+        functionals, the pass holds every replica's arc masses while it
+        evaluates them; without, sets already cached make no pass.
         """
+        functionals = functionals or {}
+        if not functionals and all(ins in self._totals for ins in sets):
+            return {}
         g, sampler, trace = self.gamma, self.sampler, self.trace
         factors = [self.drift_factors(ins) for ins in sets]
-        values = []
+        rows = []  # per replica, the value of each functional
 
         def bdry_block(coef):
-            masses = boundary_masses(trace.fields(coef), trace.variance, g, len(trace.theta))
-            return np.column_stack([masses @ fd for _, fd in factors] + ([masses] if fn else []))
+            masses = boundary_masses(trace.fields(coef), trace.variance, g)
+            return np.column_stack([masses @ fd for _, fd in factors] + ([masses] if functionals else []))
 
         def bulk_block(noise):
             masses = bulk_masses(sampler.fields(noise), sampler.variances, self._weights, g)
-            if fn:
+            if functionals:
                 fb, fd = factors[0]
-                for row in masses[: self.n_replicas - len(values)]:  # not the zero rows padding the last block
+                for row in masses[: self.n_replicas - len(rows)]:  # not the zero rows padding the last block
                     pair = ShiftedChaosPair(
                         AtomicMeasure("bulk", self.grid.centers, row * fb),
-                        AtomicMeasure("boundary", self.arc_points, bdry[len(values), len(sets) :] * fd),
+                        AtomicMeasure("boundary", self.arc_points, bdry[len(rows), len(sets) :] * fd),
                     )
-                    values.append(fn(pair))
+                    rows.append([fn(pair) for fn in functionals.values()])
             return np.column_stack([masses @ fb for fb, _ in factors])
 
         bdry = replica_map(bdry_block, lambda r: self.rng.child(2 * r + 1), self.n_replicas, trace.noise_shape)
         bulk = replica_map(bulk_block, lambda r: self.rng.child(2 * r), self.n_replicas, sampler.noise_shape)
         for i, ins in enumerate(sets):
             self._totals[ins] = bulk[:, i].copy(), bdry[:, i].copy()
-        return np.array(values) if fn else None
+        return {name: np.array([row[k] for row in rows]) for k, name in enumerate(functionals)}
 
 
 def bulk_drift_factors(ins, grid, gamma):
@@ -429,7 +431,7 @@ def kpz_ratio_test(ins, psi, basis):
     """
     check_ratio_test(ins.params)
     moved = mobius_moved(ins, psi)
-    basis._pass([ins, moved])  # both sets' totals from one pass
+    basis.reduce([ins, moved])  # both sets' totals from one pass
     log_orig = _log_zero_mode(ins, basis)[0]
     log_moved = _log_zero_mode(moved, basis)[0]
     # one shift for both sets, so that it cancels from every ratio below
@@ -469,8 +471,7 @@ def sample_liouville_triple(ins, n_draws, rng, basis, functionals=None):
     `zero_mode_rel_err` of _log_zero_mode.
     """
     p = ins.params
-    # each functional makes a pass of its own, which also fills the totals that _log_zero_mode reads
-    values = {name: basis.functional_values(ins, fn) for name, fn in (functionals or {}).items()}
+    values = basis.reduce([ins], functionals) if functionals else {}  # else _log_zero_mode checks admissibility first
     log_w, bulk_tot, bdry_tot, rel_err = _log_zero_mode(ins, basis)
     ratio = bulk_tot / bdry_tot**2
     a_exp = 2.0 * ins.s_total / p.gamma
@@ -617,7 +618,7 @@ def unit_volume_expectation(ins, fn, basis):
         raise ConfigurationError(
             "unit-volume expectations require exactly three boundary insertions of weight gamma"
         )
-    f_vals = basis.functional_values(ins, fn)  # its pass fills the totals that _log_zero_mode reads
+    f_vals = basis.reduce([ins], {"fn": fn})["fn"]
     log_w = _log_zero_mode(ins, basis)[0]
     w = np.exp(log_w - np.max(log_w))
     ess = _effective_sample_size(w)

@@ -132,17 +132,18 @@ class TestRunAndManifest:
         self, tmp_path, capsys, monkeypatch, mu_b, reported
     ):
         calls = []
-        values = liouville.ChaosBasis.functional_values
+        reduce = liouville.ChaosBasis.reduce
 
-        def counted(basis, *args):
-            calls.append(args)
-            return values(basis, *args)
+        def counted(basis, sets, functionals=None):
+            if functionals:
+                calls.append(sorted(functionals))
+            return reduce(basis, sets, functionals)
 
-        monkeypatch.setattr(liouville.ChaosBasis, "functional_values", counted)
+        monkeypatch.setattr(liouville.ChaosBasis, "reduce", counted)
         assert run_cli(tmp_path, "volume-law", marked_config(mu_boundary=mu_b), seed=99) == 0
         summary = json.loads(capsys.readouterr().out)["summary"]
         assert ("half_disk_corr" in summary) == reported
-        assert len(calls) == (1 if reported else 0)
+        assert calls == ([["half_disk"]] if reported else [])
 
     def test_maps_sample_formats(self, tmp_path, capsys):
         config = {"a": 0.3, "mu": 1.0, "mu_boundary": 1.0, "n_draws": 500, "seed": 3}

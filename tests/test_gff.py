@@ -380,7 +380,7 @@ class TestRotationSampler:
             got = basis(block)
             for a, b in zip(got.drifted_totals(ins), want_totals):
                 assert np.array_equal(a, b), block
-            for r, pair in enumerate(got.functional_values(ins, lambda pair: pair)):
+            for r, pair in enumerate(got.reduce([ins], {"pair": lambda pair: pair})["pair"]):
                 assert np.array_equal(pair.bulk.masses, bulk[r] * fb), (block, r)
                 assert np.array_equal(pair.boundary.masses, bdry[r] * fd), (block, r)
 

@@ -199,7 +199,7 @@ class TestMeasureOps:
         assert np.array_equal(masses, np.exp(g * kept[0] - 0.5 * g**2 * kept[1]) * kept[2])
         x = gen.standard_normal((3, 8))
         x_kept = x.copy()
-        arcs = boundary_masses(x, 2.0, g, 8)
+        arcs = boundary_masses(x, 2.0, g)
         assert np.array_equal(x, x_kept) and not np.shares_memory(arcs, x)
         want = np.exp(-0.125 * g**2) * np.exp(0.5 * g * x - 0.125 * g**2 * 2.0) * (2.0 * np.pi / 8)
         assert np.array_equal(arcs, want)

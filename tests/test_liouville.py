@@ -195,7 +195,7 @@ class TestShiftedChaos:
         assert np.array_equal(bulk_tot, want_bulk)
         assert np.array_equal(bdry_tot, want_bdry)
         bulk, bdry = basis_reference(basis, rng)
-        pairs = basis.functional_values(ins, lambda pair: pair)
+        pairs = basis.reduce([ins], {"pair": lambda pair: pair})["pair"]
         for r, pair in enumerate(pairs):
             assert np.array_equal(pair.bulk.masses, bulk[r])
             assert np.array_equal(pair.boundary.masses, bdry[r])
@@ -571,6 +571,8 @@ class TestBasisPasses:
         roots = [1.0, np.exp(2j * np.pi / 3), np.exp(-2j * np.pi / 3)]
         three = InsertionSet(params=p, boundary=tuple((s, GAMMA_83) for s in roots))
         kpz = InsertionSet(params=p, bulk=((0.55, 1.1), (-0.35 + 0.2j, 1.1)))
+        kpz_b = InsertionSet(params=p, bulk=((0.5j, 0.75), (-0.45, 0.75), (0.3 - 0.4j, 0.75)))
+        psi = MobiusMap(a=0.3, alpha=0.0)
         half = lambda pair: pair.bulk.integrate(lambda z: (np.real(z) > 0).astype(float)) / pair.bulk.total
         runs = {
             "partition": lambda b: partition_estimate(self.marked(), b),
@@ -578,7 +580,14 @@ class TestBasisPasses:
             "triple with a functional": lambda b: sample_liouville_triple(
                 self.marked(0.0), 100, RngStream(75, 3), b, functionals={"half": half}
             ),
-            "kpz": lambda b: kpz_ratio_test(kpz, MobiusMap(a=0.3, alpha=0.0), b),
+            "triple with two functionals": lambda b: sample_liouville_triple(
+                self.marked(0.0), 100, RngStream(75, 3), b, functionals={"half": half, "one": lambda pair: 1.0}
+            ),
+            "kpz": lambda b: kpz_ratio_test(kpz, psi, b),
+            "kpz on two sets after one reduce": lambda b: [
+                b.reduce([s for ins in (kpz, kpz_b) for s in (ins, mobius_moved(ins, psi))]),
+                *(kpz_ratio_test(ins, psi, b) for ins in (kpz, kpz_b)),
+            ],
             "unit volume": lambda b: unit_volume_expectation(three, half, b),
         }
         for name, run in runs.items():
@@ -587,6 +596,7 @@ class TestBasisPasses:
             run(basis)
             assert len(calls) == 2, name
         basis.drifted_totals(three)
+        assert basis.reduce([three]) == {}
         assert len(calls) == 2
 
 

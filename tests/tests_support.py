@@ -45,7 +45,7 @@ def batched_boundary_totals(gamma, n_modes, n_arcs, n_replicas, rng):
     """Total masses of the boundary chaos measure across replicas."""
     trace = TraceSampler(n_modes, n_arcs)
     x = trace.fields(boundary_coefficients(n_modes, n_replicas, rng))
-    return boundary_masses(x, trace.variance, gamma, n_arcs).sum(axis=1)
+    return boundary_masses(x, trace.variance, gamma).sum(axis=1)
 
 
 def batched_bulk_masses(gamma, grid, sampler, n_replicas, rng):
@@ -75,7 +75,7 @@ def basis_reference(basis, rng, fb=None, fd=None):
         return masses if fb is None else masses @ fb
 
     def bdry(coef):
-        masses = boundary_masses(trace.fields(coef), trace.variance, g, len(trace.theta))
+        masses = boundary_masses(trace.fields(coef), trace.variance, g)
         return masses if fd is None else masses @ fd
 
     return (
