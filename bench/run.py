@@ -108,7 +108,7 @@ def _seconds_and_peak(out, name, build):
 
 def boltzmann_layers():
     """The Boltzmann sampler at a = 0.0125: its build, its row builds and their logsumexp apart, and sample; then
-    the tracemalloc peaks of a second build and a second sample."""
+    the tracemalloc peaks of a second build, a second sample and a second joint_density_check of 100,000 draws."""
     from lqgdisk import maps
     from lqgdisk.gff import RngStream
     cfg, out = maps.BoltzmannConfig(a=0.0125, mu=1.0, mu_boundary=1.0), {}
@@ -118,6 +118,8 @@ def boltzmann_layers():
     _clock(out, "sample_s", s.sample, 100000, RngStream(1, 0))
     out["sampler_build_peak_mb"] = _peak_mb(maps.BoltzmannSampler, cfg)
     out["sample_peak_mb"] = _peak_mb(s.sample, 100000, RngStream(1, 0))
+    maps.joint_density_check(cfg, 100000, RngStream(1, 0))
+    out["density_check_peak_mb"] = _peak_mb(maps.joint_density_check, cfg, 100000, RngStream(1, 0))
     return out
 
 

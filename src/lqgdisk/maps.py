@@ -32,7 +32,6 @@ from .errors import ConfigurationError, DomainError
 
 __all__ = [
     "count_exact",
-    "log_count_exact",
     "log_count_asymptotic",
     "log_count_exact_certified",
     "BULK_CRITICAL_WEIGHT",
@@ -47,7 +46,7 @@ __all__ = [
 BULK_CRITICAL_WEIGHT = math.log(12.0)
 BOUNDARY_CRITICAL_WEIGHT_PER_EDGE = 0.5 * math.log(4.5)
 TAIL_BOUND = 1e-9  # largest estimated truncation tail mass a sampler accepts
-ROW_THREADS = 4  # most weight rows built at once; each pool task holds one or two row-sized buffers
+ROW_THREADS = 4  # most weight rows built at once; each pool task holds one row-sized buffer
 
 
 def _pool_size():
@@ -215,23 +214,6 @@ def _logsumexp(a):
     return np.log1p(s / m if s != 0 else s) + np.log(m) + a_max
 
 
-def log_count_exact(n, p):
-    """ln of the exact count at the integers n, indexing a log-gamma table at each argument.
-
-    The reference for BoltzmannSampler.log_weight_row, which slices its rows
-    from the same table and gives the same bits.
-    """
-    n = np.asarray(n, dtype=float)
-    pf = float(p)
-    table = _lgamma_table(2 * int(n.max(initial=0.0)) + 2 * p + 2)
-
-    def lgamma(k):
-        return table[np.maximum(k, 0.0).astype(np.intp)]  # k <= 0 reads the pole at 0
-
-    out = _log_count(n, p, lgamma(2 * n + pf), lgamma(n - pf + 2.0), lgamma(n + 2 * pf + 1.0))
-    return np.where(n - pf + 1 < 0, -np.inf, out)
-
-
 def log_count_asymptotic(n, p):
     """ln of the large-n asymptotic count at fixed p^2/n."""
     if n < 1 or p < 1:
@@ -324,12 +306,13 @@ class BoltzmannSampler:
 
     Builds one table of ln Gamma(k) for every integer argument a row needs
     (k < 2 n_max + 3 p_max + 2) and slices each n-row from it, bit for bit
-    the row log_count_exact gives.  The log-marginal over p streams the
-    rows through a small thread pool, each task reusing one row buffer (the
-    full table would not fit at small mesh); each row is summed by _logsumexp,
-    scipy 1.17's algorithm in numpy, and writes only its own entry, so the
-    marginal has the same bits at any pool size.  Sampling draws p from the
-    marginal and then n from the regenerated row by inverse CDF.
+    the row of the test oracle tests_support.log_count_exact.  The
+    log-marginal over p streams the rows through a small thread pool, each
+    task reusing one row buffer (the full table would not fit at small
+    mesh); each row is summed by _logsumexp, scipy 1.17's algorithm in
+    numpy, and writes only its own entry, so the marginal has the same bits
+    at any pool size.  Sampling draws p from the marginal and then n from
+    the regenerated row by inverse CDF, accumulated in the row's own buffer.
     Construction validates the truncation tails against TAIL_BOUND, keeps
     the estimate as log_tail_mass, and raises ConfigurationError if the
     caps are too small.
@@ -362,6 +345,7 @@ class BoltzmannSampler:
 
         e^{-mu_bar n - mu_bar_b 2p} T(n, p), times n when the ensemble
         carries an interior marked quadrilateral; -inf where n < p - 1.
+        The ln T(n, p) part equals tests_support.log_count_exact bit for bit.
         """
         cfg = self.cfg
         g = self._lgamma
@@ -414,11 +398,11 @@ class BoltzmannSampler:
         groups = _group_by_p(p_draws, self.cfg.p_max)
 
         def draw_n(ps):
-            row, cdf = np.empty(self.cfg.n_max + 1), np.empty(self.cfg.n_max + 1)  # cumsum in place is slower
+            row = np.empty(self.cfg.n_max + 1)  # the row, then its CDF in place: one buffer per task
             for p in ps:
                 self.log_weight_row(p, out=row)
                 row -= row.max()
-                np.cumsum(np.exp(row, out=row), out=cdf)
+                cdf = np.cumsum(np.exp(row, out=row), out=row)
                 cdf /= cdf[-1]
                 sel = groups[p - 1]
                 n_draws_out[sel] = np.searchsorted(cdf, u[sel], side="left")
@@ -437,15 +421,13 @@ def _group_by_p(p_draws, p_max):
 # goodness of fit
 # ---------------------------------------------------------------------------
 
-def _density_bin_probs(sampler, v_edges, l_edges):
+def _density_bin_probs(cfg, v_edges, l_edges):
     """Lattice-summed conjectured-density mass of each (V, l) bin.
 
     Evaluates the density on the draw lattice (V, l) = (a^2 n, 2 a p) so
     that observed and expected are binned identically; normalization is
     over the binned range.
     """
-    cfg = sampler.cfg
-
     def log_density(vol, ell):  # without the interior marking's factor n, the law has one more 1/V
         f = conjectured_log_density(vol, ell, cfg.mu, cfg.mu_boundary)
         return f if cfg.interior_marked else f - np.log(vol)
@@ -488,8 +470,9 @@ def joint_density_check(cfg, n_draws, rng, bins=(20, 20), window=None, min_expec
     asymptotics are accurate to well under a percent.  Bin edges are draw
     quantiles (up to the 0.998 quantile) inside the window with the length
     edges snapped to half-lattice; expected masses come from the density evaluated on the
-    same lattice and normalized over the binned range.  Bins with expected
-    count below `min_expected` are flagged underpowered and excluded
+    same lattice and normalized over the binned range.  The sampler is freed
+    after the draws, before the bins are built: only its log_tail_mass is
+    kept.  Bins with expected count below `min_expected` are flagged underpowered and excluded
     (degrees of freedom adjust accordingly); fewer than two bins left
     leave no degree of freedom and raise ConfigurationError.
 
@@ -500,7 +483,8 @@ def joint_density_check(cfg, n_draws, rng, bins=(20, 20), window=None, min_expec
     if window is None:
         window = (max(0.05, 600.0 * cfg.a**2), max(0.2, 24.0 * cfg.a))
     sampler = BoltzmannSampler(cfg)
-    n_arr, p_arr = sampler.sample(n_draws, rng)
+    (n_arr, p_arr), log_tail_mass = sampler.sample(n_draws, rng), sampler.log_tail_mass
+    del sampler  # its log-gamma table and rows are freed before the bins are built
     volume = cfg.a**2 * n_arr
     length = 2.0 * cfg.a * p_arr
 
@@ -524,7 +508,7 @@ def joint_density_check(cfg, n_draws, rng, bins=(20, 20), window=None, min_expec
         & (length < l_edges[-1])
     )
     observed = np.histogram2d(volume[in_range], length[in_range], bins=[v_edges, l_edges])[0]
-    probs = _density_bin_probs(sampler, v_edges, l_edges)
+    probs = _density_bin_probs(cfg, v_edges, l_edges)
     expected = probs * in_range.sum()
 
     use = expected >= min_expected
@@ -540,7 +524,7 @@ def joint_density_check(cfg, n_draws, rng, bins=(20, 20), window=None, min_expec
         "n_draws": n_draws,
         "n_bins": int(observed.size),
         "n_underpowered": int((~use).sum()),
-        "log_tail_mass": sampler.log_tail_mass,
+        "log_tail_mass": log_tail_mass,
     }
     rows = [(v_edges[i], v_edges[i + 1], l_edges[j], l_edges[j + 1], observed[i, j], expected[i, j])
             for i in range(len(v_edges) - 1) for j in range(len(l_edges) - 1)]

@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from lqgdisk.maps import (
     histogram_check,
     joint_density_check,
     log_count_asymptotic,
-    log_count_exact,
     log_count_exact_certified,
 )
+from tests_support import log_count_exact
 
 
 class TestExactCounts:
@@ -372,7 +373,7 @@ def _reference_sample(sampler, n_draws, rng):
     ids=["a-0.03", "p-cap-beyond-n"],
 )
 def test_sample_matches_serial_reference(cfg, threads, monkeypatch):
-    """Draws from the pool tasks' reused row and CDF buffers equal the serial row-per-p draws."""
+    """Draws from the pool tasks' reused row buffers, each CDF built in place, equal the serial row-per-p draws."""
     monkeypatch.setattr(BoltzmannSampler, "_check_tails", lambda self, edge_n: None)
     monkeypatch.setattr(maps, "_pool_size", lambda: threads)
     s = BoltzmannSampler(cfg)
@@ -384,11 +385,11 @@ def test_sample_matches_serial_reference(cfg, threads, monkeypatch):
 
 
 def test_sample_peak_memory(monkeypatch):
-    """One pool task's sample() holds two row buffers and no copy of the p draws.
+    """One pool task's sample() holds one row buffer, its CDF accumulated in place, and no copy of the p draws.
 
     Pinned to one task, so no thread timing moves the peak.  At a = 0.03 (rows of 22,224 values, 0.17 MB) the
-    tracemalloc peak of 100,000 draws is 3.83 MB, five arrays of the draws' size; fresh row-sized temporaries per p
-    and an int64 copy of the p draws on return would read 4.09 MB.
+    tracemalloc peak of 100,000 draws is 3.66 MB; a second row-sized buffer for the CDF reads 3.83 MB, and fresh
+    row-sized temporaries per p and an int64 copy of the p draws on return would read 4.09 MB.
     """
     monkeypatch.setattr(maps, "_pool_size", lambda: 1)
     s = BoltzmannSampler(BoltzmannConfig(a=0.03))
@@ -399,12 +400,11 @@ def test_sample_peak_memory(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.96 * 2**20
+    assert peak < 3.75 * 2**20
 
 
-def _reference_bin_probs(sampler, v_edges, l_edges):
+def _reference_bin_probs(cfg, v_edges, l_edges):
     """The bin masses from the density on the whole lattice at every binned p, then masked to the window."""
-    cfg = sampler.cfg
     n_lo = max(1, int(math.floor(v_edges[0] / cfg.a**2)))
     n_hi = min(cfg.n_max, int(math.ceil(v_edges[-1] / cfg.a**2)))
     v = cfg.a**2 * np.arange(n_lo, n_hi + 1, dtype=float)
@@ -437,8 +437,28 @@ def test_density_bin_probs_match_the_whole_lattice_loop(cfg, n_draws, seed, kw, 
     seen, bin_probs = [], maps._density_bin_probs
     monkeypatch.setattr(maps, "_density_bin_probs", lambda *args: seen.append((args, bin_probs(*args))) or seen[-1][1])
     joint_density_check(cfg, n_draws, RngStream(5, seed), **kw)
-    (sampler, v_edges, l_edges), got = seen[0]
-    assert np.array_equal(got, _reference_bin_probs(sampler, v_edges, l_edges))
+    (got_cfg, v_edges, l_edges), got = seen[0]
+    assert got_cfg is cfg
+    assert np.array_equal(got, _reference_bin_probs(cfg, v_edges, l_edges))
+
+
+def test_sampler_is_freed_before_the_bins(monkeypatch):
+    """joint_density_check holds no live BoltzmannSampler while it builds the density bins."""
+    drawn, alive, sample, bin_probs = [], [], BoltzmannSampler.sample, maps._density_bin_probs
+
+    def tracked_sample(self, n_draws, rng):
+        drawn.append(weakref.ref(self))
+        return sample(self, n_draws, rng)
+
+    def checked_bin_probs(*args):
+        alive.append(drawn[0]() is not None)
+        return bin_probs(*args)
+
+    monkeypatch.setattr(BoltzmannSampler, "sample", tracked_sample)
+    monkeypatch.setattr(maps, "_density_bin_probs", checked_bin_probs)
+    joint_density_check(BoltzmannConfig(a=0.05, mu=1.0, mu_boundary=1.0), 3000, RngStream(5, 6),
+                        bins=(10, 10), window=(0.2, 0.4))
+    assert alive == [False]
 
 
 @pytest.mark.parametrize("threads", [1, 3])

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 
-from lqgdisk import critical, io
+from lqgdisk import critical, io, maps
 from lqgdisk.gff import TraceSampler, check_eigenvalues, covariance_entries, replica_map
 from lqgdisk.gmc import boundary_masses, bulk_masses, window_sector_grid
 
@@ -82,6 +82,23 @@ def basis_reference(basis, rng, fb=None, fd=None):
         replica_map(bulk, lambda r: rng.child(2 * r), n, sampler.noise_shape),
         replica_map(bdry, lambda r: rng.child(2 * r + 1), n, trace.noise_shape),
     )
+
+
+def log_count_exact(n, p):
+    """ln of the exact count at the integers n, indexing a log-gamma table at each argument.
+
+    The reference for BoltzmannSampler.log_weight_row, which slices its rows
+    from the same table and gives the same bits.
+    """
+    n = np.asarray(n, dtype=float)
+    pf = float(p)
+    table = maps._lgamma_table(2 * int(n.max(initial=0.0)) + 2 * p + 2)
+
+    def lgamma(k):
+        return table[np.maximum(k, 0.0).astype(np.intp)]  # k <= 0 reads the pole at 0
+
+    out = maps._log_count(n, p, lgamma(2 * n + pf), lgamma(n - pf + 2.0), lgamma(n + 2 * pf + 1.0))
+    return np.where(n - pf + 1 < 0, -np.inf, out)
 
 
 def one_shot_sector(depth):
