@@ -57,8 +57,8 @@ MARKED = {"gamma": GAMMA, "mu": 1.0, "mu_boundary": 0.0, "grid": {"n_r": 5}, "n_
                                           {"kind": "boundary", "position": [1.0, 0.0], "weight": GAMMA}]}
 # a run's name is its experiment, then an optional label: one config per experiment, the perfbench shapes
 # of gmc-bulk and volume-law, volume-law at mu_b > 0 (the y quadrature and sampler), 4 arcs (1,024 modes
-# folded onto 3 bins of the trace's half spectrum), and a boundary ladder whose levels keep different
-# replica counts
+# folded onto 3 bins of the trace's half spectrum), a bulk ladder that reaches level-9 blocks, and a boundary
+# ladder whose levels keep different replica counts
 CONFIGS = {
     "green-selftest": {"n_samples": 2000},
     "field-sample": {"grid": {"n_r": 4}},
@@ -67,6 +67,7 @@ CONFIGS = {
     "gmc-boundary": {"gamma": 1.0, "n_modes": 256, "n_arcs": 128, "n_replicas": 500},
     "gmc-boundary few-arcs": {"gamma": 1.0, "n_modes": 1024, "n_arcs": 4, "n_replicas": 500},
     "critical-ladder": {"kind": "bulk", "levels": [4, 5, 6], "n_replicas": [2000, 1000, 500]},
+    "critical-ladder levels 7-9": {"kind": "bulk", "levels": [7, 8, 9], "n_replicas": [400, 200, 100]},
     "critical-ladder boundary": {"kind": "boundary", "mode_levels": [64, 256, 1024], "n_replicas": [700, 300, 100]},
     "seiberg-validate": MARKED,
     "volume-law": MARKED,
@@ -125,7 +126,10 @@ def boltzmann_layers():
 
 def ladder_layers():
     """SectorSampler builds at levels 4-10; the steps of the default ladder's level-9 blocks, as gff.circulant_fields
-    and critical.bulk_ladder_totals take them; and the serial draw and coarsening of its noise (its worker's work)."""
+    and critical.bulk_ladder_totals take them (numpy alone, so both sides time the same steps), and the tracemalloc
+    peak of one block's fields, over its noise where the side's SectorSampler.fields takes out; and the serial draw
+    and coarsening of its noise (its worker's work)."""
+    import inspect
     import math
     from lqgdisk import critical, gff
     from lqgdisk.gff import RngStream
@@ -136,14 +140,24 @@ def ladder_layers():
     s = critical.SectorSampler(9)
     block = max(1, gff.BUILD_CHUNK // math.prod(s.noise_shape))
     weights, gen, starts = s.grid.density_weights(2.0), np.random.default_rng(1), range(0, 1500, block)
+
+    def products(spec):  # a few eigenblocks at a time, each copied out as contiguous matrices and written back
+        step = max(1, gff.BUILD_CHUNK // (16 * math.prod(spec.shape[:2])))
+        for q in range(0, spec.shape[-1], step):
+            chunk = np.ascontiguousarray(spec[:, :, q : q + step].transpose(2, 1, 0)).view(float)
+            spec[:, :, q : q + step] = np.matmul(s._root[q : q + step], chunk).view(complex).transpose(2, 1, 0)
+
     for start in starts:
         noise = _clock(steps, "draw", gen.standard_normal, (min(block, 1500 - start), *s.noise_shape))
-        spec = _clock(steps, "fft", lambda: np.ascontiguousarray(np.fft.rfft(noise, axis=-1).transpose(2, 1, 0)))
-        spec = _clock(steps, "products", lambda: np.matmul(s._root, spec.view(float)).view(complex))
-        x = _clock(steps, "fft", lambda: np.fft.irfft(spec.transpose(2, 1, 0), n=noise.shape[-1], axis=-1))
+        spec = _clock(steps, "fft", np.fft.rfft, noise)
+        _clock(steps, "products", products, spec)
+        x = _clock(steps, "fft", lambda: np.fft.irfft(spec, n=noise.shape[-1], axis=-1, out=noise))
         _clock(steps, "masses", lambda: bulk_masses(x[:, :, : s.n_angles].reshape(len(x), -1), s.variances,
                                                     weights, 2.0).sum(axis=1))
     out["level9.block_replicas"] = block
+    noise = gen.standard_normal((block, *s.noise_shape))
+    over_noise = {"out": noise} if "out" in inspect.signature(s.fields).parameters else {}
+    out["level9.fields_peak_mb"] = _peak_mb(lambda: s.fields(noise, **over_noise))
     out.update({f"level9.{key}_s_per_block": v / len(starts) for key, v in steps.items()})
     levels, counts = [4, 5, 6, 7, 8, 9], [20000, 20000, 10000, 5000, 2500, 1500]
     shapes = [critical.SectorSampler(k).noise_shape for k in levels]

@@ -43,8 +43,7 @@ __all__ = [
 # ladder diagnostics
 # ---------------------------------------------------------------------------
 
-# a level-8-10 ladder peaks near 190 MB; at level 11 the spectrum and its
-# root alone would take 2 x 539 MB
+# a level-8-10 ladder peaks near 127 MB; at level 11 the spectrum, factored in place, would take 539 MB alone
 MAX_LADDER_LEVEL = 10
 
 
@@ -57,9 +56,9 @@ class SectorSampler:
     M = 2 n_t angles (c(d) for d <= n_t, c(M - d) beyond), which the real
     DFT over the angles splits into the M/2 + 1 symmetric blocks
     spectrum[q] = Re sum_d c(d) e^{-2 pi i q d / M} (sector_spectrum).  Each block is
-    factored by its symmetric square root root[q] (gff.circulant_root);
+    factored by its symmetric square root root[q], written over it (gff.circulant_root);
     from real white noise xi of shape (n_r, M), irfft(root_q rfft(xi))
-    (gff.circulant_fields) has the circulant covariance, and its first n_t
+    (gff.circulant_fields, into the noise in the ladder) has the circulant covariance, and its first n_t
     angles have the sector's.  The embedding must be positive
     semidefinite, under the rule of gff.check_eigenvalues
     (FactorizationError otherwise).
@@ -72,22 +71,23 @@ class SectorSampler:
         self.noise_shape = (n_r, 2 * self.n_angles)
         radii = np.abs(self.grid.centers[:: self.n_angles])
         self.variances = np.repeat(covariance_entries(radii, radii, self.grid.eps[0]), self.n_angles)
-        self._root, self.min_eigenvalue = circulant_root(sector_spectrum(self.grid))
+        spectrum = sector_spectrum(self.grid)
+        self._root, self.min_eigenvalue = circulant_root(spectrum, out=spectrum)
 
-    def fields(self, noise):
-        """Field values in grid order, shape (n, grid.size), from noise of shape (n, *noise_shape)."""
-        x = circulant_fields(self._root, noise)
+    def fields(self, noise, out=None):
+        """Field values in grid order, (n, grid.size), from noise (n, *noise_shape); out may be the noise itself."""
+        x = circulant_fields(self._root, noise, out)
         return x[:, :, : self.n_angles].reshape(len(noise), -1)
 
 
 def sector_spectrum(grid):
-    """SectorSampler's eigenblocks spectrum[q], q = 0..n_t, built BUILD_CHUNK embedding entries at a time."""
+    """SectorSampler's eigenblocks spectrum[q], q = 0..n_t, built BUILD_CHUNK // 16 embedding entries at a time."""
     n_r = grid.rings_per_band
     n_t = grid.size // n_r
     radii, eps = np.abs(grid.centers[::n_t]), grid.eps[0]
     shifts = np.exp(1j * grid.dtheta[0] * np.arange(n_t + 1))
     spectrum = np.empty((n_t + 1, n_r, n_r))
-    step = max(1, BUILD_CHUNK // (2 * n_t * n_r))
+    step = max(1, BUILD_CHUNK // (16 * n_t * n_r))
     for i in range(0, n_r, step):
         blocks = covariance_entries(radii[i : i + step, None], radii * shifts[:, None, None], eps)
         embedded = np.concatenate([blocks, blocks[-2:0:-1]])
@@ -216,7 +216,7 @@ def bulk_ladder_totals(levels, n_replicas, rng, report=None):
             for i, noise in enumerate(chain):
                 n = min(end, counts[i]) - r
                 if n > 0:
-                    x = samplers[i].fields(noise[:n])
+                    x = samplers[i].fields(noise[:n], out=noise[:n])  # its noise is spent: coarsened already
                     masses = bulk_masses(x, samplers[i].variances, weights[i], 2.0)
                     plain[i][r : r + n] = masses.sum(axis=1)
     pushed = [t * math.sqrt(math.log(1.0 / s.grid.eps[0])) for t, s in zip(plain, samplers)]

@@ -262,41 +262,44 @@ def circulant_root(spectrum, out=None):
 
     spectrum holds the Hermitian (or real symmetric) eigenblocks q = 0..M/2
     of the embedding; each is factored by its Hermitian square root, into
-    out if given (RotationSampler passes its spectrum, each chunk's roots
-    overwriting the blocks its eigh has read), else into a new array.  The
-    eigenvalues must pass check_eigenvalues (FactorizationError otherwise).
-    The blocks are factored BUILD_CHUNK values at a time, so a chunk holds
-    half as many complex blocks as real ones.
+    out if given (RotationSampler and critical.SectorSampler pass their
+    spectra, each chunk's roots overwriting the blocks its eigh has read),
+    else into a new array.  The eigenvalues must pass check_eigenvalues
+    (FactorizationError otherwise).  The blocks are factored BUILD_CHUNK
+    values at a time, so a chunk holds half as many complex blocks as real
+    ones; real eigenvectors are transposed without a conjugate copy.
     """
-    root, w = out, np.empty(spectrum.shape[:2])
+    root, w = np.empty_like(spectrum) if out is None else out, np.empty(spectrum.shape[:2])
     step = max(1, BUILD_CHUNK * 8 // spectrum[0].nbytes)
     for q in range(0, len(spectrum), step):
         w[q : q + step], v = np.linalg.eigh(spectrum[q : q + step])
         scaled = v * np.sqrt(np.clip(w[q : q + step], 0.0, None))[:, None, :]
-        vh = np.conj(v).transpose(0, 2, 1)
-        if root is None:
-            # allocated after the first chunk's temporaries, as the one-piece product was: allocated
-            # before them, the heap it leaves raises the peak RSS of marked-point runs by 1.9 MB
-            root = np.empty(spectrum.shape, spectrum.dtype)
+        vh = (np.conj(v) if np.iscomplexobj(v) else v).transpose(0, 2, 1)
         np.matmul(scaled, vh, out=root[q : q + step])
         del v, scaled, vh  # freed before the next chunk's eigh
     check_eigenvalues(w)
     return root, float(w.min())
 
 
-def circulant_fields(root, noise):
-    """irfft(root[q] rfft(noise)[q]) over the last axis of real noise of shape (n, k, M).
+def circulant_fields(root, noise, out=None):
+    """irfft(root[q] rfft(noise)[q]) over the last axis of real noise of shape (n, k, M), into out if given.
 
     With root from circulant_root, the result has the block-circulant
-    covariance whose eigenblocks root squares.
+    covariance whose eigenblocks root squares.  The spectrum keeps the
+    rfft's layout; the products take its eigenblocks BUILD_CHUNK // 16
+    complex entries at a time, each copied out as contiguous k x n
+    matrices and written back, and the irfft writes into out (the bulk
+    ladder passes its spent noise): no other large array is allocated.
     """
-    spec = np.ascontiguousarray(np.fft.rfft(noise, axis=-1).transpose(2, 1, 0))
-    if np.isrealobj(root):
+    n, k, m = noise.shape
+    spec = np.fft.rfft(noise, axis=-1)
+    step = max(1, BUILD_CHUNK // (16 * k * n))
+    for q in range(0, spec.shape[-1], step):
+        block = np.ascontiguousarray(spec[:, :, q : q + step].transpose(2, 1, 0))
         # real roots apply to the real and imaginary parts alike
-        spec = np.matmul(root, spec.view(float)).view(complex)
-    else:
-        spec = np.matmul(root, spec)
-    return np.fft.irfft(spec.transpose(2, 1, 0), n=noise.shape[-1], axis=-1, out=np.empty(noise.shape))
+        block = np.matmul(root[q : q + step], block.view(float) if np.isrealobj(root) else block)
+        spec[:, :, q : q + step] = block.view(complex).transpose(2, 1, 0)
+    return np.fft.irfft(spec, n=m, axis=-1, out=out)
 
 
 def replica_map(fn, stream, n, shape):

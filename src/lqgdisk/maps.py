@@ -458,6 +458,25 @@ def _density_bin_probs(cfg, v_edges, l_edges):
     return mass / total
 
 
+def _quantiles(x, q):
+    """np.quantile(x, q), linear rule, bit for bit, from np.partition (np.quantile and np.unique import numpy.ma).
+
+    x is 1-d, with no NaN and no -0.0 tied with 0.0 (either may come first).  As numpy's: index (n - 1) q, and
+    its lerp from the upper neighbour where t >= 0.5."""
+    v = (len(x) - 1) * q
+    lo = np.floor(v).astype(np.intp)
+    hi = np.minimum(lo + 1, len(x) - 1)
+    a, b = np.partition(x, np.concatenate([lo, hi]))[[lo, hi]]
+    t = v - lo
+    return np.subtract(b, (b - a) * (1 - t), out=a + (b - a) * t, where=t >= 0.5)
+
+
+def _unique(x):
+    """np.unique of a 1-d array without NaNs, bit for bit, from np.sort."""
+    x = np.sort(x)
+    return x[np.concatenate([[True], x[1:] != x[:-1]])]
+
+
 def joint_density_check(cfg, n_draws, rng, bins=(20, 20), window=None, min_expected=5.0):
     """Chi-square of rescaled Boltzmann draws against the limit density.
 
@@ -494,11 +513,9 @@ def joint_density_check(cfg, n_draws, rng, bins=(20, 20), window=None, min_expec
         raise ConfigurationError(
             f"only {int(win.sum())} draws fall in the macroscopic window; increase n_draws"
         )
-    qv = np.linspace(0.0, 0.998, bins[0] + 1)
-    ql = np.linspace(0.0, 0.998, bins[1] + 1)
-    v_edges = np.unique(np.quantile(volume[win], qv))
-    l_edges = np.quantile(length[win], ql)
-    l_edges = np.unique(np.floor(l_edges / lat) * lat + 0.5 * lat)
+    v_edges = _unique(_quantiles(volume[win], np.linspace(0.0, 0.998, bins[0] + 1)))
+    l_edges = _quantiles(length[win], np.linspace(0.0, 0.998, bins[1] + 1))
+    l_edges = _unique(np.floor(l_edges / lat) * lat + 0.5 * lat)
     l_edges[0] = window[1] - 0.5 * lat
 
     in_range = (

@@ -234,5 +234,13 @@ class TestWorkingSet:
         assert peak < 48 * 2**20
 
     def test_sector_build_is_chunked(self):
-        # the level-9 spectrum and root are 8.5 MB each; the whole embedding would add 60 MB more
-        assert traced_peak(lambda: SectorSampler(9)) < 40 * 2**20
+        # the level-9 spectrum is 8.5 MB and its roots are written over it (12.8 MiB measured; 22.9 MiB into a
+        # separate root); the whole embedding would add 60 MB more
+        assert traced_peak(lambda: SectorSampler(9)) < 18 * 2**20
+
+    def test_block_fields_overwrite_their_noise(self):
+        # one 16-replica level-9 block, 2 MB of noise: the call holds its spectrum and one chunk of products
+        # (2.53 MiB measured; 4.06 MiB with a transposed copy of the spectrum and the fields in a new array)
+        sampler = SectorSampler(9)
+        noise = np.random.default_rng(0).standard_normal((16, *sampler.noise_shape))
+        assert traced_peak(lambda: sampler.fields(noise, out=noise)) < 3 * 2**20

@@ -10,7 +10,7 @@ import pytest
 
 from lqgdisk import cli, gff, io
 from lqgdisk.errors import FactorizationError, GridError, UnsupportedSeparationError
-from lqgdisk.critical import boundary_ladder_totals
+from lqgdisk.critical import SectorSampler, boundary_ladder_totals
 from lqgdisk.geometry import LiouvilleParams, green, poincare_density
 from lqgdisk.gff import (
     ROTATION_ORDER,
@@ -294,6 +294,20 @@ class TestRotationSampler:
         monkeypatch.setattr(gff, "BUILD_CHUNK", chunk)
         sampler = RotationSampler(grid)
         assert np.array_equal(sampler._root, root) and sampler.min_eigenvalue == w.min()
+
+    @pytest.mark.parametrize("sampler", [lambda: SectorSampler(6), lambda: RotationSampler(graded_disk_grid(5))],
+                             ids=["real-sector-root", "complex-rotation-root"])
+    def test_fields_over_their_noise_are_the_one_piece_fields(self, sampler, monkeypatch):
+        root = sampler()._root
+        noise = np.random.default_rng(16).standard_normal((16, root.shape[1], 2 * (len(root) - 1)))
+        spec = np.ascontiguousarray(np.fft.rfft(noise, axis=-1).transpose(2, 1, 0))
+        spec = np.matmul(root, spec.view(float)).view(complex) if np.isrealobj(root) else np.matmul(root, spec)
+        want = np.fft.irfft(spec.transpose(2, 1, 0), n=noise.shape[-1], axis=-1)
+        assert np.array_equal(gff.circulant_fields(root, noise), want)
+        # two eigenblocks per product, the last chunk ragged
+        monkeypatch.setattr(gff, "BUILD_CHUNK", 2 * 16 * root.shape[1] * len(noise))
+        assert len(root) % 2 == 1
+        assert gff.circulant_fields(root, noise, out=noise) is noise and np.array_equal(noise, want)
 
     def test_negative_eigenblock_raises(self, monkeypatch):
         entries = gff.covariance_entries

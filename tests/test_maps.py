@@ -442,6 +442,20 @@ def test_density_bin_probs_match_the_whole_lattice_loop(cfg, n_draws, seed, kw, 
     assert np.array_equal(got, _reference_bin_probs(cfg, v_edges, l_edges))
 
 
+def test_quantiles_and_unique_are_numpys():
+    """maps._quantiles and maps._unique give np.quantile's and np.unique's bits, ties included."""
+    gen = np.random.default_rng(38)
+    for trial in range(600):
+        n = int(gen.integers(1, 300))
+        x = [gen.standard_normal(n), gen.integers(-4, 5, n) * 0.5, gen.exponential(size=n)][trial % 3]
+        q = np.linspace(0.0, [0.998, 1.0, 0.5][trial // 3 % 3], int(gen.integers(1, 25)))
+        want, got = np.quantile(x, q), maps._quantiles(x, q)
+        assert want.dtype == got.dtype and np.array_equal(want.view(np.int64), got.view(np.int64))
+        for y in (x, want):
+            unique = maps._unique(y)
+            assert np.array_equal(np.unique(y).view(np.int64), unique.view(np.int64))
+
+
 def test_sampler_is_freed_before_the_bins(monkeypatch):
     """joint_density_check holds no live BoltzmannSampler while it builds the density bins."""
     drawn, alive, sample, bin_probs = [], [], BoltzmannSampler.sample, maps._density_bin_probs

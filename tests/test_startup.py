@@ -83,12 +83,22 @@ def test_cli_import_loads_no_thread_pool():
     assert "concurrent.futures" not in loaded and "logging" not in loaded
 
 
-def test_critical_ladder_loads_no_masked_arrays(tmp_path):
-    # np.median imports numpy.ma for its NaN check; the ladder's medians come from critical.median
-    argv = cli_argv(tmp_path, "critical-ladder", NUMPY_ONLY_RUNS["critical-ladder"], 1, "out")
+def masked_arrays_loaded(tmp_path, command):
+    """[exit code, whether numpy.ma is loaded] after the NUMPY_ONLY_RUNS run of command in a fresh interpreter."""
+    argv = cli_argv(tmp_path, command, NUMPY_ONLY_RUNS[command], 1, "out")
     code = ("import json, sys, lqgdisk.cli; rc = lqgdisk.cli.main(sys.argv[1:]); "
             "print(json.dumps([rc, 'numpy.ma' in sys.modules]))")
-    assert json.loads(run_python(code, argv).splitlines()[-1]) == [0, False]
+    return json.loads(run_python(code, argv).splitlines()[-1])
+
+
+def test_critical_ladder_loads_no_masked_arrays(tmp_path):
+    # np.median imports numpy.ma for its NaN check; the ladder's medians come from critical.median
+    assert masked_arrays_loaded(tmp_path, "critical-ladder") == [0, False]
+
+
+def test_maps_density_loads_no_masked_arrays(tmp_path):
+    # np.quantile and np.unique import numpy.ma; the density bins come from maps._quantiles and maps._unique
+    assert masked_arrays_loaded(tmp_path, "maps-density") == [0, False]
 
 
 def test_replica_totals_bounded_across_blas_thread_counts(tmp_path):
